@@ -44,7 +44,7 @@ SNAPSHOT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 
 
 def _run(points, vset, **kwargs):
-    ex = SerialExecutor(scheduler=SchedMinpts(), **kwargs)
+    ex = SerialExecutor(scheduler=SchedMinpts(), kernel="bfs", **kwargs)
     return ex.run(points, vset, dataset="SW1")
 
 

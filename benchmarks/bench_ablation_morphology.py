@@ -43,7 +43,7 @@ def test_ablation_morphology_report(benchmark, report):
             )
             indexes = IndexPair.build(pts, 70)
             for pol in (CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED):
-                batch = SerialExecutor(reuse_policy=pol).run(pts, VSET, indexes=indexes)
+                batch = SerialExecutor(reuse_policy=pol, kernel="bfs").run(pts, VSET, indexes=indexes)
                 rows.append(
                     [
                         name,

@@ -58,7 +58,7 @@ def test_ablation_scheduling_report(benchmark, report):
     def run():
         rows = []
         for sched in (SchedGreedy(), _SchedMostRecent(), _SchedNoReuse()):
-            batch = SerialExecutor(scheduler=sched).run(ds.points, VSET, indexes=indexes)
+            batch = SerialExecutor(scheduler=sched, kernel="bfs").run(ds.points, VSET, indexes=indexes)
             rows.append(
                 [
                     sched.name,
@@ -98,8 +98,8 @@ def test_ablation_low_reuse_overhead_report(benchmark, report):
     indexes = IndexPair.build(ds.points, 70)
 
     def run():
-        with_reuse = SerialExecutor().run(ds.points, vset, indexes=indexes)
-        no_reuse = SerialExecutor(scheduler=_SchedNoReuse()).run(
+        with_reuse = SerialExecutor(kernel="bfs").run(ds.points, vset, indexes=indexes)
+        no_reuse = SerialExecutor(scheduler=_SchedNoReuse(), kernel="bfs").run(
             ds.points, vset, indexes=indexes
         )
         return with_reuse.record, no_reuse.record

@@ -38,7 +38,7 @@ MINPTS_GRID = (4, 8, 16)
 
 def _variant_batch(points, vset, indexes):
     t0 = time.perf_counter()
-    batch = SerialExecutor().run(points, vset, indexes=indexes)
+    batch = SerialExecutor(kernel="bfs").run(points, vset, indexes=indexes)
     return batch, batch.record.makespan, time.perf_counter() - t0
 
 

@@ -64,7 +64,7 @@ def bench_session(dataset: str, scale: float = None, **session_kwargs):
     session = _SESSIONS.get(key)
     if session is None or session.closed:
         ds = load_dataset(dataset, scale)
-        session = Session(ds.points, dataset=dataset, **session_kwargs)
+        session = Session(ds.points, dataset=dataset, kernel="bfs", **session_kwargs)
         _SESSIONS[key] = session
     return session
 

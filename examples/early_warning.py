@@ -73,7 +73,7 @@ def dominant_fraction(batch) -> float:
 
 
 def main() -> None:
-    executor = SerialExecutor()
+    executor = SerialExecutor(kernel="bfs")
     previous = None
     print(
         f"monitoring: {EPOCHS} epochs x {POINTS_PER_EPOCH} points x "

@@ -53,7 +53,7 @@ print(f"{'T':>4}  {'SCHEDGREEDY':>22}  {'SCHEDMINPTS':>22}")
 for t in (1, 2, 4, 8, 16):
     cells = []
     for sched in (SchedGreedy(), SchedMinpts()):
-        batch = SimulatedExecutor(n_threads=t, scheduler=sched).run(
+        batch = SimulatedExecutor(n_threads=t, scheduler=sched, kernel="bfs").run(
             ds.points, variants, indexes=indexes
         )
         rec = batch.record
@@ -66,7 +66,7 @@ for t in (1, 2, 4, 8, 16):
 # Reuse-policy comparison at T = 1 (the Figure 5/7 setting).
 print("\nreuse-policy sweep (T = 1):")
 for policy in (CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED):
-    batch = SimulatedExecutor(n_threads=1, reuse_policy=policy).run(
+    batch = SimulatedExecutor(n_threads=1, reuse_policy=policy, kernel="bfs").run(
         ds.points, variants, indexes=indexes
     )
     rec = batch.record
@@ -78,7 +78,7 @@ for policy in (CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED):
 # ------------------------------------------------------------------
 # And a genuinely parallel wall-clock run.
 t0 = time.perf_counter()
-batch = ProcessPoolExecutorBackend(n_threads=4).run(ds.points, variants)
+batch = ProcessPoolExecutorBackend(n_threads=4, kernel="bfs").run(ds.points, variants)
 wall = time.perf_counter() - t0
 print(
     f"\nprocess pool (4 workers): {len(batch.results)} variants in {wall:.2f}s wall, "

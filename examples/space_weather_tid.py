@@ -32,7 +32,7 @@ print(
 # 2. Sweep parameters: it is unknown a priori which (eps, minpts)
 #    separates TID bands from the background, so run a whole grid.
 variants = VariantSet.from_product([0.2, 0.3, 0.4, 0.6], [4, 8, 16, 32])
-batch = SerialExecutor().run(points, variants, dataset="tec-demo")
+batch = SerialExecutor(kernel="bfs").run(points, variants, dataset="tec-demo")
 print(
     f"swept |V| = {len(variants)} variants with "
     f"{batch.record.n_from_scratch} scratch run(s); "

@@ -76,7 +76,7 @@ def _dataset_session(ds: LoadedDataset) -> Session:
     key = (ds.spec.name, ds.scale)
     session = _session_cache.get(key)
     if session is None or session.closed:
-        session = Session(ds.points, dataset=ds.spec.name)
+        session = Session(ds.points, dataset=ds.spec.name, kernel="bfs")
         _session_cache[key] = session
     return session
 

@@ -655,8 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--kernel",
         choices=list(KERNELS),
-        default="bfs",
-        help="from-scratch clustering kernel (bfs or cellgraph)",
+        default="cellgraph",
+        help="clustering kernel: cellgraph (exact, one pass per eps; "
+        "the default) or bfs (the paper's reuse path)",
     )
     s.add_argument("--r", type=int, default=70)
     s.add_argument("--regions", type=int, default=None,

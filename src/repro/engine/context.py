@@ -52,11 +52,12 @@ def _null_tracer() -> Tracer:
 
     return NULL_TRACER
 
-#: From-scratch clustering kernels an executor can dispatch to:
-#: ``bfs`` is the paper's per-point Algorithm 1 machine, ``cellgraph``
-#: the grid-cell kernel of :mod:`repro.core.cellgraph` (byte-identical
-#: output, no per-point epsilon searches).  Reuse runs (Algorithms 3/4)
-#: are kernel-independent and always take the variant-reuse path.
+#: How an executor clusters a batch's variants: ``cellgraph`` serves
+#: every variant from one grid-cell pass per eps
+#: (:class:`repro.core.cellgraph.MinptsPass`; byte-identical to BFS
+#: DBSCAN, no reuse); ``bfs`` is the paper's path, per-point Algorithm 1
+#: for scratch variants and VariantDBSCAN reuse (Algorithms 3/4) for
+#: the rest.
 KERNELS = ("bfs", "cellgraph")
 
 
@@ -99,11 +100,9 @@ class RunContext:
         Completed-result spill/resume store; ``None`` disables
         checkpointing.
     kernel:
-        From-scratch clustering kernel (one of :data:`KERNELS`):
-        ``bfs`` (default) runs per-point Algorithm 1; ``cellgraph``
-        runs the grid-cell kernel of :mod:`repro.core.cellgraph` for
-        every variant that clusters from scratch.  Reuse runs are
-        unaffected.
+        Clustering path (one of :data:`KERNELS`): ``cellgraph``
+        (default) serves every variant from the cell-graph pass of its
+        eps; ``bfs`` runs the paper's Algorithm 1 and reuse path.
     factory:
         Index factory used to memoize kernel-specific indexes (the
         cell-graph grid is per-eps) across the run; ``None`` builds
@@ -146,7 +145,7 @@ class RunContext:
     retry_policy: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
     checkpoint: CheckpointStore | None = None
-    kernel: str = "bfs"
+    kernel: str = "cellgraph"
     factory: IndexFactory | None = field(repr=False, default=None)
     regions: int | None = None
     part_size: int | None = None

@@ -104,9 +104,10 @@ class Session:
         Default epsilon-search engine knobs (see
         :class:`~repro.exec.base.BaseExecutor`).
     kernel:
-        Default from-scratch clustering kernel, one of
-        :data:`~repro.engine.context.KERNELS` (``bfs`` or
-        ``cellgraph``); overridable per run.
+        Default clustering path, one of
+        :data:`~repro.engine.context.KERNELS`: ``cellgraph`` (one exact
+        pass per eps serves every variant) or ``bfs`` (the paper's
+        reuse path); overridable per run.
     regions / part_size:
         Default spatial partitioning for the sharded executor
         (``regions`` fixes the region count, ``part_size`` derives it
@@ -139,7 +140,7 @@ class Session:
         cost_model: CostModel | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache_bytes: int = 0,
-        kernel: str = "bfs",
+        kernel: str = "cellgraph",
         regions: int | None = None,
         part_size: int | None = None,
         shard_threshold: int | None = None,

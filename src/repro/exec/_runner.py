@@ -1,27 +1,100 @@
 """Single-variant execution step shared by the executor backends.
 
 Each backend differs only in *when* variants run and what clock stamps
-them; the per-variant work — pick a reuse source from the completed
-registry, run VariantDBSCAN (or DBSCAN from scratch), build the run
-record — is identical and lives here, driven entirely by the run's
-:class:`~repro.engine.context.RunContext`.
+them; the per-variant work is identical and lives here, driven entirely
+by the run's :class:`~repro.engine.context.RunContext`:
+
+* ``kernel="cellgraph"`` serves every variant from the
+  :class:`~repro.core.cellgraph.MinptsPass` of its ``eps`` — exact, and
+  built once per ``eps`` for the whole run or lane group
+  (:class:`PassMemo`);
+* ``kernel="bfs"`` runs the paper's path: pick a reuse source from the
+  completed registry, then VariantDBSCAN (or DBSCAN from scratch).
+
+Either way the step ends by building the variant's run record.
 """
 
 from __future__ import annotations
 
+import threading
 
-from repro.core.cellgraph import cellgraph_dbscan
+from repro.core.cellgraph import MinptsPass
 from repro.core.result import ClusteringResult
 from repro.core.scheduling import CompletedRegistry, PlannedVariant
 from repro.core.variant_dbscan import variant_dbscan
-from repro.core.variants import VariantSet
+from repro.core.variants import Variant, VariantSet
 from repro.engine.context import RunContext
 from repro.index.cellgraph import CellGraphIndex
 from repro.metrics.counters import WorkCounters
 from repro.metrics.records import VariantRunRecord
-from repro.obs.span import resolve_tracer
+from repro.obs.span import Tracer, resolve_tracer
 
-__all__ = ["execute_variant"]
+__all__ = ["PassMemo", "execute_variant"]
+
+
+class PassMemo:
+    """The per-``eps`` passes of one run or one lane group.
+
+    A pass is built on the first request at its ``eps``, for the
+    largest ``minpts`` ``variants`` asks at that radius, and charged to
+    the counters of the variant that asked.  It is dropped once every
+    variant of ``variants`` at that ``eps`` has been served, so a group
+    that walks the ``eps`` values one after another holds one pass at a
+    time.  Thread-safe: concurrent variants at one ``eps`` wait for a
+    single build.
+    """
+
+    def __init__(self, variants: VariantSet) -> None:
+        self._top: dict[float, int] = {}
+        self._left: dict[float, int] = {}
+        for v in variants:
+            self._top[v.eps] = max(self._top.get(v.eps, 0), v.minpts)
+            self._left[v.eps] = self._left.get(v.eps, 0) + 1
+        self._passes: dict[float, MinptsPass] = {}
+        self._locks: dict[float, threading.Lock] = {}
+        self._lock = threading.Lock()
+
+    def cluster(
+        self,
+        ctx: RunContext,
+        variant: Variant,
+        counters: WorkCounters,
+        tracer: Tracer,
+    ) -> ClusteringResult:
+        """``variant``'s exact result, from its ``eps``'s pass."""
+        eps, minpts = variant.eps, variant.minpts
+        with self._lock:
+            lock = self._locks.setdefault(eps, threading.Lock())
+        with lock:
+            found = self._passes.get(eps)
+            if found is None or found.top < minpts:
+                index = (
+                    ctx.factory.get(ctx.store, "cellgraph", eps=eps, tracer=tracer)
+                    if ctx.factory is not None
+                    else CellGraphIndex(ctx.points, eps)
+                )
+                assert isinstance(index, CellGraphIndex)
+                found = MinptsPass(
+                    ctx.points,
+                    index,
+                    max(minpts, self._top.get(eps, minpts)),
+                    counters=counters,
+                    cache=ctx.cache,
+                    tracer=tracer,
+                    variant=variant,
+                )
+                built = found.build_s
+            else:
+                built = 0.0
+            left = self._left.get(eps, 0) - 1
+            self._left[eps] = left
+            if left > 0:
+                self._passes[eps] = found
+            else:
+                self._passes.pop(eps, None)
+        result = found.cluster(minpts, counters=counters, tracer=tracer)
+        result.elapsed += built
+        return result
 
 
 def execute_variant(
@@ -32,11 +105,14 @@ def execute_variant(
     *,
     concurrency: int | None = None,
     before: float | None = None,
+    passes: PassMemo | None = None,
 ) -> tuple[ClusteringResult, VariantRunRecord]:
     """Run one planned variant and return its result and run record.
 
     All configuration (points, indexes, scheduler, reuse policy, cost
-    model, batch knobs, tracer) comes from ``ctx``.  ``before``
+    model, batch knobs, tracer) comes from ``ctx``.  ``passes`` holds
+    the run's cell-graph passes under ``kernel="cellgraph"``; without
+    one the variant builds a pass of its own.  ``before``
     restricts which completed variants are eligible as reuse sources
     (simulated time); wall-clock backends pass ``None`` ("use whatever
     has completed by now").  The record's ``response_time`` is priced by
@@ -51,42 +127,19 @@ def execute_variant(
     indexes = ctx.indexes
     counters = WorkCounters()
     with tr.span("variant", variant=str(planned.variant)) as span:
-        source = ctx.scheduler.select_source(planned, vset, registry, before=before)
-        if source is None:
-            if ctx.kernel == "cellgraph":
-                v = planned.variant
-                cg = (
-                    ctx.factory.get(ctx.store, "cellgraph", eps=v.eps, tracer=tr)
-                    if ctx.factory is not None
-                    else CellGraphIndex(points, v.eps)
-                )
-                assert isinstance(cg, CellGraphIndex)
-                result = cellgraph_dbscan(
-                    points,
-                    v.eps,
-                    v.minpts,
-                    index=cg,
-                    counters=counters,
-                    cache=ctx.cache,
-                    tracer=tr,
-                )
-            else:
-                result = variant_dbscan(
-                    points,
-                    planned.variant,
-                    None,
-                    t_low=indexes.t_low,
-                    counters=counters,
-                    batch_size=ctx.batch_size,
-                    cache=ctx.cache,
-                    tracer=tr,
-                )
+        if ctx.kernel == "cellgraph":
+            # Exact from the eps's pass: a reuse source has nothing to add.
+            if passes is None:
+                passes = PassMemo(VariantSet([planned.variant]))
+            result = passes.cluster(ctx, planned.variant, counters, tr)
         else:
-            _, source_result = source
+            source = ctx.scheduler.select_source(
+                planned, vset, registry, before=before
+            )
             result = variant_dbscan(
                 points,
                 planned.variant,
-                source_result,
+                source[1] if source is not None else None,
                 t_high=indexes.t_high,
                 t_low=indexes.t_low,
                 reuse_policy=ctx.reuse_policy,

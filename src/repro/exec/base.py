@@ -131,10 +131,10 @@ class BaseExecutor(abc.ABC):
         time, which is a disabled null tracer unless one was installed
         with :func:`repro.obs.set_tracer` / ``use_tracer``.
     kernel:
-        From-scratch clustering kernel, one of
-        :data:`~repro.engine.context.KERNELS` (``bfs`` default;
-        ``cellgraph`` runs scratch variants through the grid-cell
-        kernel — byte-identical results, no per-point searches).
+        Clustering path, one of :data:`~repro.engine.context.KERNELS`:
+        ``cellgraph`` (default) serves every variant from one exact
+        grid-cell pass per eps; ``bfs`` runs the paper's Algorithm 1
+        and VariantDBSCAN reuse path.
     regions / part_size:
         Spatial partitioning knobs consumed by the sharded, hybrid,
         and simulated executors (``regions`` fixes the region count,
@@ -169,7 +169,7 @@ class BaseExecutor(abc.ABC):
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache_bytes: int = 0,
         tracer: Tracer | None = None,
-        kernel: str = "bfs",
+        kernel: str = "cellgraph",
         regions: int | None = None,
         part_size: int | None = None,
         shard_threshold: int | None = None,

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.scheduling import CompletedRegistry, PlannedVariant, dependency_tree
 from repro.core.variants import VariantSet
-from repro.exec._runner import execute_variant
+from repro.exec._runner import PassMemo, execute_variant
 from repro.metrics.records import VariantRunRecord
 from repro.obs.span import resolve_tracer
 from repro.resilience.faults import verify_result
@@ -104,6 +104,8 @@ class ResilientRunner:
     def __init__(self, ctx: RunContext, vset: VariantSet) -> None:
         self.ctx = ctx
         self.vset = vset
+        # The batch's (or lane group's) cell-graph passes, one per eps.
+        self.passes = PassMemo(vset)
         plan = ctx.fault_plan
         # A FaultPlan binds against the batch's canonical order; a
         # BoundFaultPlan (shipped to process workers) is used as-is.
@@ -194,6 +196,7 @@ class ResilientRunner:
             return execute_variant(
                 self.ctx, planned, self.vset, registry,
                 concurrency=concurrency, before=before,
+                passes=self.passes,
             )
         policy = self.policy if self.policy is not None else RetryPolicy(max_retries=0)
         tracer = resolve_tracer(self.ctx.tracer)
@@ -275,7 +278,7 @@ class ResilientRunner:
                 )
         result, record = execute_variant(
             self.ctx, planned, self.vset, registry,
-            concurrency=concurrency, before=before,
+            concurrency=concurrency, before=before, passes=self.passes,
         )
         if self.faults:
             spec = self.faults.find(variant, attempt, "finish")

@@ -186,9 +186,9 @@ class TestBatchedClusteringParity:
     def test_cached_executor_identical_labels(self, two_blobs):
         """Cached vs uncached VariantDBSCAN batches agree label-for-label."""
         vset = VariantSet.from_product([0.5, 0.6, 0.8], [4, 6])
-        plain = SerialExecutor(scheduler=SchedMinpts()).run(two_blobs, vset)
+        plain = SerialExecutor(scheduler=SchedMinpts(), kernel="bfs").run(two_blobs, vset)
         cached = SerialExecutor(
-            scheduler=SchedMinpts(), cache_bytes=64 << 20
+            scheduler=SchedMinpts(), cache_bytes=64 << 20, kernel="bfs"
         ).run(two_blobs, vset)
         for v in vset:
             np.testing.assert_array_equal(cached[v].labels, plain[v].labels)

@@ -48,6 +48,7 @@ def test_quality_vs_plain_dbscan(cloud, oracle, scheduler_name, policy_name):
     executor = SerialExecutor(
         scheduler=SCHEDULERS[scheduler_name],
         reuse_policy=POLICIES[policy_name],
+        kernel="bfs",
     )
     batch = executor.run(cloud, VARIANTS)
     reused = [r for r in batch.record.records if r.reused_from is not None]

@@ -255,7 +255,7 @@ class TestSession:
             np.testing.assert_array_equal(batch[v].labels, direct[v].labels)
 
     def test_indexes_memoized_across_runs(self, points):
-        with Session(points) as session:
+        with Session(points, kernel="bfs") as session:
             session.run(VSET)
             cached = len(session.factory)
             assert cached == 2  # T_high + T_low, built once

@@ -56,7 +56,7 @@ class TestExecuteVariant:
 
     def test_reuse_from_seeded_registry_matches_scratch(self, session):
         vset = VariantSet([Variant(0.4, 4), Variant(0.5, 4)])
-        ctx = session.context()
+        ctx = session.context(kernel="bfs")
         registry = CompletedRegistry()
         donor_result, _ = execute_variant(
             ctx, PlannedVariant(Variant(0.4, 4)), vset, registry
@@ -73,7 +73,7 @@ class TestExecuteVariant:
 
     def test_before_window_gates_donor_eligibility(self, session):
         vset = VariantSet([Variant(0.4, 4), Variant(0.5, 4)])
-        ctx = session.context()
+        ctx = session.context(kernel="bfs")
         registry = CompletedRegistry()
         donor_result, _ = execute_variant(
             ctx, PlannedVariant(Variant(0.4, 4)), vset, registry

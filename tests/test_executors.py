@@ -56,7 +56,7 @@ class TestSerialExecutor:
             assert quality_score(reference_results[v], batch.results[v]) >= 0.99
 
     def test_only_first_variant_from_scratch(self, blobs):
-        batch = SerialExecutor().run(blobs, VSET)
+        batch = SerialExecutor(kernel="bfs").run(blobs, VSET)
         # Figure 3-style chain: everything after the root can reuse.
         assert batch.record.n_from_scratch == 1
 
@@ -84,7 +84,7 @@ class TestSerialExecutor:
 
 class TestSimulatedExecutor:
     def test_scratch_count_equals_threads(self, blobs):
-        batch = SimulatedExecutor(n_threads=3).run(blobs, VSET)
+        batch = SimulatedExecutor(n_threads=3, kernel="bfs").run(blobs, VSET)
         assert batch.record.n_from_scratch == 3
 
     def test_scratch_bounded_by_reuse_cap(self, blobs):

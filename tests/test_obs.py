@@ -192,7 +192,7 @@ class TestRegistry:
     def traced_batch(self, cloud):
         tracer = Tracer()
         with use_tracer(tracer):
-            batch = SerialExecutor(cache_bytes=1 << 20).run(
+            batch = SerialExecutor(cache_bytes=1 << 20, kernel="bfs").run(
                 cloud, VARIANTS, dataset="two_blobs"
             )
         return batch, tracer

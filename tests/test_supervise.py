@@ -651,7 +651,7 @@ class TestAcceptanceScenario:
         self, points, orphan_segment, capsys
     ):
         tracer = Tracer()
-        with Session(points, tracer=tracer) as s:
+        with Session(points, tracer=tracer, kernel="bfs") as s:
             base = s.run(
                 VSET12, executor="hybrid", n_threads=2, shard_threshold=0
             )
