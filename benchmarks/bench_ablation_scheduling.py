@@ -16,11 +16,8 @@ from __future__ import annotations
 from repro.bench.reporting import format_table
 from repro.core.scheduling import SchedGreedy
 from repro.core.variants import Variant, VariantSet
-from repro.data.registry import load_dataset
-from repro.exec.base import IndexPair
-from repro.exec.serial import SerialExecutor
 
-from conftest import bench_scale
+from conftest import bench_scale, bench_session
 
 VSET = VariantSet.from_product([0.2, 0.3, 0.4], [4, 8, 16, 32])
 
@@ -52,13 +49,12 @@ class _SchedMostRecent(SchedGreedy):
 
 
 def test_ablation_scheduling_report(benchmark, report):
-    ds = load_dataset("SW1", bench_scale())
-    indexes = IndexPair.build(ds.points, 70)
+    session = bench_session("SW1")
 
     def run():
         rows = []
         for sched in (SchedGreedy(), _SchedMostRecent(), _SchedNoReuse()):
-            batch = SerialExecutor(scheduler=sched, kernel="bfs").run(ds.points, VSET, indexes=indexes)
+            batch = session.run(VSET, scheduler=sched)
             rows.append(
                 [
                     sched.name,
@@ -93,15 +89,12 @@ def test_ablation_low_reuse_overhead_report(benchmark, report):
     most ~30 % over the same variants clustered from scratch with the
     same index.
     """
-    ds = load_dataset("cF_1M_30N", bench_scale())
+    session = bench_session("cF_1M_30N")
     vset = VariantSet.from_pairs([(0.2, 32), (0.25, 32), (0.3, 32), (0.35, 32)])
-    indexes = IndexPair.build(ds.points, 70)
 
     def run():
-        with_reuse = SerialExecutor(kernel="bfs").run(ds.points, vset, indexes=indexes)
-        no_reuse = SerialExecutor(scheduler=_SchedNoReuse(), kernel="bfs").run(
-            ds.points, vset, indexes=indexes
-        )
+        with_reuse = session.run(vset)
+        no_reuse = session.run(vset, scheduler=_SchedNoReuse())
         return with_reuse.record, no_reuse.record
 
     with_reuse, no_reuse = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -23,22 +23,19 @@ from repro.baselines import extract_dbscan, optics
 from repro.bench.reporting import format_table
 from repro.core.dbscan import dbscan
 from repro.core.variants import VariantSet
-from repro.data.registry import load_dataset
-from repro.exec.base import IndexPair
 from repro.exec.cost import DEFAULT_COST_MODEL
-from repro.exec.serial import SerialExecutor
 from repro.metrics.counters import WorkCounters
 from repro.metrics.quality import quality_score
 
-from conftest import bench_scale
+from conftest import bench_scale, bench_session
 
 EPS_FAMILY = (0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
 MINPTS_GRID = (4, 8, 16)
 
 
-def _variant_batch(points, vset, indexes):
+def _variant_batch(session, vset):
     t0 = time.perf_counter()
-    batch = SerialExecutor(kernel="bfs").run(points, vset, indexes=indexes)
+    batch = session.run(vset)
     return batch, batch.record.makespan, time.perf_counter() - t0
 
 
@@ -54,17 +51,18 @@ def _optics_family(points, eps_values, minpts, indexes):
 
 
 def test_baseline_optics_report(benchmark, report):
-    ds = load_dataset("SW1", bench_scale())
-    indexes = IndexPair.build(ds.points, 70)
+    session = bench_session("SW1")
+    points = session.points
+    indexes = session.indexes()
 
     def run():
         rows = []
         # --- regime 1: eps-only family -------------------------------
         vset1 = VariantSet.from_product(EPS_FAMILY, [8])
-        batch, v_units, v_wall = _variant_batch(ds.points, vset1, indexes)
-        o_results, o_units, o_wall = _optics_family(ds.points, EPS_FAMILY, 8, indexes)
+        batch, v_units, v_wall = _variant_batch(session, vset1)
+        o_results, o_units, o_wall = _optics_family(points, EPS_FAMILY, 8, indexes)
         q = min(
-            quality_score(dbscan(ds.points, e, 8, index=indexes.t_low), o_results[e])
+            quality_score(dbscan(points, e, 8, index=indexes.t_low), o_results[e])
             for e in EPS_FAMILY
         )
         rows.append(["eps-only (|V|=6)", "OPTICS+extract", o_units, o_wall, q])
@@ -73,10 +71,10 @@ def test_baseline_optics_report(benchmark, report):
         )
         # --- regime 2: eps x minpts grid ------------------------------
         vset2 = VariantSet.from_product(EPS_FAMILY, MINPTS_GRID)
-        batch2, v2_units, v2_wall = _variant_batch(ds.points, vset2, indexes)
+        batch2, v2_units, v2_wall = _variant_batch(session, vset2)
         o2_units = o2_wall = 0.0
         for m in MINPTS_GRID:
-            _, u, w = _optics_family(ds.points, EPS_FAMILY, m, indexes)
+            _, u, w = _optics_family(points, EPS_FAMILY, m, indexes)
             o2_units += u
             o2_wall += w
         rows.append(["eps x minpts (|V|=18)", "OPTICS x3 passes", o2_units, o2_wall, None])

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro import SerialExecutor, VariantSet
+from repro import Session, VariantSet
 from repro.data.tec import TECMapModel, generate_tec_points
 from repro.util.rng import resolve_rng
 
@@ -73,7 +73,6 @@ def dominant_fraction(batch) -> float:
 
 
 def main() -> None:
-    executor = SerialExecutor(kernel="bfs")
     previous = None
     print(
         f"monitoring: {EPOCHS} epochs x {POINTS_PER_EPOCH} points x "
@@ -82,7 +81,8 @@ def main() -> None:
     for epoch in range(EPOCHS):
         pts = epoch_points(epoch)
         t0 = time.perf_counter()
-        batch = executor.run(pts, VARIANTS, dataset=f"epoch{epoch}")
+        with Session(pts, dataset=f"epoch{epoch}", kernel="bfs") as session:
+            batch = session.run(VARIANTS)
         wall = time.perf_counter() - t0
         share = dominant_fraction(batch)
         growth = share / previous if previous else 1.0

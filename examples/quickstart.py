@@ -53,7 +53,7 @@ variants = VariantSet.from_product([0.4, 0.6, 0.8], [4, 8, 16])
 print(f"\nvariant grid: |V| = {len(variants)}  ->  {list(variants)}")
 
 # The Session owns the point store and memoized indexes.  kernel="bfs"
-# selects the paper's reuse path (SerialExecutor, SCHEDGREEDY,
+# selects the paper's reuse path (serial executor, SCHEDGREEDY,
 # CLUSDENSITY); the default, "cellgraph", clusters every variant exactly
 # from one pass per eps and reuses nothing.
 session = Session(points, kernel="bfs")

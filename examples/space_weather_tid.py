@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import SerialExecutor, VariantSet
+from repro import Session, VariantSet
 from repro.data.tec import TECMapModel, generate_tec_points
 
 # ------------------------------------------------------------------
@@ -32,7 +32,8 @@ print(
 # 2. Sweep parameters: it is unknown a priori which (eps, minpts)
 #    separates TID bands from the background, so run a whole grid.
 variants = VariantSet.from_product([0.2, 0.3, 0.4, 0.6], [4, 8, 16, 32])
-batch = SerialExecutor(kernel="bfs").run(points, variants, dataset="tec-demo")
+with Session(points, dataset="tec-demo", kernel="bfs") as session:
+    batch = session.run(variants)
 print(
     f"swept |V| = {len(variants)} variants with "
     f"{batch.record.n_from_scratch} scratch run(s); "

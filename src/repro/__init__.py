@@ -31,7 +31,6 @@ from repro.core import (
     ClusteringResult,
     CompletedRegistry,
     NeighborSearcher,
-    NeighborhoodCache,
     SchedGreedy,
     SchedMinpts,
     Scheduler,
@@ -50,14 +49,7 @@ from repro.engine import (
     RunContext,
     Session,
 )
-from repro.exec import (
-    BatchResult,
-    SerialExecutor,
-    SimulatedExecutor,
-    ThreadPoolExecutorBackend,
-    ProcessPoolExecutorBackend,
-    run_variants,
-)
+from repro.exec import BatchResult
 from repro.index import BruteForceIndex, CellGraphIndex, RTree, UniformGridIndex
 from repro.metrics import (
     BatchRunRecord,
@@ -86,7 +78,6 @@ __all__ = [
     "cellgraph_dbscan",
     "variant_dbscan",
     "NeighborSearcher",
-    "NeighborhoodCache",
     "CLUS_DEFAULT",
     "CLUS_DENSITY",
     "CLUS_PTS_SQUARED",
@@ -103,7 +94,6 @@ __all__ = [
     "quality_score",
     "VariantRunRecord",
     "BatchRunRecord",
-    "run_variants",
     "BatchResult",
     "Session",
     "PointStore",
@@ -117,10 +107,6 @@ __all__ = [
     "use_tracer",
     "MetricsRegistry",
     "adjusted_rand_index",
-    "SerialExecutor",
-    "SimulatedExecutor",
-    "ThreadPoolExecutorBackend",
-    "ProcessPoolExecutorBackend",
     "BatchReport",
     "CheckpointStore",
     "FaultPlan",

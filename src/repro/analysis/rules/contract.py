@@ -1,32 +1,20 @@
-"""Executor contract: every registered backend honors the same API.
+"""Executor contract: one runtime owns every worker and every heartbeat.
 
 The recovery-transparency grid (tests/test_resilience.py) and the
-canonical-label equivalence suite hold *because* every backend runs
-through the identical ``_run(ctx, variants)`` contract and lowers onto
-the shared task-graph runtime
+canonical-label equivalence suite hold *because* every executor name
+runs on the shared task-graph runtime
 (:class:`repro.exec.graph.GraphRuntime`), which is the single place
 that owns worker pools and routes fault handling through
 :class:`repro.resilience.runner.ResilientRunner` (the consumer of the
 :class:`FaultPlan`).  dislib's history shows what happens when
-distributed backends drift: one backend grows a keyword the others
-lack, and every cross-backend equivalence claim silently narrows.
-This rule pins the contract:
+distributed backends drift: one grows a private pool the others lack,
+and every cross-backend equivalence claim silently narrows.  This rule
+pins the contract:
 
-* every ``BaseExecutor`` subclass under ``repro.exec`` defines a
-  string ``name`` and a ``_run`` whose parameters are exactly
-  ``(self, ctx, variants)``;
-* the ``_run`` body references ``GraphRuntime`` (a backend is a
-  lowering policy, not a pool implementation — one that bypasses the
-  runtime silently ignores the FaultPlan and retry budgets the
-  runtime's ResilientRunner consumes);
 * no module under ``repro.exec`` other than ``repro.exec.graph``
   spawns workers (``ProcessPoolExecutor`` / ``ThreadPoolExecutor`` /
-  ``threading.Thread`` / ``multiprocessing.Process``) — private pools
-  are exactly the drift this refactor removed;
-* any override of an inherited hook (``run``, ``run_context``,
-  ``make_context``) keeps the base signature's parameter names;
-* the ``EXECUTORS`` registry in ``repro/exec/__init__.py`` and the
-  set of concrete backend classes match exactly, both ways;
+  ``threading.Thread`` / ``multiprocessing.Process``) — a private pool
+  would bypass the FaultPlan and retry budgets the runtime consumes;
 * supervision discipline: heartbeat emitters (``worker_pulse``) are
   constructed only inside ``repro.exec.graph`` workers (and the
   defining module ``repro.supervise.signals``) — a pulse beating
@@ -47,18 +35,12 @@ from repro.analysis.visitor import ModuleFile, Project, ProjectRule, finding_at
 __all__ = ["ExecutorContractRule"]
 
 _EXEC_PACKAGE = "repro.exec"
-_BASE_CLASS = "BaseExecutor"
-_REGISTRY_NAME = "EXECUTORS"
-_RUNTIME_NAME = "GraphRuntime"
 #: The one module allowed to spawn workers (it owns the pools).
 _RUNTIME_MODULE = f"{_EXEC_PACKAGE}.graph"
 #: Worker-spawning names banned everywhere else under repro.exec.
 _POOL_NAMES = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
 #: module name -> attribute that spawns a worker.
 _POOL_ATTRS = {"threading": "Thread", "multiprocessing": "Process"}
-
-#: Hooks whose signatures must match the base class when overridden.
-_PINNED_HOOKS = ("_run", "run", "run_context", "make_context")
 
 #: Supervision call discipline: callable name -> modules allowed to
 #: call it.  ``worker_pulse`` builds the heartbeat emitter (defined in
@@ -68,57 +50,6 @@ _SUPERVISE_SITES = {
     "worker_pulse": frozenset({"repro.supervise.signals", _RUNTIME_MODULE}),
     "Action": frozenset({"repro.supervise.remedy"}),
 }
-
-#: Fallback expectation when repro/exec/base.py is not in the run.
-_FALLBACK_SIGNATURES = {"_run": ["self", "ctx", "variants"]}
-
-
-def _param_names(fn: ast.FunctionDef) -> list[str]:
-    return [a.arg for a in (*fn.args.posonlyargs, *fn.args.args)]
-
-
-def _methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
-    return {
-        stmt.name: stmt
-        for stmt in cls.body
-        if isinstance(stmt, ast.FunctionDef)
-    }
-
-
-def _base_names(cls: ast.ClassDef) -> list[str]:
-    names = []
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            names.append(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.append(base.attr)
-    return names
-
-
-def _class_str_attr(cls: ast.ClassDef, attr: str) -> str | None:
-    for stmt in cls.body:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-            value = stmt.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == attr:
-                if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                    return value.value
-                return ""
-    return None
-
-
-def _references(fn: ast.FunctionDef, name: str) -> bool:
-    return any(
-        isinstance(node, ast.Name) and node.id == name
-        for node in ast.walk(fn)
-    )
 
 
 def _pool_spawn_sites(tree: ast.AST) -> list[tuple[ast.AST, str]]:
@@ -143,50 +74,12 @@ def _pool_spawn_sites(tree: ast.AST) -> list[tuple[ast.AST, str]]:
 class ExecutorContractRule(ProjectRule):
     rule_id = "executor-contract"
     description = (
-        "registered backends define _run(self, ctx, variants), lower through "
-        "GraphRuntime (the FaultPlan consumer), never spawn private pools, "
-        "and match the EXECUTORS registry"
+        "only GraphRuntime (repro.exec.graph) spawns workers; heartbeats and "
+        "remediation actions are built only at their sanctioned sites"
     )
 
     def _finding(self, mf: ModuleFile, node: ast.AST, message: str) -> Finding:
         return finding_at(mf, node, self.rule_id, message)
-
-    def _base_signatures(self, project: Project) -> dict[str, list[str]]:
-        base_mod = project.get(f"{_EXEC_PACKAGE}.base")
-        if base_mod is None:
-            return dict(_FALLBACK_SIGNATURES)
-        for node in base_mod.tree.body:
-            if isinstance(node, ast.ClassDef) and node.name == _BASE_CLASS:
-                return {
-                    name: _param_names(fn)
-                    for name, fn in _methods(node).items()
-                    if name in _PINNED_HOOKS
-                }
-        return dict(_FALLBACK_SIGNATURES)
-
-    def _registry(
-        self, project: Project
-    ) -> tuple[ModuleFile | None, ast.AST | None, set[str]]:
-        """The EXECUTORS dict node and its value class names, if present."""
-        pkg = project.get(_EXEC_PACKAGE)
-        if pkg is None:
-            return None, None, set()
-        for node in ast.walk(pkg.tree):
-            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if not any(
-                isinstance(t, ast.Name) and t.id == _REGISTRY_NAME for t in targets
-            ):
-                continue
-            value = node.value
-            names: set[str] = set()
-            if isinstance(value, ast.Dict):
-                for v in value.values:
-                    if isinstance(v, ast.Name):
-                        names.add(v.id)
-            return pkg, node, names
-        return pkg, None, set()
 
     def _supervision_sites(self, project: Project) -> list[Finding]:
         """Flag worker_pulse / Action construction outside sanctioned modules."""
@@ -220,102 +113,17 @@ class ExecutorContractRule(ProjectRule):
         return findings
 
     def check(self, project: Project) -> list[Finding]:
-        findings: list[Finding] = []
-        base_sigs = self._base_signatures(project)
-        backends: dict[str, tuple] = {}  # class name -> (ModuleFile, ClassDef)
-
-        findings.extend(self._supervision_sites(project))
-
+        findings = self._supervision_sites(project)
         for mf in project.in_package(_EXEC_PACKAGE):
-            if mf.module != _RUNTIME_MODULE:
-                for node, spawned in _pool_spawn_sites(mf.tree):
-                    findings.append(
-                        self._finding(
-                            mf, node,
-                            f"{mf.module} spawns workers ({spawned}); only "
-                            f"{_RUNTIME_MODULE} may own pools — backends "
-                            "lower through GraphRuntime",
-                        )
-                    )
-            for node in mf.tree.body:
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                if _BASE_CLASS not in _base_names(node):
-                    continue
-                backends[node.name] = (mf, node)
-
-        for cls_name, (mf, cls) in sorted(backends.items()):
-            methods = _methods(cls)
-            if _class_str_attr(cls, "name") in (None, ""):
+            if mf.module == _RUNTIME_MODULE:
+                continue
+            for node, spawned in _pool_spawn_sites(mf.tree):
                 findings.append(
                     self._finding(
-                        mf, cls,
-                        f"backend {cls_name} must declare a string 'name' "
-                        "class attribute (the registry key)",
+                        mf, node,
+                        f"{mf.module} spawns workers ({spawned}); only "
+                        f"{_RUNTIME_MODULE} may own pools — executors "
+                        "run through GraphRuntime",
                     )
                 )
-            run = methods.get("_run")
-            if run is None:
-                findings.append(
-                    self._finding(
-                        mf, cls,
-                        f"backend {cls_name} does not define "
-                        "_run(self, ctx, variants)",
-                    )
-                )
-            else:
-                expected = base_sigs.get("_run", _FALLBACK_SIGNATURES["_run"])
-                got = _param_names(run)
-                if got != expected or run.args.vararg or run.args.kwonlyargs:
-                    findings.append(
-                        self._finding(
-                            mf, run,
-                            f"{cls_name}._run signature is ({', '.join(got)}); "
-                            f"the contract is ({', '.join(expected)})",
-                        )
-                    )
-                if not _references(run, _RUNTIME_NAME):
-                    findings.append(
-                        self._finding(
-                            mf, run,
-                            f"{cls_name}._run never references {_RUNTIME_NAME}; "
-                            "the backend would bypass the task-graph runtime "
-                            "and ignore FaultPlan / retry budgets",
-                        )
-                    )
-            for hook in ("run", "run_context", "make_context"):
-                override = methods.get(hook)
-                if override is None or hook not in base_sigs:
-                    continue
-                got = _param_names(override)
-                if got != base_sigs[hook]:
-                    findings.append(
-                        self._finding(
-                            mf, override,
-                            f"{cls_name}.{hook} overrides the base hook with "
-                            f"params ({', '.join(got)}); the contract is "
-                            f"({', '.join(base_sigs[hook])})",
-                        )
-                    )
-
-        pkg, registry_node, registered = self._registry(project)
-        if pkg is not None and registry_node is not None:
-            for cls_name in sorted(backends):
-                if cls_name not in registered:
-                    findings.append(
-                        self._finding(
-                            pkg, registry_node,
-                            f"backend {cls_name} is not registered in "
-                            f"{_REGISTRY_NAME}",
-                        )
-                    )
-            for cls_name in sorted(registered):
-                if cls_name not in backends:
-                    findings.append(
-                        self._finding(
-                            pkg, registry_node,
-                            f"{_REGISTRY_NAME} registers {cls_name}, which is "
-                            "not a BaseExecutor subclass in repro.exec",
-                        )
-                    )
         return findings

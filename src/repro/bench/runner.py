@@ -72,13 +72,6 @@ def run_full_report(
                 for name, dur in sorted(totals.items(), key=lambda kv: -kv[1])
             ],
         ))
-        if registry.cache is not None:
-            parts.append(
-                "\ncache: {hits} hits / {misses} misses ({rate:.1%} hit rate), "
-                "{evictions} evictions".format(
-                    rate=registry.cache_hit_rate, **registry.cache
-                )
-            )
         parts.append(f"\nraw trace: `{trace_jsonl}`\n")
         report = "\n".join(parts)
         if output:

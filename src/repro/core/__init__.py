@@ -17,7 +17,6 @@ Module map (paper section in parentheses):
 from repro.core.cellgraph import cellgraph_dbscan
 from repro.core.dbscan import DEFAULT_BATCH_SIZE, dbscan
 from repro.core.neighbors import NeighborSearcher, neighbor_search
-from repro.core.neighcache import NeighborhoodCache
 from repro.core.result import ClusteringResult
 from repro.core.reuse import (
     ReusePolicy,
@@ -41,7 +40,6 @@ __all__ = [
     "VariantSet",
     "ClusteringResult",
     "NeighborSearcher",
-    "NeighborhoodCache",
     "neighbor_search",
     "dbscan",
     "cellgraph_dbscan",

@@ -63,12 +63,9 @@ call charges the build alone.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.neighbors import NeighborSearcher
-from repro.core.neighcache import NeighborhoodCache
 from repro.core.result import NOISE, ClusteringResult
 from repro.core.variants import Variant
 from repro.index.cellgraph import POSITIVE_OFFSETS, CellGraphIndex
@@ -308,9 +305,6 @@ class MinptsPass:
     counters:
         Sink for the work of building the pass (see the module
         docstring); a fresh one is created when omitted.
-    cache:
-        Optional per-eps neighborhood cache consulted by the count
-        search.
     tracer:
         Span/phase collector; ``None`` uses the active tracer.
     variant:
@@ -330,11 +324,9 @@ class MinptsPass:
         top: int,
         *,
         counters: WorkCounters | None = None,
-        cache: NeighborhoodCache | None = None,
         tracer: Tracer | None = None,
         variant: Variant | None = None,
     ) -> None:
-        t0 = time.perf_counter()
         self.eps = index.eps
         self.top = top = check_minpts(top)
         phases = resolve_tracer(tracer).phase_clock(
@@ -342,7 +334,7 @@ class MinptsPass:
         )
 
         # -- 1. dense cells: count top at every point, no search --------
-        phases.switch("core_cells")
+        t0 = phases.switch("core_cells")
         points = as_points_array(points)
         if counters is None:
             counters = WorkCounters()
@@ -364,7 +356,7 @@ class MinptsPass:
         sparse = index.points_in_cells(np.flatnonzero(~dense_cell))
         seq = np.full(n, -1, dtype=np.int64)  # search order; -1 if dense
         seq[sparse] = np.arange(sparse.size, dtype=np.int64)
-        searcher = NeighborSearcher(index, self.eps, counters, cache=cache)
+        searcher = NeighborSearcher(index, self.eps, counters)
         pieces: list[tuple[np.ndarray, ...]] = []
         border: list[tuple[np.ndarray, np.ndarray]] = []
         for s in range(0, sparse.size, SEARCH_BLOCK):
@@ -429,8 +421,7 @@ class MinptsPass:
         self._edge_b = b[order]
         self._neg_strength = -s[order]
 
-        self.build_s = time.perf_counter() - t0
-        phases.finish()
+        self.build_s = phases.finish() - t0
 
     def cluster(
         self,
@@ -455,8 +446,7 @@ class MinptsPass:
         phases = resolve_tracer(tracer).phase_clock(variant=str(variant))
 
         # -- 4. components over the edges alive at minpts ----------------
-        phases.switch("union_find")
-        t0 = time.perf_counter()
+        t0 = phases.switch("union_find")
         if counters is None:
             counters = WorkCounters()
         n = self.n
@@ -490,8 +480,7 @@ class MinptsPass:
             np.minimum.at(border, bp[sel], labels[bq[sel]])
             hit = border < roots.size
             labels[hit] = border[hit]
-        elapsed = time.perf_counter() - t0
-        phases.finish()
+        elapsed = phases.finish() - t0
         return ClusteringResult(
             labels, core_mask, variant=variant, counters=counters, elapsed=elapsed
         )
@@ -504,7 +493,6 @@ def cellgraph_dbscan(
     *,
     index: CellGraphIndex | None = None,
     counters: WorkCounters | None = None,
-    cache: NeighborhoodCache | None = None,
     tracer: Tracer | None = None,
 ) -> ClusteringResult:
     """Cluster ``points`` with the cell-graph exact DBSCAN kernel.
@@ -523,9 +511,6 @@ def cellgraph_dbscan(
         built here (charged to the ``setup`` phase) when omitted.
     counters:
         Work-counter sink; a fresh one is created when omitted.
-    cache:
-        Optional per-eps neighborhood cache consulted by the sparse-cell
-        count search.
     tracer:
         Span/phase collector; ``None`` uses the active tracer.
 
@@ -535,29 +520,29 @@ def cellgraph_dbscan(
         Byte-identical labels and core mask to
         :func:`repro.core.dbscan.dbscan` at the same parameters.
     """
-    t0 = time.perf_counter()
     points = as_points_array(points)
     eps = check_eps(eps)
     minpts = check_minpts(minpts)
     if counters is None:
         counters = WorkCounters()
+    setup_s = 0.0
     if index is None:
         phases = resolve_tracer(tracer).phase_clock(variant=str(Variant(eps, minpts)))
-        phases.switch("setup")
+        t0 = phases.switch("setup")
         index = CellGraphIndex(points, eps)
-        phases.finish()
+        setup_s = phases.finish() - t0
     elif index.eps != eps:
         raise ValueError(
             f"index was built for eps={index.eps!r}, queried with eps={eps!r}"
         )
-    built = MinptsPass(
-        points, index, minpts, counters=counters, cache=cache, tracer=tracer
-    )
+    built = MinptsPass(points, index, minpts, counters=counters, tracer=tracer)
     result = built.cluster(minpts, tracer=tracer)
     # Thresholding is charged only to variants served from a shared
     # pass: this kernel charges what its build charges, as it always
     # has, because the band merge of repro.core.shard runs it at
     # minpts=1 under every kernel, bfs included.
     result.counters = counters
-    result.elapsed = time.perf_counter() - t0
+    # Every term comes from the phase clocks' own stamps, so the phase
+    # totals sum to elapsed exactly.
+    result.elapsed += setup_s + built.build_s
     return result

@@ -28,15 +28,15 @@ Implementation notes
   :class:`~repro.core.neighbors.OuterScanPrefetcher` speculatively
   searches blocks of upcoming unvisited points with *uncharged*
   queries and charges each row's exact scalar-equivalent cost only
-  when the scan actually consumes it, so counter totals (and cache
-  contents) still match the scalar machine exactly (see DESIGN.md
-  substitutions).
+  when the scan actually consumes it, so counter totals still match
+  the scalar machine exactly (see DESIGN.md substitutions).
 * When a tracer is active (:mod:`repro.obs`), a
   :class:`~repro.obs.span.PhaseClock` partitions the run into
   ``outer_scan`` (scanning for founders, including their searches) and
   ``expand`` (frontier expansion of founded clusters) phases, switched
-  at cluster granularity.  Disabled tracing costs one no-op method
-  call per founded cluster.
+  at cluster granularity.  Disabled tracing costs one clock read per
+  founded cluster: the result's ``elapsed`` is taken from the same
+  stamps, so the phase totals sum to it exactly.
 """
 
 from __future__ import annotations
@@ -46,14 +46,12 @@ import numpy as np
 
 from repro.core.cellgraph import cellgraph_dbscan
 from repro.core.neighbors import NeighborSearcher, OuterScanPrefetcher
-from repro.core.neighcache import NeighborhoodCache
 from repro.core.result import NOISE, ClusteringResult
 from repro.core.variants import Variant
 from repro.index.base import SpatialIndex
 from repro.index.cellgraph import CellGraphIndex
 from repro.index.rtree import RTree
 from repro.metrics.counters import WorkCounters
-from repro.util.timing import Stopwatch
 from repro.util.tracing import PhaseClock, Tracer, resolve_tracer
 from repro.util.validation import as_points_array, check_eps, check_minpts
 
@@ -74,7 +72,6 @@ def dbscan(
     index: SpatialIndex | None = None,
     counters: WorkCounters | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    cache: NeighborhoodCache | None = None,
     tracer: Tracer | None = None,
 ) -> ClusteringResult:
     """Cluster ``points`` with DBSCAN.
@@ -99,9 +96,6 @@ def dbscan(
         Frontier block size for the batched epsilon-search engine;
         ``<= 1`` runs the scalar reference loop.  Labels, core mask,
         and counters are identical either way.
-    cache:
-        Optional per-eps neighborhood cache shared across runs (see
-        :mod:`repro.core.neighcache`).
     tracer:
         Span/phase collector; ``None`` uses the active tracer
         (disabled by default — see :mod:`repro.obs`).
@@ -129,7 +123,6 @@ def dbscan(
             minpts,
             index=index,
             counters=counters,
-            cache=cache,
             tracer=tracer,
         )
     if counters is None:
@@ -141,11 +134,10 @@ def dbscan(
     core_mask = np.zeros(n, dtype=bool)
     visited = np.zeros(n, dtype=bool)
 
-    sw = Stopwatch().start()
     phases = resolve_tracer(tracer).phase_clock(variant=str(variant))
     # Charges searcher/prefetcher construction inside dbscan_into to a
     # visible phase instead of leaking it from the wall-time partition.
-    phases.switch("setup")
+    t0 = phases.switch("setup")
     n_clusters = dbscan_into(
         index,
         eps,
@@ -156,14 +148,9 @@ def dbscan(
         counters=counters,
         next_cluster_id=0,
         batch_size=batch_size,
-        cache=cache,
         phases=phases,
     )
-    # Stop the wall clock before finish(): record emission allocates and
-    # must not land inside the window the phase totals are checked
-    # against ("phases sum to wall-clock" would leak the emission cost).
-    elapsed = sw.stop()
-    phases.finish()
+    elapsed = phases.finish() - t0
     del n_clusters  # ids are already dense; ClusteringResult re-derives the count
     return ClusteringResult(
         labels,
@@ -243,7 +230,6 @@ def dbscan_into(
     counters: WorkCounters,
     next_cluster_id: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    cache: NeighborhoodCache | None = None,
     phases: PhaseClock | None = None,
 ) -> int:
     """Run the Algorithm 1 main loop *into* caller-owned state arrays.
@@ -263,7 +249,7 @@ def dbscan_into(
     """
     if phases is None:
         phases = resolve_tracer(None).phase_clock()
-    searcher = NeighborSearcher(index, eps, counters, cache=cache)
+    searcher = NeighborSearcher(index, eps, counters)
     n = labels.shape[0]
     in_seeds = np.zeros(n, dtype=bool)
     cid = next_cluster_id

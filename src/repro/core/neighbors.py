@@ -23,11 +23,6 @@ are exposed:
   ``query_candidates_batch`` so per-query Python overhead amortizes
   across the block.  Counter totals are identical to issuing the same
   block through :meth:`search` point by point.
-
-Both kernels consult an optional per-eps
-:class:`~repro.core.neighcache.NeighborhoodCache`: a hit returns the
-memoized (read-only) neighbor array and charges only the search itself
-— no node visits, candidates, or distance computations.
 """
 
 from __future__ import annotations
@@ -35,8 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.neighcache import NeighborhoodCache
-from repro.index._ranges import ranges_to_indices
 from repro.index.base import SpatialIndex
 from repro.index.mbb import XMAX, XMIN, YMAX, YMIN, point_query_mbb
 from repro.metrics.counters import WorkCounters
@@ -64,27 +57,24 @@ class NeighborSearcher:
     """Reusable epsilon-search kernel bound to one index and radius.
 
     Thread-safety: instances hold no mutable state besides the caller's
-    counters (the optional cache locks internally); one searcher per
+    counters; one searcher per
     worker thread/process is the intended usage (each worker owns its
     counters).
     """
 
-    __slots__ = ("index", "points", "eps", "_eps2", "counters", "cache", "_x", "_y")
+    __slots__ = ("index", "points", "eps", "_eps2", "counters", "_x", "_y")
 
     def __init__(
         self,
         index: SpatialIndex,
         eps: float,
         counters: WorkCounters | None = None,
-        *,
-        cache: NeighborhoodCache | None = None,
     ) -> None:
         self.index = index
         self.points = index.points
         self.eps = float(eps)
         self._eps2 = self.eps * self.eps
         self.counters = counters if counters is not None else WorkCounters()
-        self.cache = cache
         # Column views: contiguous per-axis access beats fancy-indexing
         # rows in the filter kernel.
         self._x = np.ascontiguousarray(self.points[:, 0])
@@ -92,21 +82,6 @@ class NeighborSearcher:
 
     def search(self, point_idx: int) -> np.ndarray:
         """Epsilon-neighborhood of an indexed point (Algorithm 2)."""
-        if self.cache is not None:
-            c = self.counters
-            hit = self.cache.get(self.eps, self.index, point_idx)
-            if hit is not None:
-                c.neighbor_searches += 1
-                c.neighbors_found += int(hit.size)
-                c.neigh_cache_hits += 1
-                c.neigh_cache_bytes += int(hit.nbytes)
-                return hit
-            neigh = self.search_xy(
-                float(self._x[point_idx]), float(self._y[point_idx])
-            )
-            c.neigh_cache_misses += 1
-            self.cache.put(self.eps, self.index, point_idx, neigh)
-            return neigh
         x = self._x[point_idx]
         y = self._y[point_idx]
         return self.search_xy(float(x), float(y))
@@ -116,8 +91,7 @@ class NeighborSearcher:
 
         Used by the VariantDBSCAN boundary-discovery phase, where the
         searched location is an *outside* point examined against the
-        low-resolution tree.  Never cached: the cache is keyed by point
-        index, not by location.
+        low-resolution tree.
         """
         c = self.counters
         mbb = point_query_mbb(x, y, self.eps)
@@ -152,8 +126,7 @@ class NeighborSearcher:
             Query ``i``'s neighborhood is
             ``indices[indptr[i]:indptr[i + 1]]``, elementwise equal to
             ``search(point_idxs[i])``.  Counter totals match the scalar
-            calls exactly; with a cache attached, hits skip the index
-            and filter entirely and charge the cache counters instead.
+            calls exactly.
         """
         idxs = np.asarray(point_idxs, dtype=np.int64).reshape(-1)
         m = idxs.size
@@ -161,36 +134,9 @@ class NeighborSearcher:
             return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
         c = self.counters
         c.neighbor_searches += m
-        if self.cache is None:
-            indptr, neigh = self._filter_block(idxs)
-            c.neighbors_found += int(neigh.size)
-            return indptr, neigh
-
-        hit_mask, hit_ptr, hit_flat = self.cache.get_csr(self.eps, self.index, idxs)
-        miss_mask = ~hit_mask
-        n_miss = int(miss_mask.sum())
-        c.neigh_cache_hits += m - n_miss
-        c.neigh_cache_misses += n_miss
-        c.neigh_cache_bytes += int(hit_flat.nbytes)
-        sizes = np.zeros(m, dtype=np.int64)
-        sizes[hit_mask] = np.diff(hit_ptr)
-        if n_miss:
-            miss_idx = idxs[miss_mask]
-            miss_ptr, miss_flat = self._filter_block(miss_idx)
-            self.cache.put_csr(self.eps, self.index, miss_idx, miss_ptr, miss_flat)
-            sizes[miss_mask] = np.diff(miss_ptr)
-        c.neighbors_found += int(sizes.sum())
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        # Interleave hit and miss rows back into query order with two
-        # vectorized scatters.
-        flat = np.empty(int(indptr[-1]), dtype=np.int64)
-        starts = indptr[:-1]
-        if m > n_miss:
-            flat[ranges_to_indices(starts[hit_mask], sizes[hit_mask])] = hit_flat
-        if n_miss:
-            flat[ranges_to_indices(starts[miss_mask], sizes[miss_mask])] = miss_flat
-        return indptr, flat
+        indptr, neigh = self._filter_block(idxs)
+        c.neighbors_found += int(neigh.size)
+        return indptr, neigh
 
     def _query_mbbs(self, idxs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs = self._x[idxs]
@@ -221,7 +167,7 @@ class NeighborSearcher:
         return indptr, neigh
 
     def _filter_block(self, idxs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Uncached batch query + vectorized distance filter."""
+        """Batch query + vectorized distance filter."""
         c = self.counters
         m = idxs.size
         mbbs, xs, ys = self._query_mbbs(idxs)
@@ -271,14 +217,13 @@ class OuterScanPrefetcher:
     unvisited points in one uncharged batch
     (:meth:`NeighborSearcher.filter_block_visits`), then, as the scan
     consumes each point, charges that row's exact scalar-equivalent
-    cost (per-query node visits, candidates, distances, cache
-    hit/miss).  A prefetched row is a pure function of ``(points,
-    eps)``, so it never goes stale; rows for points that an expansion
-    visits first are simply dropped, uncharged — the scalar machine
-    never searched them either.  Labels, core masks, work counters,
-    and cache contents are therefore byte-identical to the scalar scan;
-    the only side effect of a wasted row is wall-clock time, which the
-    block amortization wins back many times over.
+    cost (per-query node visits, candidates, distances).  A prefetched
+    row is a pure function of ``(points, eps)``, so it never goes stale;
+    rows for points that an expansion visits first are simply dropped,
+    uncharged — the scalar machine never searched them either.  Labels,
+    core masks and work counters are therefore byte-identical to the
+    scalar scan; the only side effect of a wasted row is wall-clock
+    time, which the block amortization wins back many times over.
     """
 
     __slots__ = ("searcher", "visited", "batch_size", "_window", "_pending")
@@ -293,7 +238,7 @@ class OuterScanPrefetcher:
         # enough to fill a block in sparse regions, narrow enough that the
         # bitmap scan stays cheap.
         self._window = max(1024, 64 * self.batch_size)
-        self._pending: dict[int, tuple[np.ndarray, int, int, bool]] = {}
+        self._pending: dict[int, tuple[np.ndarray, int, int]] = {}
 
     def take(self, p: int) -> np.ndarray:
         """Neighborhood of scan point ``p``; charges like ``search(p)``.
@@ -305,22 +250,13 @@ class OuterScanPrefetcher:
         if entry is None:
             self._refill(p)
             entry = self._pending.pop(p)
-        row, visits, cands, from_cache = entry
-        s = self.searcher
-        c = s.counters
+        row, visits, cands = entry
+        c = self.searcher.counters
         c.neighbor_searches += 1
-        if from_cache:
-            c.neighbors_found += int(row.size)
-            c.neigh_cache_hits += 1
-            c.neigh_cache_bytes += int(row.nbytes)
-        else:
-            c.index_nodes_visited += visits
-            c.candidates_examined += cands
-            c.distance_computations += cands
-            c.neighbors_found += int(row.size)
-            if s.cache is not None:
-                c.neigh_cache_misses += 1
-                s.cache.put(s.eps, s.index, p, row)
+        c.index_nodes_visited += visits
+        c.candidates_examined += cands
+        c.distance_computations += cands
+        c.neighbors_found += int(row.size)
         return row
 
     def _refill(self, p: int) -> None:
@@ -331,26 +267,11 @@ class OuterScanPrefetcher:
         block = np.empty(min(self.batch_size, 1 + ahead.size), dtype=np.int64)
         block[0] = p
         block[1:] = ahead[: block.size - 1]
-        s = self.searcher
+        ptr, flat, visits, cands = self.searcher.filter_block_visits(block)
         pending = self._pending
-        if s.cache is not None:
-            hit_mask, hit_ptr, hit_flat = s.cache.get_csr(s.eps, s.index, block)
-            for k, pos in enumerate(np.flatnonzero(hit_mask)):
-                pending[int(block[pos])] = (
-                    hit_flat[hit_ptr[k] : hit_ptr[k + 1]],
-                    0,
-                    0,
-                    True,
-                )
-            miss_idx = block[~hit_mask]
-        else:
-            miss_idx = block
-        if miss_idx.size:
-            ptr, flat, visits, cands = s.filter_block_visits(miss_idx)
-            for k in range(miss_idx.size):
-                pending[int(miss_idx[k])] = (
-                    flat[ptr[k] : ptr[k + 1]],
-                    int(visits[k]),
-                    int(cands[k]),
-                    False,
-                )
+        for k in range(block.size):
+            pending[int(block[k])] = (
+                flat[ptr[k] : ptr[k + 1]],
+                int(visits[k]),
+                int(cands[k]),
+            )

@@ -37,7 +37,7 @@ byte for byte, not merely up to relabeling):
   mask.
 
 The pieces are deliberately decomposed (plan / cluster one shard /
-merge) so the process-pool executor (:mod:`repro.exec.sharded`) can run
+merge) so the ``sharded`` and ``hybrid`` executors (:mod:`repro.exec.graph`) can run
 :func:`cluster_shard` in workers over a shared-memory store, while the
 in-process composition :func:`sharded_dbscan` drives the same code for
 tests and single-process callers.
@@ -440,8 +440,8 @@ def sharded_dbscan(
 
     The in-process composition of the shard pipeline — the reference
     the property-test suite pins against the serial kernels, and the
-    execution path :class:`~repro.exec.sharded.ShardedExecutor` workers
-    run one region at a time.  Output is byte-identical to
+    execution path the ``sharded`` executor's workers run one region at
+    a time.  Output is byte-identical to
     :func:`repro.core.dbscan.dbscan` at the same parameters.
     """
     points = as_points_array(points)

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.dbscan import DEFAULT_BATCH_SIZE, dbscan, dbscan_into, expand_frontier
 from repro.core.neighbors import NeighborSearcher
-from repro.core.neighcache import NeighborhoodCache
 from repro.core.result import NOISE, ClusteringResult
 from repro.core.reuse import CLUS_DENSITY, ReusePolicy
 from repro.core.variants import Variant
@@ -42,7 +41,6 @@ from repro.index.mbb import augment_mbb, mbb_of_points
 from repro.index.rtree import RTree
 from repro.metrics.counters import WorkCounters
 from repro.util.errors import ReuseCriteriaError, ValidationError
-from repro.util.timing import Stopwatch
 from repro.util.tracing import Tracer, resolve_tracer
 from repro.util.validation import as_points_array
 
@@ -131,7 +129,6 @@ def variant_dbscan(
     reuse_policy: ReusePolicy = CLUS_DENSITY,
     counters: WorkCounters | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    cache: NeighborhoodCache | None = None,
     tracer: Tracer | None = None,
 ) -> ClusteringResult:
     """Cluster ``points`` under ``variant``, reusing ``previous`` if given.
@@ -158,10 +155,6 @@ def variant_dbscan(
         Block size for the batched epsilon-search engine (boundary
         discovery and frontier expansion); ``<= 1`` selects the scalar
         reference loops.  Results and counters are identical.
-    cache:
-        Optional per-eps neighborhood cache; variants sharing an eps
-        (and this index) reuse each other's epsilon searches (see
-        :mod:`repro.core.neighcache`).
     tracer:
         Span/phase collector; ``None`` uses the active tracer
         (disabled by default).  When enabled, a phase clock partitions
@@ -191,7 +184,6 @@ def variant_dbscan(
             index=t_low,
             counters=counters,
             batch_size=batch_size,
-            cache=cache,
             tracer=tracer,
         )
 
@@ -209,9 +201,8 @@ def variant_dbscan(
     if t_high is None:
         t_high = RTree(points, r=1)
 
-    sw = Stopwatch().start()
     phases = resolve_tracer(tracer).phase_clock(variant=str(variant))
-    phases.switch("setup")
+    t0 = phases.switch("setup")
     labels = np.full(n, NOISE, dtype=np.int64)
     core_mask = np.zeros(n, dtype=bool)
     visited = np.zeros(n, dtype=bool)
@@ -219,7 +210,7 @@ def variant_dbscan(
     destroyed: set[int] = set()
     old_labels = previous.labels
     members = previous.cluster_members()
-    searcher = NeighborSearcher(t_low, variant.eps, counters, cache=cache)
+    searcher = NeighborSearcher(t_low, variant.eps, counters)
 
     phases.switch("seed_order")
     seed_list = reuse_policy.get_seed_list(previous, points, variant.eps)
@@ -301,13 +292,9 @@ def variant_dbscan(
         counters=counters,
         next_cluster_id=cid,
         batch_size=batch_size,
-        cache=cache,
         phases=phases,
     )
-    # Wall clock stops first: finish()'s record emission allocates and
-    # must not leak into the window the phase totals partition.
-    elapsed = sw.stop()
-    phases.finish()
+    elapsed = phases.finish() - t0
     return ClusteringResult(
         labels,
         core_mask,

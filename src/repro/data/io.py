@@ -119,7 +119,7 @@ def load_result(path: PathLike) -> ClusteringResult:
         labels = z["labels"].astype(np.int64)
         core_mask = z["core_mask"].astype(bool)
         meta = json.loads(bytes(z["meta_json"]).decode())
-    counters = WorkCounters(**meta["counters"])
+    counters = WorkCounters.from_dict(meta["counters"])
     return ClusteringResult(
         labels,
         core_mask,

@@ -1,17 +1,8 @@
-"""The unified executor contract: one object carries a run's state.
+"""The run contract: one immutable object carries a run's state.
 
-Before the engine refactor every executor method threaded seven-plus
-positional arguments (``points, variants, indexes, scheduler,
-reuse_policy, cost_model, tracer, batch knobs...``) through three
-layers; :class:`RunContext` collapses them into a single immutable
-carrier that :class:`~repro.engine.session.Session` (or the
-compatibility path in :class:`~repro.exec.base.BaseExecutor`)
-assembles once per run and every backend consumes uniformly.
-
-Backends read **all** configuration from the context — never from
-executor instance attributes — so a single executor instance can serve
-many sessions/configurations, and the context is the one seam future
-sharding/async/service layers need to extend.
+:class:`RunContext` bundles the store, indexes, strategies and knobs
+that :class:`~repro.engine.session.Session` assembles once per run and
+every runtime substrate consumes uniformly.
 
 Runtime imports here are deliberately minimal (dataclass + typing);
 the concrete types live in their own layers and are only imported for
@@ -27,7 +18,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.neighcache import NeighborhoodCache
     from repro.core.reuse import ReusePolicy
     from repro.core.scheduling import Scheduler
     from repro.engine.factory import IndexFactory, IndexPair
@@ -63,7 +53,7 @@ KERNELS = ("bfs", "cellgraph")
 
 @dataclass(frozen=True)
 class RunContext:
-    """Everything a backend needs to execute one variant batch.
+    """Everything the runtime needs to execute one variant batch.
 
     Attributes
     ----------
@@ -81,9 +71,6 @@ class RunContext:
         Worker count ``T`` for this run.
     batch_size:
         Epsilon-search engine block size (``<= 1`` = scalar loops).
-    cache:
-        Per-run neighborhood cache shared across the batch's variants,
-        or ``None`` when caching is disabled.
     tracer:
         Resolved span collector for the run (never ``None``; disabled
         tracing is the null tracer).
@@ -108,22 +95,20 @@ class RunContext:
         cell-graph grid is per-eps) across the run; ``None`` builds
         them transiently.
     regions:
-        Spatial region count for the sharded executor; ``None`` lets
-        ``part_size`` (or the worker count) decide.  Ignored by the
-        variant-parallel backends.
+        Spatial region count for shard and hybrid lowering; ``None``
+        lets ``part_size`` (or the worker count) decide.  Ignored by
+        variant lowering.
     part_size:
-        Target points per region for the sharded executor (region
+        Target points per region for shard and hybrid lowering (region
         count becomes ``ceil(n / part_size)``); ``None`` defers to
-        ``regions`` / the worker count.  Ignored by the
-        variant-parallel backends.
+        ``regions`` / the worker count.  Ignored by variant lowering.
     shard_threshold:
         Point count at which hybrid lowering fans a *from-scratch*
         variant out into shard/merge tasks (see
-        :mod:`repro.core.taskgraph`).  ``None`` leaves the choice to
-        the backend (the hybrid executor applies
-        :data:`~repro.core.taskgraph.DEFAULT_SHARD_THRESHOLD`; the
-        simulated executor lowers variant-only); ``0`` shards every
-        scratch variant.
+        :mod:`repro.core.taskgraph`).  ``None`` applies
+        :data:`~repro.core.taskgraph.DEFAULT_SHARD_THRESHOLD` under
+        hybrid lowering (and keeps the ``simulated`` executor off it);
+        ``0`` shards every scratch variant.
     supervisor:
         Self-healing supervision knobs
         (:class:`~repro.supervise.supervisor.SupervisePolicy`):
@@ -139,7 +124,6 @@ class RunContext:
     cost_model: CostModel
     n_threads: int = 1
     batch_size: int = 0
-    cache: NeighborhoodCache | None = None
     tracer: Tracer = field(repr=False, default_factory=_null_tracer)
     dataset: str = ""
     retry_policy: RetryPolicy | None = None

@@ -1,4 +1,4 @@
-"""The session engine: one owner for dataset, indexes, caches, tracer.
+"""The session engine: one owner for dataset, indexes, run knobs, tracer.
 
 The paper's premise (Section IV) is that one in-memory database ``D``
 and its two R-trees are built **once** and shared by every variant.
@@ -10,9 +10,9 @@ and its two R-trees are built **once** and shared by every variant.
   ``T_high``/``T_low`` are built once per session and reused across
   every run, benchmark iteration, and figure driver;
 * it assembles the :class:`~repro.engine.context.RunContext` each run
-  and hands it to an executor backend — the single seam every layer
-  (CLI, benchmarks, figure drivers, future service endpoints) routes
-  through.
+  and executes it on :class:`~repro.exec.graph.GraphRuntime` under the
+  named executor's substrate and lowering — the single seam every
+  layer (CLI, benchmarks, figure drivers) routes through.
 
 Usage::
 
@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.dbscan import DEFAULT_BATCH_SIZE
-from repro.core.neighcache import NeighborhoodCache
 from repro.core.reuse import CLUS_DENSITY, POLICIES, ReusePolicy
 from repro.core.scheduling import SCHEDULERS, Scheduler
 from repro.core.variant_dbscan import DEFAULT_LOW_RES_R
@@ -48,7 +47,7 @@ from repro.util.validation import check_positive_int
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
-    from repro.exec.base import BaseExecutor, BatchResult
+    from repro.exec.base import BatchResult
     from repro.exec.cost import CostModel
     from repro.index.base import SpatialIndex
     from repro.resilience.checkpoint import CheckpointStore
@@ -68,6 +67,38 @@ def _as_scheduler(value: str | Scheduler | None) -> Scheduler | None:
         raise KeyError(
             f"unknown scheduler {value!r}; expected one of {sorted(SCHEDULERS)}"
         ) from None
+
+
+def _check_knobs(
+    *,
+    n_threads: int | None = None,
+    low_res_r: int | None = None,
+    batch_size: int | None = None,
+    kernel: str | None = None,
+    regions: int | None = None,
+    part_size: int | None = None,
+    shard_threshold: int | None = None,
+) -> None:
+    """Raise :class:`ValueError` on an out-of-range run knob.
+
+    The one validation point for run knobs, whether they arrive as
+    session defaults or per-run overrides; ``None`` means "not set".
+    """
+    for name, value in (
+        ("n_threads", n_threads),
+        ("low_res_r", low_res_r),
+        ("regions", regions),
+        ("part_size", part_size),
+    ):
+        if value is not None:
+            check_positive_int(value, name=name)
+    for name, value in (("batch_size", batch_size), ("shard_threshold", shard_threshold)):
+        if value is not None and int(value) < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if kernel is not None and kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}")
+    if regions is not None and part_size is not None:
+        raise ValueError("pass at most one of regions / part_size")
 
 
 def _as_policy(value: str | ReusePolicy | None) -> ReusePolicy | None:
@@ -100,29 +131,32 @@ class Session:
         Default strategy objects (or registry names) for runs.
     cost_model:
         Work-unit pricing; defaults to the library's calibrated model.
-    batch_size / cache_bytes:
-        Default epsilon-search engine knobs (see
-        :class:`~repro.exec.base.BaseExecutor`).
+    batch_size:
+        Default block size of the batched epsilon-search engine;
+        ``<= 1`` selects the scalar reference loops (identical results
+        and counters).
     kernel:
         Default clustering path, one of
         :data:`~repro.engine.context.KERNELS`: ``cellgraph`` (one exact
         pass per eps serves every variant) or ``bfs`` (the paper's
         reuse path); overridable per run.
     regions / part_size:
-        Default spatial partitioning for the sharded executor
-        (``regions`` fixes the region count, ``part_size`` derives it
-        as ``ceil(n / part_size)``); ignored by the variant-parallel
-        backends.  At most one may be set.
+        Default spatial partitioning for the sharded, hybrid and
+        simulated executors (``regions`` fixes the region count,
+        ``part_size`` derives it as ``ceil(n / part_size)``); ignored
+        by variant lowering.  At most one may be set.
     shard_threshold:
         Default point count at which hybrid lowering fans a
         from-scratch variant out into shard/merge tasks (``None``
-        defers to the backend; ``0`` shards every scratch variant).
+        applies :data:`~repro.core.taskgraph.DEFAULT_SHARD_THRESHOLD`
+        under ``hybrid`` and keeps ``simulated`` off hybrid lowering;
+        ``0`` shards every scratch variant).
     supervise:
         Session-wide default for the self-healing supervisor
         (:mod:`repro.supervise`): ``True`` enables the default
         :class:`~repro.supervise.supervisor.SupervisePolicy`, a policy
         instance tunes it, ``None``/``False`` (default) disables.  Can
-        be overridden per executor or per run.
+        be overridden per run.
     tracer:
         Span collector for everything the session does; ``None``
         resolves to the globally active tracer at each use.
@@ -139,7 +173,6 @@ class Session:
         reuse_policy: str | ReusePolicy = CLUS_DENSITY,
         cost_model: CostModel | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        cache_bytes: int = 0,
         kernel: str = "cellgraph",
         regions: int | None = None,
         part_size: int | None = None,
@@ -151,37 +184,26 @@ class Session:
             from repro.exec.cost import DEFAULT_COST_MODEL
 
             cost_model = DEFAULT_COST_MODEL
+        _check_knobs(
+            low_res_r=low_res_r,
+            batch_size=batch_size,
+            kernel=kernel,
+            regions=regions,
+            part_size=part_size,
+            shard_threshold=shard_threshold,
+        )
         self.store = PointStore.from_points(points)
         self.factory = IndexFactory()
         self.dataset = dataset
-        self.low_res_r = check_positive_int(low_res_r, name="low_res_r")
+        self.low_res_r = int(low_res_r)
         self.fanout = check_positive_int(fanout, name="fanout")
         self.scheduler = _as_scheduler(scheduler)
         self.reuse_policy = _as_policy(reuse_policy)
         self.cost_model = cost_model
         self.batch_size = int(batch_size)
-        self.cache_bytes = int(cache_bytes)
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}"
-            )
         self.kernel = kernel
-        if regions is not None and part_size is not None:
-            raise ValueError("pass at most one of regions / part_size")
-        self.regions = (
-            check_positive_int(regions, name="regions")
-            if regions is not None
-            else None
-        )
-        self.part_size = (
-            check_positive_int(part_size, name="part_size")
-            if part_size is not None
-            else None
-        )
-        if shard_threshold is not None and int(shard_threshold) < 0:
-            raise ValueError(
-                f"shard_threshold must be >= 0, got {shard_threshold}"
-            )
+        self.regions = int(regions) if regions is not None else None
+        self.part_size = int(part_size) if part_size is not None else None
         self.shard_threshold = (
             int(shard_threshold) if shard_threshold is not None else None
         )
@@ -223,43 +245,14 @@ class Session:
         )
 
     # -- execution ------------------------------------------------------
-    def _resolve_executor(
-        self,
-        executor: str | BaseExecutor | type | None,
-        kwargs: dict,
-    ) -> BaseExecutor:
-        from repro.exec import EXECUTORS
-        from repro.exec.base import BaseExecutor
-
-        if executor is None:
-            executor = "serial"
-        if isinstance(executor, str):
-            try:
-                cls = EXECUTORS[executor]
-            except KeyError:
-                raise KeyError(
-                    f"unknown executor {executor!r}; expected one of {sorted(EXECUTORS)}"
-                ) from None
-            return cls(**kwargs)
-        if isinstance(executor, type) and issubclass(executor, BaseExecutor):
-            return executor(**kwargs)
-        if not isinstance(executor, BaseExecutor):
-            raise TypeError(
-                f"executor must be a name, BaseExecutor subclass, or instance; "
-                f"got {executor!r}"
-            )
-        return executor
-
     def context(
         self,
         *,
-        executor: BaseExecutor | None = None,
         scheduler: str | Scheduler | None = None,
         policy: str | ReusePolicy | None = None,
         n_threads: int | None = None,
         low_res_r: int | None = None,
         batch_size: int | None = None,
-        cache_bytes: int | None = None,
         cost_model: CostModel | None = None,
         dataset: str | None = None,
         kernel: str | None = None,
@@ -273,86 +266,59 @@ class Session:
     ) -> RunContext:
         """Assemble the :class:`RunContext` for one run.
 
-        Fallback order per knob: explicit argument, else the executor
-        instance's configuration (when one is given), else the session
-        default.  ``supervise`` follows the same chain; pass ``False``
-        to switch supervision off for one run regardless of the
-        executor / session default.
+        Each knob is the explicit argument when given, else the session
+        default.  ``supervise=False`` switches supervision off for one
+        run regardless of the session default.
         """
         if self._closed:
             raise SessionClosedError("Session is closed")
-        ex = executor
-        sched = _as_scheduler(scheduler)
-        pol = _as_policy(policy)
-        if ex is not None:
-            sched = sched if sched is not None else ex.scheduler
-            pol = pol if pol is not None else ex.reuse_policy
-            cost_model = cost_model if cost_model is not None else ex.cost_model
-            n_threads = n_threads if n_threads is not None else ex.n_threads
-            low_res_r = low_res_r if low_res_r is not None else ex.low_res_r
-            batch_size = batch_size if batch_size is not None else ex.batch_size
-            cache_bytes = cache_bytes if cache_bytes is not None else ex.cache_bytes
-            kernel = kernel if kernel is not None else ex.kernel
-            if regions is None and part_size is None:
-                regions = ex.regions
-                part_size = ex.part_size
-            if shard_threshold is None:
-                shard_threshold = ex.shard_threshold
-        if ex is not None and getattr(ex, "single_threaded", False):
-            n_threads = 1
+        _check_knobs(
+            n_threads=n_threads,
+            low_res_r=low_res_r,
+            batch_size=batch_size,
+            kernel=kernel,
+            regions=regions,
+            part_size=part_size,
+            shard_threshold=shard_threshold,
+        )
         from repro.core.scheduling import SchedGreedy
 
+        sched = _as_scheduler(scheduler)
         sched = sched if sched is not None else (self.scheduler or SchedGreedy())
-        pol = pol if pol is not None else self.reuse_policy
-        cache_bytes = cache_bytes if cache_bytes is not None else self.cache_bytes
-        kernel = kernel if kernel is not None else self.kernel
-        if regions is not None and part_size is not None:
-            raise ValueError("pass at most one of regions / part_size")
+        pol = _as_policy(policy)
         if regions is None and part_size is None:
             regions = self.regions
             part_size = self.part_size
-        if shard_threshold is None:
-            shard_threshold = self.shard_threshold
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}"
-            )
         from repro.supervise.supervisor import as_supervise_policy
 
         if supervise is False:
             sup = None
         elif supervise is not None:
             sup = as_supervise_policy(supervise)
-        elif ex is not None and getattr(ex, "supervise", None) is not None:
-            sup = ex.supervise
         else:
             sup = self.supervise
-        tracer = resolve_tracer(self.tracer)
         return RunContext(
             store=self.store,
             indexes=self.indexes(low_res_r),
             scheduler=sched,
-            reuse_policy=pol,
+            reuse_policy=pol if pol is not None else self.reuse_policy,
             cost_model=cost_model if cost_model is not None else self.cost_model,
-            n_threads=check_positive_int(
-                n_threads if n_threads is not None else 1, name="n_threads"
-            ),
-            batch_size=batch_size if batch_size is not None else self.batch_size,
-            cache=(
-                NeighborhoodCache(capacity_bytes=cache_bytes)
-                if cache_bytes and cache_bytes > 0
-                else None
-            ),
-            tracer=tracer,
+            n_threads=int(n_threads) if n_threads is not None else 1,
+            batch_size=int(batch_size) if batch_size is not None else self.batch_size,
+            tracer=resolve_tracer(self.tracer),
             dataset=dataset if dataset is not None else self.dataset,
             retry_policy=retry_policy,
             fault_plan=fault_plan,
             checkpoint=checkpoint,
-            kernel=kernel,
+            kernel=kernel if kernel is not None else self.kernel,
             factory=self.factory,
             regions=regions,
             part_size=part_size,
-            shard_threshold=shard_threshold,
+            shard_threshold=(
+                int(shard_threshold)
+                if shard_threshold is not None
+                else self.shard_threshold
+            ),
             supervisor=sup,
         )
 
@@ -360,13 +326,12 @@ class Session:
         self,
         variants: VariantSet,
         *,
-        executor: str | BaseExecutor | type | None = None,
+        executor: str = "serial",
         scheduler: str | Scheduler | None = None,
         policy: str | ReusePolicy | None = None,
         n_threads: int | None = None,
         low_res_r: int | None = None,
         batch_size: int | None = None,
-        cache_bytes: int | None = None,
         cost_model: CostModel | None = None,
         dataset: str | None = None,
         kernel: str | None = None,
@@ -380,13 +345,13 @@ class Session:
     ) -> BatchResult:
         """Execute every variant and return the batch result.
 
-        ``executor`` may be a backend name (``serial`` / ``simulated``
-        / ``threads`` / ``processes`` / ``sharded`` / ``hybrid``), a
-        :class:`BaseExecutor`
-        subclass, an already-configured instance, or ``None`` for the
-        serial default.  All other knobs override the session defaults
-        for this run only; indexes come from the memoized factory, so
-        repeated runs never rebuild them.
+        ``executor`` names a row of :data:`repro.exec.EXECUTORS`
+        (``serial`` / ``simulated`` / ``threads`` / ``processes`` /
+        ``sharded`` / ``hybrid``): the runtime substrate and lowering
+        the batch runs on.  ``serial`` always runs with one worker.
+        All other knobs override the session defaults for this run
+        only; indexes come from the memoized factory, so repeated runs
+        never rebuild them.
 
         Resilience knobs: ``retry_policy`` grants per-variant deadlines
         and retries, ``fault_plan`` injects deterministic failures (a
@@ -402,28 +367,26 @@ class Session:
         monitoring, risk-gated remediation, graceful degradation — see
         :mod:`repro.supervise`): ``True`` for the default policy, a
         :class:`~repro.supervise.supervisor.SupervisePolicy` to tune
-        it, ``False`` to switch off an executor/session default.
-        Supervision implies a resilient run.
+        it, ``False`` to switch off the session default.  Supervision
+        implies a resilient run.
         """
+        from repro.exec import EXECUTORS
+        from repro.exec.graph import GraphRuntime
+
         if self._closed:
             raise SessionClosedError("Session is closed")
+        if executor not in EXECUTORS:
+            raise KeyError(
+                f"unknown executor {executor!r}; expected one of {sorted(EXECUTORS)}"
+            )
         if not isinstance(variants, VariantSet):
             variants = VariantSet(variants)
-        ex = self._resolve_executor(executor, {})
-        # Only an explicitly-passed instance contributes its own knobs as
-        # fallbacks; a freshly-constructed backend defers to the session.
-        from_instance = ex is executor
-        if getattr(ex, "single_threaded", False):
-            n_threads = 1
-        checkpoint = self._resolve_checkpoint(resume)
         ctx = self.context(
-            executor=ex if from_instance else None,
             scheduler=scheduler,
             policy=policy,
             n_threads=n_threads,
             low_res_r=low_res_r,
             batch_size=batch_size,
-            cache_bytes=cache_bytes,
             cost_model=cost_model,
             dataset=dataset,
             kernel=kernel,
@@ -432,14 +395,31 @@ class Session:
             shard_threshold=shard_threshold,
             retry_policy=retry_policy,
             fault_plan=fault_plan,
-            checkpoint=checkpoint,
+            checkpoint=self._resolve_checkpoint(resume),
             supervise=supervise,
         )
+        if executor == "serial":
+            ctx = ctx.with_(n_threads=1)
+        substrate, mode = EXECUTORS[executor]
+        if mode is None:
+            if ctx.shard_threshold is not None:
+                mode = "hybrid"
+            elif ctx.regions is not None or ctx.part_size is not None:
+                mode = "shard"
+            else:
+                mode = "variant"
         self._active_runs += 1
         try:
-            return ex.run_context(ctx, variants)
+            result = GraphRuntime(substrate).run(ctx, variants, mode=mode)
         finally:
             self._active_runs -= 1
+        record = result.record
+        record.executor = executor
+        record.n_threads = ctx.n_threads
+        record.scheduler = ctx.scheduler.name
+        record.reuse_policy = ctx.reuse_policy.name
+        record.dataset = ctx.dataset
+        return result
 
     def _resolve_checkpoint(
         self, resume: str | Path | CheckpointStore | None

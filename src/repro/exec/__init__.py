@@ -1,113 +1,56 @@
-"""Variant-batch executors (the ``parallel for`` of Algorithm 3).
+"""Variant-batch execution (the ``parallel for`` of Algorithm 3).
 
-Pick a backend by what you need:
+Every batch runs on the one task-graph runtime,
+:class:`~repro.exec.graph.GraphRuntime`.  An executor *name* picks a
+substrate (where tasks run) and a lowering mode (which task DAG):
+:data:`EXECUTORS` is that table, and :meth:`repro.Session.run` reads it
+directly.
 
-* :class:`SerialExecutor` — deterministic single worker; the paper's
-  ``T = 1`` reuse study.
-* :class:`SimulatedExecutor` — deterministic work-unit clock with a
-  memory-contention model; regenerates the paper's thread-scaling
-  figures independently of host hardware.
-* :class:`ThreadPoolExecutorBackend` — real shared-memory threads
-  (GIL-limited in CPython; kept for honesty and ablation).
-* :class:`ProcessPoolExecutorBackend` — real processes over statically
-  partitioned reuse chains (genuinely parallel).
-* :class:`ShardedExecutor` — real processes over *spatial regions with
-  eps halos* inside each variant (dislib-style data parallelism);
-  merged labels are byte-identical to the serial kernels.
-* :class:`HybridExecutor` — both axes on one pool: large from-scratch
-  variants shard across regions while other variants' reuse chains run
-  concurrently (task-graph lowering, see :mod:`repro.exec.graph`).
-
-Every backend lowers through the same
-:class:`~repro.exec.graph.GraphRuntime` — a backend is a *lowering
-policy* (which task DAG, which substrate), not a pool implementation.
-
-:func:`run_variants` is the legacy one-call convenience entry point;
-prefer :class:`repro.Session`, which keeps the point store and built
-indexes alive across runs (see ``docs/ARCHITECTURE.md``).
+* ``serial`` — one worker on the work-unit clock, ``T`` forced to 1;
+  the paper's Section V-D reuse study.
+* ``simulated`` — ``T`` virtual workers on the deterministic work-unit
+  clock with a memory-contention model; regenerates the paper's
+  thread-scaling figures independently of host hardware.  Its lowering
+  follows the run's shard knobs: ``shard_threshold`` set lowers hybrid,
+  else ``regions`` / ``part_size`` set lowers shard, else variant.
+* ``threads`` — real shared-memory threads with online reuse
+  (GIL-limited in CPython).
+* ``processes`` — one process lane per statically partitioned reuse
+  chain (:func:`~repro.exec.graph.partition_reuse_chains`); workers
+  attach the session's shared-memory store and index pack.
+* ``sharded`` — process lanes over spatial regions with eps halos
+  inside each variant, merged back into byte-identical labels.
+* ``hybrid`` — both axes on one pool: scratch variants at or above
+  ``shard_threshold`` points fan out into shard/merge tasks while
+  other variants' reuse chains run concurrently.
 """
 
-import warnings
+from __future__ import annotations
 
-import numpy as np
-
-from repro.core.variants import VariantSet
-from repro.exec.base import BaseExecutor, BatchResult, IndexPair
+from repro.exec.base import BatchResult
 from repro.exec.calibration import CalibrationSample, collect_samples, fit_cost_model
 from repro.exec.cost import DEFAULT_COST_MODEL, CostModel
 from repro.exec.graph import GraphRuntime
-from repro.exec.hybrid import HybridExecutor
-from repro.exec.procpool import ProcessPoolExecutorBackend
-from repro.exec.serial import SerialExecutor
-from repro.exec.sharded import ShardedExecutor
-from repro.exec.simulated import SimulatedExecutor
-from repro.exec.threadpool import ThreadPoolExecutorBackend
 
 __all__ = [
-    "BaseExecutor",
     "BatchResult",
-    "IndexPair",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "CalibrationSample",
     "collect_samples",
     "fit_cost_model",
     "GraphRuntime",
-    "SerialExecutor",
-    "SimulatedExecutor",
-    "ThreadPoolExecutorBackend",
-    "ProcessPoolExecutorBackend",
-    "ShardedExecutor",
-    "HybridExecutor",
-    "run_variants",
     "EXECUTORS",
 ]
 
-#: Backend registry for lookups by name (benchmarks, examples).
-EXECUTORS: dict[str, type[BaseExecutor]] = {
-    SerialExecutor.name: SerialExecutor,
-    SimulatedExecutor.name: SimulatedExecutor,
-    ThreadPoolExecutorBackend.name: ThreadPoolExecutorBackend,
-    ProcessPoolExecutorBackend.name: ProcessPoolExecutorBackend,
-    ShardedExecutor.name: ShardedExecutor,
-    HybridExecutor.name: HybridExecutor,
+#: Executor name -> (:class:`GraphRuntime` substrate, lowering mode).
+#: ``simulated``'s mode is ``None``: it is derived from each run's shard
+#: knobs (see the module docstring).
+EXECUTORS: dict[str, tuple[str, str | None]] = {
+    "serial": ("sim", "variant"),
+    "simulated": ("sim", None),
+    "threads": ("threads", "variant"),
+    "processes": ("lanes", "variant"),
+    "sharded": ("lanes", "shard"),
+    "hybrid": ("lanes", "hybrid"),
 }
-
-
-def run_variants(
-    points: np.ndarray,
-    variants: VariantSet,
-    executor: BaseExecutor | None = None,
-    *,
-    dataset: str = "",
-) -> BatchResult:
-    """Cluster every variant of ``variants`` over ``points``.
-
-    .. deprecated::
-        Use :class:`repro.Session` — ``Session(points).run(variants)``
-        — which additionally reuses the point store and built indexes
-        across runs.  This shim routes through a transient session and
-        will be removed in a future release.
-
-    Uses a :class:`SerialExecutor` with the paper's recommended
-    defaults (SCHEDGREEDY + CLUSDENSITY, ``r = 70``) unless an executor
-    is supplied.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro import VariantSet, run_variants
-    >>> pts = np.random.default_rng(1).normal(0, 1, (300, 2))
-    >>> batch = run_variants(pts, VariantSet.from_product([0.5, 0.7], [4]))
-    >>> sorted(v.eps for v in batch.results)
-    [0.5, 0.7]
-    """
-    warnings.warn(
-        "run_variants() is deprecated; use repro.Session(points).run(variants)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.engine.session import Session
-
-    with Session(points, dataset=dataset) as session:
-        return session.run(variants, executor=executor)

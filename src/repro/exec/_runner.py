@@ -79,7 +79,6 @@ class PassMemo:
                     index,
                     max(minpts, self._top.get(eps, minpts)),
                     counters=counters,
-                    cache=ctx.cache,
                     tracer=tracer,
                     variant=variant,
                 )
@@ -145,7 +144,6 @@ def execute_variant(
                 reuse_policy=ctx.reuse_policy,
                 counters=counters,
                 batch_size=ctx.batch_size,
-                cache=ctx.cache,
                 tracer=tr,
             )
         span.set(

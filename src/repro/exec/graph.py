@@ -1,11 +1,10 @@
 """The unified task-graph runtime every executor backend lowers through.
 
-Before this module the five backends were five sibling ``_run``
-implementations, each with its own pool, retry accounting, and span
-plumbing.  Now a backend is a *lowering policy*: it picks a lowering
-mode (:func:`repro.core.taskgraph.lower_variants`) and a **substrate**,
-and :class:`GraphRuntime` executes the resulting DAG with
-dependency-aware dispatch.  Three substrates cover every backend:
+An executor name (:data:`repro.exec.EXECUTORS`) is a *lowering
+policy*: it picks a lowering mode
+(:func:`repro.core.taskgraph.lower_variants`) and a **substrate**, and
+:class:`GraphRuntime` executes the resulting DAG with dependency-aware
+dispatch.  Three substrates cover every executor:
 
 ``sim``
     A deterministic event loop on the work-unit clock.  ``T`` virtual
@@ -56,7 +55,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
-from repro.core.neighcache import NeighborhoodCache
 from repro.core.result import ClusteringResult
 from repro.core.reuse import POLICIES
 from repro.core.scheduling import (
@@ -90,7 +88,7 @@ from repro.engine.factory import (
 )
 from repro.engine.shm import destroy_segment, release_segment
 from repro.engine.store import PointStore, PointStoreHandle
-from repro.exec.base import BaseExecutor, BatchResult
+from repro.exec.base import BatchResult
 from repro.exec.cost import CostModel
 from repro.metrics.counters import WorkCounters
 from repro.metrics.records import BatchRunRecord, VariantRunRecord
@@ -199,7 +197,6 @@ def _chain_worker(
     cost_model: CostModel,
     t0: float,
     batch_size: int,
-    cache_bytes: int,
     trace: bool,
     retry_policy: RetryPolicy | None = None,
     fault_plan: BoundFaultPlan | None = None,
@@ -216,9 +213,9 @@ def _chain_worker(
     they are seeded into the worker's completed registry at t = 0 so
     the group's head can reuse them (the registry accepts out-of-set
     donors — inclusion checks are pure variant arithmetic).  The
-    neighborhood cache and tracer cannot cross the process boundary, so
-    each worker builds its own; spans are rebased onto the batch wall
-    window and shipped back as plain records.
+    tracer cannot cross the process boundary, so each worker builds its
+    own; spans are rebased onto the batch wall window and shipped back
+    as plain records.
 
     Resilience plumbing matches the legacy process backend: the parent
     ships its retry policy, the already-bound fault plan (re-keyed by
@@ -255,11 +252,6 @@ def _chain_worker(
         )
         order = [Variant(e, m) for e, m in variant_tuples]
         vset = VariantSet(order)
-        cache = (
-            NeighborhoodCache(capacity_bytes=cache_bytes)
-            if cache_bytes > 0
-            else None
-        )
         checkpoint = (
             CheckpointStore(checkpoint_root, store.fingerprint, store.n_points)
             if checkpoint_root
@@ -273,7 +265,6 @@ def _chain_worker(
             cost_model=cost_model,
             n_threads=1,
             batch_size=batch_size,
-            cache=cache,
             dataset="",
             retry_policy=retry_policy,
             fault_plan=fault_plan,
@@ -312,8 +303,6 @@ def _chain_worker(
             registry.add(planned.variant, result, finished_at=clock)
             results[planned.variant] = result
             records.append(record)
-        if tracer is not None:
-            BaseExecutor._trace_cache_stats(tracer, cache)
     finally:
         # Drop every view into the segments before unmapping; both
         # closes tolerate lingering exports (OS reclaims at exit).
@@ -498,8 +487,8 @@ class GraphRuntime:
 
     ``substrate`` picks the execution medium (one of
     :data:`SUBSTRATES`); the lowering ``mode`` passed to :meth:`run`
-    picks the graph shape.  Every backend's ``_run`` is a one-line
-    combination of the two.
+    picks the graph shape.  :data:`repro.exec.EXECUTORS` names the
+    valid combinations of the two.
     """
 
     def __init__(self, substrate: str) -> None:
@@ -764,7 +753,6 @@ class GraphRuntime:
                 )
         if tracer.enabled and task_spans:
             tracer.add_records(task_spans)
-        BaseExecutor._trace_cache_stats(tracer, ctx.cache)
 
     # -- threads substrate -----------------------------------------------
     def _run_threads(
@@ -832,7 +820,6 @@ class GraphRuntime:
             t.start()
         for t in threads:
             t.join()
-        BaseExecutor._trace_cache_stats(tracer, ctx.cache)
 
     # -- lanes substrate --------------------------------------------------
     def _run_lanes(
@@ -935,7 +922,6 @@ class GraphRuntime:
             n_lanes = max(1, ctx.n_threads)
 
         store_handle = ctx.store.ensure_shared(tracer=tracer)
-        cache_bytes = ctx.cache.capacity_bytes if ctx.cache is not None else 0
         checkpoint_root = (
             str(ctx.checkpoint.root) if ctx.checkpoint is not None else None
         )
@@ -1005,7 +991,6 @@ class GraphRuntime:
                 ctx.cost_model,
                 t0,
                 ctx.batch_size,
-                cache_bytes,
                 tracer.enabled,
                 policy,
                 plan,

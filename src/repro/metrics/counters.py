@@ -35,18 +35,6 @@ Counter semantics
 ``outside_points_searched``
     Points outside a reused cluster that received an epsilon search
     during boundary discovery (Algorithm 3 lines 13-14).
-``neigh_cache_hits``
-    Epsilon searches answered from the per-eps neighborhood cache
-    (:mod:`repro.core.neighcache`) without touching the index.  A hit
-    still counts as a ``neighbor_search`` (the query was issued) but
-    charges no node visits, candidates, or distance computations.
-``neigh_cache_misses``
-    Epsilon searches that had to be computed and were then stored in
-    the cache.  ``hits + misses`` equals the searches issued while a
-    cache was attached.
-``neigh_cache_bytes``
-    Bytes of neighbor lists served from the cache — the candidate/
-    filter memory traffic that sharing an eps across variants avoided.
 """
 
 from __future__ import annotations
@@ -72,9 +60,6 @@ class WorkCounters:
     points_reused: int = 0
     cluster_mbb_sweeps: int = 0
     outside_points_searched: int = 0
-    neigh_cache_hits: int = 0
-    neigh_cache_misses: int = 0
-    neigh_cache_bytes: int = 0
 
     def merge(self, other: WorkCounters) -> WorkCounters:
         """Add ``other``'s tallies into ``self`` and return ``self``."""
@@ -100,6 +85,17 @@ class WorkCounters:
     def as_dict(self) -> dict[str, int]:
         """Return the tallies as a plain ``dict`` (for reports / JSON)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, tallies: dict[str, int]) -> WorkCounters:
+        """Inverse of :meth:`as_dict`; keys that are not fields are ignored.
+
+        Files written by older versions carry counters that no longer
+        exist (the ``neigh_cache_*`` tallies of the removed neighborhood
+        cache); reading them back must not fail.
+        """
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in tallies.items() if k in names})
 
     @property
     def total_memory_accesses(self) -> int:

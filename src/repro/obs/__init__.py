@@ -3,8 +3,8 @@
 The clustering kernels and executors are instrumented with
 :class:`Span` contexts and :class:`PhaseClock` partition timers (see
 :mod:`repro.obs.span`); a :class:`MetricsRegistry` unifies the span
-timings with the deterministic work counters and neighborhood-cache
-statistics, and exports Chrome-trace and JSONL formats
+timings with the deterministic work counters, and exports Chrome-trace
+and JSONL formats
 (:mod:`repro.obs.export`).
 
 Tracing is **off by default** and near-zero cost while off.  Enable it
@@ -13,12 +13,12 @@ either by installing a tracer globally::
     from repro.obs import Tracer, use_tracer, MetricsRegistry
 
     tracer = Tracer()
-    with use_tracer(tracer):
-        batch = executor.run(points, variants)
+    with use_tracer(tracer), Session(points) as session:
+        batch = session.run(variants)
     registry = MetricsRegistry.from_batch(batch, tracer)
     registry.to_jsonl("run.trace.jsonl")
 
-or by passing ``tracer=`` to an executor / kernel explicitly.  The
+or by passing ``tracer=`` to a session / kernel explicitly.  The
 ``repro trace`` CLI subcommand wraps the whole flow.
 """
 

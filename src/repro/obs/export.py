@@ -3,7 +3,7 @@
 JSONL is the machine-readable interchange format: one JSON object per
 line, typed by a ``type`` field, loss-free — :func:`read_jsonl`
 reconstructs a :class:`~repro.obs.registry.MetricsRegistry` whose
-spans, variant rows, totals, cache stats, and metadata compare equal
+spans, variant rows, totals, and metadata compare equal
 to the original.  Line types:
 
 ``meta``
@@ -14,15 +14,13 @@ to the original.  Line types:
     ``args``.
 ``variant``
     One per-variant row (reuse bookkeeping, times, counters).
-``cache``
-    Aggregated neighborhood-cache statistics (at most one line).
 
 The Chrome trace export targets ``chrome://tracing`` / Perfetto:
 complete (``"ph": "X"``) events in microseconds, one track per worker
-thread, instant (``"ph": "i"``) events for evictions and one-off
-stats.  It is a *view*, not an interchange format — phase totals from
-an accumulating clock are rendered as one block at the phase's first
-entry, so overlapping blocks on a track mean interleaved phases, not
+thread, instant (``"ph": "i"``) events for one-off events.  It is a
+*view*, not an interchange format — phase totals from an accumulating
+clock are rendered as one block at the phase's first entry, so
+overlapping blocks on a track mean interleaved phases, not
 double-counted time.
 """
 
@@ -58,8 +56,6 @@ def write_jsonl(path: PathLike, registry: MetricsRegistry) -> None:
         )
     for row in registry.variant_rows:
         lines.append(json.dumps({"type": "variant", **row}))
-    if registry.cache is not None:
-        lines.append(json.dumps({"type": "cache", **registry.cache}))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -81,9 +77,11 @@ def read_jsonl(path: PathLike) -> MetricsRegistry:
             )
         elif kind == "variant":
             reg.variant_rows.append(obj)
-            reg.totals.merge(WorkCounters(**obj["counters"]))
+            reg.totals.merge(WorkCounters.from_dict(obj["counters"]))
         elif kind == "cache":
-            reg.cache = obj
+            # Neighborhood-cache stats from files written before the
+            # cache was removed; nothing reads them any more.
+            continue
         else:
             raise ValueError(f"unknown trace line type {kind!r} in {path}")
     return reg

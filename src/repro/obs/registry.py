@@ -1,13 +1,11 @@
 """MetricsRegistry — one place for every number a run produced.
 
-A clustering batch already yields three disjoint kinds of telemetry:
+A clustering batch already yields two disjoint kinds of telemetry:
 
 * **work counters** (:class:`~repro.metrics.counters.WorkCounters`) —
   deterministic operation tallies per variant;
 * **span / phase records** (:mod:`repro.obs.span`) — wall-clock
-  attribution of where the time went;
-* **cache statistics** (:class:`~repro.core.neighcache.CacheStats`) —
-  hit/miss/eviction rates of the per-eps neighborhood cache.
+  attribution of where the time went.
 
 :class:`MetricsRegistry` unifies them into one queryable object that
 round-trips through JSONL (:mod:`repro.obs.export`), renders Chrome
@@ -29,7 +27,7 @@ __all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
-    """Aggregated spans, counters, and cache stats for one run.
+    """Aggregated spans and counters for one run.
 
     Attributes
     ----------
@@ -42,9 +40,6 @@ class MetricsRegistry:
         the variant's counter tallies.
     totals:
         Work counters merged across all variants.
-    cache:
-        Cache statistics dict (``hits``/``misses``/``evictions``/
-        ``entries``/``bytes_stored``) or ``None`` when no cache ran.
     meta:
         Batch configuration labels (executor, scheduler, policy,
         dataset, ``n_threads``, makespan).
@@ -54,7 +49,6 @@ class MetricsRegistry:
         self.spans: list[SpanRecord] = []
         self.variant_rows: list[dict] = []
         self.totals = WorkCounters()
-        self.cache: dict | None = None
         self.meta: dict = {}
 
     # ------------------------------------------------------------------
@@ -70,9 +64,7 @@ class MetricsRegistry:
 
         ``tracer`` contributes the span records (pass the tracer the
         executor ran under); the batch contributes per-variant rows,
-        merged counters, and configuration metadata.  Cache statistics
-        arrive as ``cache.stats`` instant events emitted by the
-        executors and are folded into :attr:`cache`.
+        merged counters, and configuration metadata.
         """
         reg = cls()
         rec = batch.record
@@ -114,33 +106,12 @@ class MetricsRegistry:
         return reg
 
     def add_spans(self, records: list[SpanRecord]) -> None:
-        """Fold span records in, absorbing ``cache.stats`` instants."""
-        for r in records:
-            if r.name == "cache.stats":
-                self._merge_cache_stats(r.args)
-            else:
-                self.spans.append(r)
-
-    def _merge_cache_stats(self, stats: dict) -> None:
-        # Several caches can report (one per process-pool worker);
-        # tallies add, occupancy gauges add too (disjoint caches).
-        if self.cache is None:
-            self.cache = {k: 0 for k in
-                          ("hits", "misses", "evictions", "entries", "bytes_stored")}
-        for k in self.cache:
-            self.cache[k] += int(stats.get(k, 0))
+        """Fold span records in."""
+        self.spans.extend(records)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @property
-    def cache_hit_rate(self) -> float:
-        """Cache hit fraction across the whole run (0.0 with no cache)."""
-        if not self.cache:
-            return 0.0
-        total = self.cache["hits"] + self.cache["misses"]
-        return self.cache["hits"] / total if total else 0.0
-
     def phase_names(self) -> list[str]:
         """Distinct phase names, in first-seen order."""
         seen: dict[str, None] = {}
@@ -255,13 +226,6 @@ class MetricsRegistry:
                 share = dur / grand if grand else 0.0
                 lines.append(f"  {name:<{width}}  {dur * 1e3:10.2f} ms  {share:6.1%}")
             lines.append(f"  {'total':<{width}}  {grand * 1e3:10.2f} ms")
-        if self.cache is not None:
-            lines.append(
-                "cache: {hits} hits / {misses} misses "
-                "({rate:.1%}), {evictions} evictions, {bytes_stored} bytes".format(
-                    rate=self.cache_hit_rate, **self.cache
-                )
-            )
         events = self.resilience_events()
         if events:
             lines.append(
@@ -309,5 +273,5 @@ class MetricsRegistry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MetricsRegistry(spans={len(self.spans)}, "
-            f"variants={len(self.variant_rows)}, cache={self.cache is not None})"
+            f"variants={len(self.variant_rows)})"
         )

@@ -13,7 +13,7 @@ violation is detected at the next check point rather than preempting
 arbitrary Python code.  Genuine runaway hangs are the CI watchdog's job
 (``pytest-timeout``) and, for the process backend, the parent-side
 group budget that terminates and respawns a wedged worker (see
-:mod:`repro.exec.procpool`).
+:mod:`repro.exec.graph`).
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ Thread-safety: a single :class:`Tracer` may be shared by every worker
 of the thread backend — record emission appends under a lock, and span
 nesting state lives in ``threading.local``.  Process workers build
 their own tracer and ship their records back for merging (see
-:mod:`repro.exec.procpool`).
+:mod:`repro.exec.graph`).
 
 Layering: this module lives in :mod:`repro.util` (stdlib-only, the
 bottom layer) so the clustering kernels in :mod:`repro.core` can emit
@@ -136,7 +136,10 @@ class PhaseClock:
     closes the active phase and emits one ``phase:<name>`` record per
     phase with its *total* accumulated duration and the time the phase
     was first entered — the per-phase totals partition the interval
-    from the first :meth:`switch` to :meth:`finish` exactly.
+    from the first :meth:`switch` to :meth:`finish` exactly.  Both
+    methods return the clock stamp they took, so a caller that times
+    its work from those stamps gets an ``elapsed`` the phase totals sum
+    to (a second clock read would differ by the gap between the reads).
     """
 
     __slots__ = ("_tracer", "_args", "_acc", "_first", "_cur", "_cur_t0")
@@ -149,8 +152,8 @@ class PhaseClock:
         self._cur: str | None = None
         self._cur_t0 = 0.0
 
-    def switch(self, name: str) -> None:
-        """Close the active phase (if any) and start ``name``."""
+    def switch(self, name: str) -> float:
+        """Close the active phase (if any), start ``name``; return the stamp."""
         t = time.perf_counter()
         cur = self._cur
         if cur is not None:
@@ -159,9 +162,14 @@ class PhaseClock:
             self._first[name] = t
         self._cur = name
         self._cur_t0 = t
+        return t
 
-    def finish(self) -> None:
-        """Close the active phase and emit the per-phase total records."""
+    def finish(self) -> float:
+        """Close the active phase, emit the per-phase totals; return the stamp.
+
+        The stamp is taken before the records are emitted, so emission
+        never lands inside the partitioned window.
+        """
         t = time.perf_counter()
         cur = self._cur
         if cur is not None:
@@ -175,18 +183,20 @@ class PhaseClock:
             )
         self._acc.clear()
         self._first.clear()
+        return t
 
 
 class _NullPhaseClock:
-    """Shared do-nothing phase clock returned by a disabled tracer."""
+    """Shared phase clock of a disabled tracer: records nothing, but
+    returns the same stamps as :class:`PhaseClock`."""
 
     __slots__ = ()
 
-    def switch(self, name: str) -> None:
-        pass
+    def switch(self, name: str) -> float:
+        return time.perf_counter()
 
-    def finish(self) -> None:
-        pass
+    def finish(self) -> float:
+        return time.perf_counter()
 
 
 _NULL_SPAN = _NullSpan()

@@ -43,7 +43,7 @@ def rule_ids(report):
 class TestLayeringRule:
     def test_core_importing_exec_is_flagged(self):
         report = check(
-            {"repro.core.widget": "from repro.exec.base import BaseExecutor\n"},
+            {"repro.core.widget": "from repro.exec.base import BatchResult\n"},
             [LayeringRule],
         )
         assert rule_ids(report) == ["layering"]
@@ -74,7 +74,7 @@ class TestLayeringRule:
                     "from repro.metrics.counters import WorkCounters\n"
                 ),
                 "repro.util.helper": "from repro.util.errors import ValidationError\n",
-                "repro.engine.thing": "from repro.exec.base import BaseExecutor\n",
+                "repro.engine.thing": "from repro.exec.base import BatchResult\n",
             },
             [LayeringRule],
         )
@@ -269,87 +269,38 @@ class TestWallclockDisciplineRule:
 # executor-contract
 # ---------------------------------------------------------------------------
 
-_BASE_MODULE = """
-import abc
-
-class BaseExecutor(abc.ABC):
-    def make_context(self, store, indexes, *, dataset=""):
-        pass
-
-    def run(self, points, variants, *, indexes=None, dataset=""):
-        pass
-
-    def run_context(self, ctx, variants):
-        pass
-
-    @abc.abstractmethod
-    def _run(self, ctx, variants):
-        pass
-"""
-
-
-def _backend(name, run_body="        return GraphRuntime(\"sim\").run(ctx, variants)\n",
-             run_sig="self, ctx, variants", extra=""):
+def _module(name):
     return (
-        "from repro.exec.base import BaseExecutor\n"
         "from repro.exec.graph import GraphRuntime\n\n"
-        f"class {name}(BaseExecutor):\n"
-        f"    name = \"{name.lower()}\"\n\n"
-        f"    def _run({run_sig}):\n"
-        f"{run_body}"
-        f"{extra}"
+        f"def run_{name}(ctx, variants):\n"
+        "    return GraphRuntime(\"sim\").run(ctx, variants)\n"
     )
 
 
-def _registry(*class_names):
-    imports = "".join(
-        f"from repro.exec.mod{i} import {cls}\n"
-        for i, cls in enumerate(class_names)
-    )
-    entries = ", ".join(f"{cls}.name: {cls}" for cls in class_names)
-    return imports + f"EXECUTORS = {{{entries}}}\n"
-
-
-def _project(*class_names, **overrides):
-    sources = {"repro.exec.base": _BASE_MODULE, "repro.exec": _registry(*class_names)}
-    for i, cls in enumerate(class_names):
-        sources[f"repro.exec.mod{i}"] = overrides.get(cls, _backend(cls))
+def _project(*names):
+    sources = {"repro.exec": "EXECUTORS = {\"serial\": (\"sim\", \"variant\")}\n"}
+    for i, name in enumerate(names):
+        sources[f"repro.exec.mod{i}"] = _module(name)
     return sources
 
 
 class TestExecutorContractRule:
     def test_conforming_backends_are_clean(self):
-        report = check(_project("Alpha", "Beta"), [ExecutorContractRule])
+        report = check(_project("alpha", "beta"), [ExecutorContractRule])
         assert report.findings == []
 
-    def test_wrong_run_signature_is_flagged(self):
-        bad = _backend("Alpha", run_sig="self, ctx, variants, extra")
-        report = check(_project("Alpha", Alpha=bad), [ExecutorContractRule])
-        assert rule_ids(report) == ["executor-contract"]
-        assert "signature" in report.findings[0].message
-
-    def test_missing_graph_runtime_is_flagged(self):
-        bad = _backend("Alpha", run_body="        return None\n")
-        report = check(_project("Alpha", Alpha=bad), [ExecutorContractRule])
-        assert rule_ids(report) == ["executor-contract"]
-        assert "GraphRuntime" in report.findings[0].message
-        assert "FaultPlan" in report.findings[0].message
-
     def test_private_pool_spawn_is_flagged(self):
-        sources = _project("Alpha")
-        sources["repro.exec.mod0"] = _backend(
-            "Alpha",
-            extra=(
-                "\nfrom concurrent.futures import ProcessPoolExecutor\n"
-                "POOL = ProcessPoolExecutor(max_workers=2)\n"
-            ),
+        sources = _project("alpha")
+        sources["repro.exec.mod0"] = _module("alpha") + (
+            "\nfrom concurrent.futures import ProcessPoolExecutor\n"
+            "POOL = ProcessPoolExecutor(max_workers=2)\n"
         )
         report = check(sources, [ExecutorContractRule])
         assert rule_ids(report) == ["executor-contract", "executor-contract"]
         assert all("spawns workers" in f.message for f in report.findings)
 
     def test_runtime_module_may_spawn_pools(self):
-        sources = _project("Alpha")
+        sources = _project("alpha")
         sources["repro.exec.graph"] = (
             "import threading\n"
             "from concurrent.futures import ProcessPoolExecutor\n"
@@ -361,63 +312,20 @@ class TestExecutorContractRule:
         report = check(sources, [ExecutorContractRule])
         assert report.findings == []
 
-    def test_missing_run_hook_is_flagged(self):
-        bad = (
-            "from repro.exec.base import BaseExecutor\n"
-            "class Alpha(BaseExecutor):\n"
-            "    name = \"alpha\"\n"
-        )
-        report = check(_project("Alpha", Alpha=bad), [ExecutorContractRule])
-        assert any("_run" in f.message for f in report.findings)
-
-    def test_missing_name_attr_is_flagged(self):
-        bad = (
-            "from repro.exec.base import BaseExecutor\n"
-            "from repro.exec.graph import GraphRuntime\n"
-            "class Alpha(BaseExecutor):\n"
-            "    def _run(self, ctx, variants):\n"
-            "        return GraphRuntime(\"sim\").run(ctx, variants)\n"
-        )
-        sources = _project("Alpha", Alpha=bad)
-        sources["repro.exec"] = (
-            "from repro.exec.mod0 import Alpha\n"
-            "EXECUTORS = {\"alpha\": Alpha}\n"
-        )
-        report = check(sources, [ExecutorContractRule])
-        assert any("'name'" in f.message for f in report.findings)
-
-    def test_unregistered_backend_is_flagged(self):
-        sources = _project("Alpha")
-        sources["repro.exec.mod9"] = _backend("Ghost")
-        report = check(sources, [ExecutorContractRule])
-        assert any("not registered" in f.message for f in report.findings)
-
-    def test_hook_override_with_drifted_signature_is_flagged(self):
-        drifted = _backend(
-            "Alpha",
-            extra="\n    def run_context(self, ctx, variants, extra=None):\n        pass\n",
-        )
-        report = check(_project("Alpha", Alpha=drifted), [ExecutorContractRule])
-        assert any("run_context" in f.message for f in report.findings)
-
     def test_pragma_on_class_line_suppresses(self):
-        bad = (
-            "from repro.exec.base import BaseExecutor\n"
-            "class Alpha(BaseExecutor):  # repro: allow[executor-contract]\n"
-            "    name = \"alpha\"\n"
+        sources = _project("alpha")
+        sources["repro.exec.mod0"] = (
+            "class Alpha:  # repro: allow[executor-contract]\n"
+            "    from concurrent.futures import ProcessPoolExecutor\n"
+            "    POOL = ProcessPoolExecutor(max_workers=2)\n"
         )
-        sources = {
-            "repro.exec.base": _BASE_MODULE,
-            "repro.exec": "from repro.exec.mod0 import Alpha\nEXECUTORS = {Alpha.name: Alpha}\n",
-            "repro.exec.mod0": bad,
-        }
         report = check(sources, [ExecutorContractRule])
         assert report.findings == []
         assert report.suppressed >= 1
 
     # -- supervision discipline ---------------------------------------
     def test_rogue_heartbeat_emitter_is_flagged(self):
-        sources = _project("Alpha")
+        sources = _project("alpha")
         sources["repro.engine.rogue"] = (
             "from repro.supervise.signals import worker_pulse\n"
             "pulse = worker_pulse(None)\n"
@@ -428,7 +336,7 @@ class TestExecutorContractRule:
         assert "repro.exec.graph" in report.findings[0].message
 
     def test_runtime_and_signals_may_emit_heartbeats(self):
-        sources = _project("Alpha")
+        sources = _project("alpha")
         sources["repro.exec.graph"] = (
             "from repro.supervise.signals import worker_pulse\n"
             "class GraphRuntime:\n"
@@ -444,7 +352,7 @@ class TestExecutorContractRule:
         assert report.findings == []
 
     def test_adhoc_action_construction_is_flagged(self):
-        sources = _project("Alpha")
+        sources = _project("alpha")
         sources["repro.resilience.rogue"] = (
             "from repro.supervise.remedy import Action\n"
             "FIX = Action('degrade', target='group:g0')\n"
@@ -455,7 +363,7 @@ class TestExecutorContractRule:
         assert "repro.supervise.remedy" in report.findings[0].message
 
     def test_proposer_registry_may_construct_actions(self):
-        sources = _project("Alpha")
+        sources = _project("alpha")
         sources["repro.supervise.remedy"] = (
             "class Action:\n"
             "    def __init__(self, kind, target=''):\n"

@@ -1,8 +1,8 @@
 """Batched epsilon-search engine: exact parity with the scalar path.
 
 The whole batched stack — ``query_candidates_batch`` on every index,
-``NeighborSearcher.search_batch``, the blocked frontier expansion in
-DBSCAN/VariantDBSCAN, and the per-eps neighborhood cache — promises
+``NeighborSearcher.search_batch``, and the blocked frontier expansion
+in DBSCAN/VariantDBSCAN — promises
 *byte-identical* labels, core masks, and work-counter totals versus the
 original one-point-at-a-time code.  These tests pin that promise down
 with hypothesis-driven point sets spanning the empty/singleton/small/
@@ -18,11 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dbscan import dbscan
 from repro.core.neighbors import NeighborSearcher
-from repro.core.neighcache import NeighborhoodCache
-from repro.core.scheduling import SchedMinpts
 from repro.core.variant_dbscan import variant_dbscan
-from repro.core.variants import Variant, VariantSet
-from repro.exec.serial import SerialExecutor
+from repro.core.variants import Variant
 from repro.index.brute import BruteForceIndex
 from repro.index.grid import UniformGridIndex
 from repro.index.kdtree import KDTree
@@ -120,30 +117,9 @@ class TestSearchBatchParity:
         assert indptr.tolist() == [0]
         assert flat.size == 0
 
-    @settings(max_examples=15, deadline=None)
-    @given(index_names, eps_values, seeds)
-    def test_cached_batch_matches_uncached(self, index_name, eps, seed):
-        """Cache hits return the same rows; cache counters balance."""
-        points = _make_points("clustered", seed)
-        index = INDEX_BUILDERS[index_name](points)
-        idxs = np.arange(0, points.shape[0], 3, dtype=np.int64)
-        plain = NeighborSearcher(index, eps, WorkCounters())
-        cache = NeighborhoodCache(capacity_bytes=32 << 20)
-        c = WorkCounters()
-        cached = NeighborSearcher(index, eps, c, cache=cache)
-        for _ in range(2):  # second pass is all hits
-            indptr, flat = cached.search_batch(idxs)
-            for i, p in enumerate(idxs):
-                np.testing.assert_array_equal(
-                    flat[indptr[i] : indptr[i + 1]], plain.search(int(p))
-                )
-        assert c.neigh_cache_misses == idxs.size
-        assert c.neigh_cache_hits == idxs.size
-        assert c.neighbor_searches == 2 * idxs.size
-
 
 class TestBatchedClusteringParity:
-    """Whole-pipeline parity: batched/cached DBSCAN == scalar DBSCAN."""
+    """Whole-pipeline parity: batched DBSCAN == scalar DBSCAN."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -182,54 +158,3 @@ class TestBatchedClusteringParity:
         np.testing.assert_array_equal(got.labels, ref.labels)
         np.testing.assert_array_equal(got.core_mask, ref.core_mask)
         assert c_b.as_dict() == c_s.as_dict()
-
-    def test_cached_executor_identical_labels(self, two_blobs):
-        """Cached vs uncached VariantDBSCAN batches agree label-for-label."""
-        vset = VariantSet.from_product([0.5, 0.6, 0.8], [4, 6])
-        plain = SerialExecutor(scheduler=SchedMinpts(), kernel="bfs").run(two_blobs, vset)
-        cached = SerialExecutor(
-            scheduler=SchedMinpts(), cache_bytes=64 << 20, kernel="bfs"
-        ).run(two_blobs, vset)
-        for v in vset:
-            np.testing.assert_array_equal(cached[v].labels, plain[v].labels)
-            np.testing.assert_array_equal(cached[v].core_mask, plain[v].core_mask)
-        hits = sum(r.counters.neigh_cache_hits for r in cached.record.records)
-        assert hits > 0  # SCHEDMINPTS groups eps values, so sharing must occur
-
-
-class TestNeighborhoodCache:
-    def test_lru_eviction_respects_capacity(self):
-        points = _make_points("clustered", 3)
-        index = RTree(points, r=8)
-        row = np.arange(64, dtype=np.int64)
-        cap = 3 * row.nbytes
-        cache = NeighborhoodCache(capacity_bytes=cap)
-        for k, eps in enumerate([0.1, 0.2, 0.3, 0.4, 0.5]):
-            cache.put(eps, index, k, row.copy())
-            assert cache.nbytes <= cap
-        stats = cache.stats()
-        assert stats.evictions >= 2
-        # oldest eps entries evicted, newest retained
-        assert cache.get(0.5, index, 4) is not None
-        assert cache.get(0.1, index, 0) is None
-
-    def test_rows_are_readonly_and_copied(self):
-        points = _make_points("small", 9)
-        index = RTree(points, r=1)
-        cache = NeighborhoodCache(capacity_bytes=1 << 20)
-        big = np.arange(100, dtype=np.int64)
-        cache.put(0.5, index, 0, big[:10])  # a view — must be copied
-        got = cache.get(0.5, index, 0)
-        assert got.base is None or got.base is not big
-        assert not got.flags.writeable
-        with pytest.raises(ValueError):
-            got[0] = -1
-
-    def test_distinct_eps_and_index_are_distinct_keys(self):
-        points = _make_points("small", 4)
-        a, b = RTree(points, r=1), RTree(points, r=8)
-        cache = NeighborhoodCache(capacity_bytes=1 << 20)
-        cache.put(0.5, a, 0, np.array([1, 2], dtype=np.int64))
-        assert cache.get(0.5, b, 0) is None
-        assert cache.get(0.6, a, 0) is None
-        assert cache.get(0.5, a, 0) is not None

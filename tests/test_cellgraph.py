@@ -392,10 +392,8 @@ def test_kernel_validation():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError, match="unknown kernel"):
         Session(pts, kernel="quantum")
-    from repro.exec.serial import SerialExecutor
-
-    with pytest.raises(ValueError, match="unknown kernel"):
-        SerialExecutor(kernel="quantum")
+    with Session(pts) as session, pytest.raises(ValueError, match="unknown kernel"):
+        session.run(VariantSet.from_product([0.5], [2]), kernel="quantum")
 
 
 def test_session_run_kernel_override(two_blobs):

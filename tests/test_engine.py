@@ -22,6 +22,7 @@ import glob
 import numpy as np
 import pytest
 
+from repro.core.dbscan import dbscan
 from repro.core.scheduling import SchedMinpts
 from repro.core.variants import Variant, VariantSet
 from repro.engine import (
@@ -35,9 +36,9 @@ from repro.engine import (
     share_index_pair,
 )
 from repro.engine.shm import attach_arrays, pack_arrays
-from repro.exec import SerialExecutor, SimulatedExecutor
+from repro.exec import EXECUTORS
 from repro.exec.cost import CostModel
-from repro.exec.procpool import partition_reuse_chains
+from repro.exec.graph import partition_reuse_chains
 
 
 def _repro_segments() -> set[str]:
@@ -231,13 +232,12 @@ class TestSharedIndexPair:
 # ----------------------------------------------------------------------
 class TestRunContext:
     def test_frozen_and_with(self, points):
-        ex = SerialExecutor()
-        store = PointStore.from_points(points)
-        ctx = ex.make_context(store, IndexFactory().index_pair(store, 16))
-        with pytest.raises(AttributeError):
-            ctx.n_threads = 5
-        assert ctx.with_(n_threads=5).n_threads == 5
-        assert ctx.points is store.points
+        with Session(points) as session:
+            ctx = session.context()
+            with pytest.raises(AttributeError):
+                ctx.n_threads = 5
+            assert ctx.with_(n_threads=5).n_threads == 5
+            assert ctx.points is session.store.points
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +245,7 @@ class TestRunContext:
 # ----------------------------------------------------------------------
 class TestSession:
     def test_run_matches_direct_serial(self, points):
-        direct = SerialExecutor().run(points, VSET)
+        direct = {v: dbscan(points, v.eps, v.minpts) for v in VSET}
         with Session(points, dataset="unit") as session:
             batch = session.run(VSET)
         assert set(batch.results) == set(VSET)
@@ -264,13 +264,14 @@ class TestSession:
 
     def test_executor_resolution_forms(self, points):
         with Session(points) as session:
-            assert session.run(VSET, executor="simulated").record.executor == "simulated"
-            assert session.run(VSET, executor=SimulatedExecutor).record.executor == "simulated"
-            inst = SimulatedExecutor(n_threads=3, scheduler=SchedMinpts())
-            rec = session.run(VSET, executor=inst).record
-            assert rec.executor == "simulated"
-            assert rec.n_threads == 3  # instance knobs are the fallback
-            assert rec.scheduler == "SCHEDMINPTS"
+            for name in EXECUTORS:
+                rec = session.run(
+                    VSET, executor=name, n_threads=2, scheduler=SchedMinpts(),
+                    regions=2,
+                ).record
+                assert rec.executor == name
+                assert rec.n_threads == (1 if name == "serial" else 2)
+                assert rec.scheduler == "SCHEDMINPTS"
 
     def test_unknown_names_raise(self, points):
         with Session(points) as session:
@@ -280,7 +281,7 @@ class TestSession:
                 session.run(VSET, scheduler="SCHEDRANDOM")
             with pytest.raises(KeyError, match="unknown reuse policy"):
                 session.run(VSET, policy="CLUSWRONG")
-            with pytest.raises(TypeError):
+            with pytest.raises(KeyError, match="unknown executor"):
                 session.run(VSET, executor=42)
 
     def test_session_defaults_apply(self, points):
@@ -288,6 +289,23 @@ class TestSession:
             rec = s.run(VSET).record
         assert rec.scheduler == "SCHEDMINPTS"
         assert rec.reuse_policy == "CLUSSIZE"
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("batch_size", -3),
+            ("shard_threshold", -1),
+            ("regions", 0),
+            ("part_size", 0),
+            ("n_threads", 0),
+        ],
+    )
+    def test_out_of_range_knobs_raise(self, points, knob, value):
+        if knob != "n_threads":  # a per-run knob only
+            with pytest.raises(ValueError, match=knob):
+                Session(points, **{knob: value})
+        with Session(points) as session, pytest.raises(ValueError, match=knob):
+            session.run(VSET, executor="hybrid", **{knob: value})
 
     def test_serial_clamps_threads(self, points):
         with Session(points) as session:
@@ -312,14 +330,6 @@ class TestSession:
             assert set(batch.results) == set(VSET)
         assert _repro_segments() == before
 
-    def test_compat_run_cleans_transient_store(self, points):
-        from repro.exec import ProcessPoolExecutorBackend
-
-        before = _repro_segments()
-        batch = ProcessPoolExecutorBackend(n_threads=2).run(points, VSET)
-        assert set(batch.results) == set(VSET)
-        assert _repro_segments() == before
-
 
 class _ExplodingCostModel(CostModel):
     """Picklable cost model that fails inside the worker process."""
@@ -334,15 +344,6 @@ class TestShmLifecycleOnFailure:
         with Session(points, cost_model=_ExplodingCostModel()) as session:
             with pytest.raises(RuntimeError, match="exploding cost model"):
                 session.run(VSET, executor="processes", n_threads=2)
-        assert _repro_segments() == before
-
-    def test_failed_compat_run_leaks_nothing(self, points):
-        from repro.exec import ProcessPoolExecutorBackend
-
-        before = _repro_segments()
-        ex = ProcessPoolExecutorBackend(n_threads=2, cost_model=_ExplodingCostModel())
-        with pytest.raises(RuntimeError, match="exploding cost model"):
-            ex.run(points, VSET)
         assert _repro_segments() == before
 
 

@@ -1,6 +1,6 @@
-"""Tests for the executor backends.
+"""Tests for the executor names.
 
-All four backends must produce the same *clusterings* (up to the
+Every executor must produce the same *clusterings* (up to the
 documented near-equivalence of reuse) for the same variant set; they
 differ only in timing model and parallel substrate.
 """
@@ -14,18 +14,12 @@ from repro.core.dbscan import dbscan
 from repro.core.reuse import CLUS_DENSITY
 from repro.core.scheduling import SchedGreedy, SchedMinpts
 from repro.core.variants import Variant, VariantSet
-from repro.exec import (
-    EXECUTORS,
-    ProcessPoolExecutorBackend,
-    SerialExecutor,
-    SimulatedExecutor,
-    ThreadPoolExecutorBackend,
-    run_variants,
-)
-from repro.exec.base import IndexPair
-from repro.exec.procpool import partition_reuse_chains
+from repro.engine import Session
+from repro.exec import EXECUTORS
+from repro.exec.graph import partition_reuse_chains
 from repro.metrics.quality import quality_score
 from repro.util.rng import resolve_rng
+from tests.helpers import run_batch
 
 VSET = VariantSet.from_product([0.5, 0.7], [4, 8, 12])
 
@@ -46,89 +40,84 @@ def reference_results(blobs):
 
 class TestSerialExecutor:
     def test_all_variants_completed(self, blobs):
-        batch = SerialExecutor().run(blobs, VSET)
+        batch = run_batch(blobs, VSET)
         assert set(batch.results) == set(VSET)
         assert batch.record.n_variants == len(VSET)
 
     def test_results_match_scratch(self, blobs, reference_results):
-        batch = SerialExecutor().run(blobs, VSET)
+        batch = run_batch(blobs, VSET)
         for v in VSET:
             assert quality_score(reference_results[v], batch.results[v]) >= 0.99
 
     def test_only_first_variant_from_scratch(self, blobs):
-        batch = SerialExecutor(kernel="bfs").run(blobs, VSET)
+        batch = run_batch(blobs, VSET, kernel="bfs")
         # Figure 3-style chain: everything after the root can reuse.
         assert batch.record.n_from_scratch == 1
 
     def test_makespan_is_sum_of_durations(self, blobs):
-        batch = SerialExecutor().run(blobs, VSET)
+        batch = run_batch(blobs, VSET)
         assert batch.record.makespan == pytest.approx(
             batch.record.total_response_time
         )
 
-    def test_forces_single_thread(self):
-        assert SerialExecutor(n_threads=8).n_threads == 1
+    def test_forces_single_thread(self, blobs):
+        assert run_batch(blobs, VSET, n_threads=8).record.n_threads == 1
 
     def test_deterministic(self, blobs):
-        a = SerialExecutor().run(blobs, VSET)
-        b = SerialExecutor().run(blobs, VSET)
+        a = run_batch(blobs, VSET)
+        b = run_batch(blobs, VSET)
         assert a.record.makespan == b.record.makespan
         for v in VSET:
             assert np.array_equal(a.results[v].labels, b.results[v].labels)
 
-    def test_run_variants_convenience(self, blobs):
-        batch = run_variants(blobs, VSET)
-        assert len(batch) == len(VSET)
-        assert batch[VSET[0]].n_points == len(blobs)
-
 
 class TestSimulatedExecutor:
     def test_scratch_count_equals_threads(self, blobs):
-        batch = SimulatedExecutor(n_threads=3, kernel="bfs").run(blobs, VSET)
+        batch = run_batch(blobs, VSET, "simulated", n_threads=3, kernel="bfs")
         assert batch.record.n_from_scratch == 3
 
     def test_scratch_bounded_by_reuse_cap(self, blobs):
         """At most (|V| - T)/|V| variants reuse (Section IV-D)."""
         for t in (1, 2, 4):
-            batch = SimulatedExecutor(n_threads=t).run(blobs, VSET)
+            batch = run_batch(blobs, VSET, "simulated", n_threads=t)
             reused = sum(1 for r in batch.record.records if not r.from_scratch)
             assert reused / len(VSET) <= VSET.max_reuse_fraction(t) + 1e-9
 
     def test_makespan_bounds(self, blobs):
-        batch = SimulatedExecutor(n_threads=2).run(blobs, VSET)
+        batch = run_batch(blobs, VSET, "simulated", n_threads=2)
         rec = batch.record
         assert rec.makespan >= max(r.response_time for r in rec.records)
         assert rec.makespan <= rec.total_response_time
 
     def test_makespan_at_least_lower_bound(self, blobs):
-        rec = SimulatedExecutor(n_threads=4).run(blobs, VSET).record
+        rec = run_batch(blobs, VSET, "simulated", n_threads=4).record
         assert rec.makespan >= rec.lower_bound_makespan - 1e-9
 
     def test_timeline_no_overlap_within_thread(self, blobs):
-        rec = SimulatedExecutor(n_threads=2).run(blobs, VSET).record
+        rec = run_batch(blobs, VSET, "simulated", n_threads=2).record
         for lane in rec.thread_timelines().values():
             for prev, cur in zip(lane, lane[1:]):
                 assert cur.start >= prev.finish - 1e-9
 
     def test_deterministic_bit_for_bit(self, blobs):
-        a = SimulatedExecutor(n_threads=4).run(blobs, VSET).record
-        b = SimulatedExecutor(n_threads=4).run(blobs, VSET).record
+        a = run_batch(blobs, VSET, "simulated", n_threads=4).record
+        b = run_batch(blobs, VSET, "simulated", n_threads=4).record
         assert [r.finish for r in a.records] == [r.finish for r in b.records]
 
     def test_results_match_scratch(self, blobs, reference_results):
-        batch = SimulatedExecutor(n_threads=4).run(blobs, VSET)
+        batch = run_batch(blobs, VSET, "simulated", n_threads=4)
         for v in VSET:
             assert quality_score(reference_results[v], batch.results[v]) >= 0.99
 
     def test_more_threads_never_worse_makespan(self, blobs):
-        m1 = SimulatedExecutor(n_threads=1).run(blobs, VSET).record.makespan
-        m2 = SimulatedExecutor(n_threads=6).run(blobs, VSET).record.makespan
+        m1 = run_batch(blobs, VSET, "simulated", n_threads=1).record.makespan
+        m2 = run_batch(blobs, VSET, "simulated", n_threads=6).record.makespan
         # contention can eat gains but idle threads can't hurt more
         # than the full serial schedule
         assert m2 <= m1 * 1.01
 
     def test_schedminpts_head_runs_scratch(self, blobs):
-        batch = SimulatedExecutor(n_threads=1, scheduler=SchedMinpts()).run(blobs, VSET)
+        batch = run_batch(blobs, VSET, "simulated", n_threads=1, scheduler=SchedMinpts())
         heads = {(0.5, 12), (0.7, 12)}
         for r in batch.record.records:
             if r.variant.as_tuple() in heads:
@@ -137,17 +126,17 @@ class TestSimulatedExecutor:
 
 class TestThreadPool:
     def test_completes_and_matches(self, blobs, reference_results):
-        batch = ThreadPoolExecutorBackend(n_threads=4).run(blobs, VSET)
+        batch = run_batch(blobs, VSET, "threads", n_threads=4)
         assert set(batch.results) == set(VSET)
         for v in VSET:
             assert quality_score(reference_results[v], batch.results[v]) >= 0.99
 
     def test_records_have_thread_ids(self, blobs):
-        batch = ThreadPoolExecutorBackend(n_threads=2).run(blobs, VSET)
+        batch = run_batch(blobs, VSET, "threads", n_threads=2)
         assert {r.thread_id for r in batch.record.records} <= {0, 1}
 
     def test_makespan_positive(self, blobs):
-        batch = ThreadPoolExecutorBackend(n_threads=2).run(blobs, VSET)
+        batch = run_batch(blobs, VSET, "threads", n_threads=2)
         assert batch.record.makespan > 0
 
 
@@ -176,7 +165,7 @@ class TestProcessPool:
         assert len(partition_reuse_chains(VSET, 1)) == 1
 
     def test_completes_and_matches(self, blobs, reference_results):
-        batch = ProcessPoolExecutorBackend(n_threads=2).run(blobs, VSET)
+        batch = run_batch(blobs, VSET, "processes", n_threads=2)
         assert set(batch.results) == set(VSET)
         for v in VSET:
             assert quality_score(reference_results[v], batch.results[v]) >= 0.99
@@ -189,9 +178,10 @@ class TestRegistry:
         }
 
     def test_record_carries_config(self, blobs):
-        batch = SimulatedExecutor(
-            n_threads=2, scheduler=SchedGreedy(), reuse_policy=CLUS_DENSITY
-        ).run(blobs, VSET, dataset="blobs")
+        batch = run_batch(
+            blobs, VSET, "simulated",
+            n_threads=2, scheduler=SchedGreedy(), policy=CLUS_DENSITY, dataset="blobs",
+        )
         rec = batch.record
         assert rec.scheduler == "SCHEDGREEDY"
         assert rec.reuse_policy == "CLUSDENSITY"
@@ -200,7 +190,10 @@ class TestRegistry:
         assert rec.n_threads == 2
 
     def test_shared_indexes_accepted(self, blobs):
-        indexes = IndexPair.build(blobs, 16)
-        a = SerialExecutor().run(blobs, VSET, indexes=indexes)
-        b = SerialExecutor().run(blobs, VSET, indexes=indexes)
+        with Session(blobs) as session:
+            a = session.run(VSET)
+            first = session.indexes()
+            b = session.run(VSET)
+            assert session.indexes().t_high is first.t_high
+            assert session.indexes().t_low is first.t_low
         assert a.record.makespan == b.record.makespan

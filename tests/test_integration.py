@@ -17,15 +17,10 @@ from repro.bench.reference import reference_run
 from repro.core.reuse import CLUS_DENSITY
 from repro.core.variants import VariantSet
 from repro.data.registry import load_dataset
-from repro.exec import (
-    ProcessPoolExecutorBackend,
-    SerialExecutor,
-    SimulatedExecutor,
-    ThreadPoolExecutorBackend,
-)
-from repro.exec.base import IndexPair
+from repro.engine import Session
 from repro.metrics.quality import quality_score
 from repro.util.rng import resolve_rng
+from tests.helpers import run_batch
 
 VSET = VariantSet.from_product([0.3, 0.5], [4, 8])
 
@@ -38,29 +33,29 @@ def sw_tiny():
 class TestPipeline:
     def test_sw_pipeline_quality_across_executors(self, sw_tiny):
         pts = sw_tiny.points
-        indexes = IndexPair.build(pts, 70)
-        ref = reference_run(pts, VSET, index=indexes.t_high)
-        for executor in (
-            SerialExecutor(),
-            SimulatedExecutor(n_threads=4),
-            ThreadPoolExecutorBackend(n_threads=2),
-        ):
-            batch = executor.run(pts, VSET, indexes=indexes)
-            for v in VSET:
-                assert quality_score(ref.results[v], batch.results[v]) >= 0.99, (
-                    f"{executor.name} diverged on {v}"
-                )
+        with Session(pts) as session:
+            ref = reference_run(pts, VSET, index=session.indexes().t_high)
+            for executor, n_threads in (
+                ("serial", 1),
+                ("simulated", 4),
+                ("threads", 2),
+            ):
+                batch = session.run(VSET, executor=executor, n_threads=n_threads)
+                for v in VSET:
+                    assert quality_score(ref.results[v], batch.results[v]) >= 0.99, (
+                        f"{executor} diverged on {v}"
+                    )
 
     def test_process_pool_pipeline(self, sw_tiny):
         pts = sw_tiny.points
         ref = reference_run(pts, VSET)
-        batch = ProcessPoolExecutorBackend(n_threads=2).run(pts, VSET)
+        batch = run_batch(pts, VSET, "processes", n_threads=2)
         for v in VSET:
             assert quality_score(ref.results[v], batch.results[v]) >= 0.99
 
     def test_synthetic_truth_recovery_through_batch(self):
         ds = load_dataset("cF_10k_5N", 0.1)  # 1000 points, known truth
-        batch = SerialExecutor().run(ds.points, VariantSet.from_product([0.8], [4]))
+        batch = run_batch(ds.points, VariantSet.from_product([0.8], [4]))
         res = next(iter(batch.results.values()))
         truth = ds.truth
         clustered = (truth >= 0) & (res.labels >= 0)
@@ -85,7 +80,7 @@ class TestScaleStability:
         ds = load_dataset("SW1", scale)
         vs = VariantSet.from_product([0.3, 0.5], [4, 8, 12])
         ref = reference_run(ds.points, vs)
-        batch = SerialExecutor(reuse_policy=CLUS_DENSITY).run(ds.points, vs)
+        batch = run_batch(ds.points, vs, policy=CLUS_DENSITY)
         assert ref.total_units / batch.record.makespan > 1.0
 
     @pytest.mark.parametrize("scale", [0.001, 0.003])

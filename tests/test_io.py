@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ class TestResultRoundTrip:
         back = load_result(p)
         assert back.reused_from == prev.variant
         assert back.points_reused == res.points_reused
+
+    def test_file_from_before_cache_removal_loads(self, tmp_path, sample):
+        # Results saved while the neighborhood cache existed carry
+        # neigh_cache_* counters; they are dropped on load.
+        _, res = sample
+        p = tmp_path / "legacy.npz"
+        save_result(p, res)
+        with np.load(p) as z:
+            arrays = dict(z)
+        meta = json.loads(bytes(arrays["meta_json"]).decode())
+        meta["counters"].update(
+            neigh_cache_hits=3, neigh_cache_misses=5, neigh_cache_bytes=64
+        )
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez_compressed(p, **arrays)
+        back = load_result(p)
+        assert back.counters.as_dict() == res.counters.as_dict()
+        assert np.array_equal(back.labels, res.labels)
 
 
 class TestSummaryCsv:

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.cellgraph import MinptsPass, cellgraph_dbscan
 from repro.core.dbscan import dbscan
-from repro.core.variants import VariantSet
-from repro.exec.procpool import ProcessPoolExecutorBackend
-from repro.exec.serial import SerialExecutor
-from repro.exec.simulated import SimulatedExecutor
-from repro.exec.threadpool import ThreadPoolExecutorBackend
+from repro.core.variant_dbscan import variant_dbscan
+from repro.core.variants import Variant, VariantSet
+from repro.index.cellgraph import CellGraphIndex
 from repro.obs import (
     PHASE_PREFIX,
     MetricsRegistry,
@@ -31,6 +30,7 @@ from repro.obs import (
     resolve_tracer,
     use_tracer,
 )
+from tests.helpers import run_batch
 
 VARIANTS = VariantSet.from_product([0.5, 0.7], [4, 8])
 
@@ -134,25 +134,49 @@ class TestKernelInstrumentation:
         total = sum(r.dur for r in phases)
         assert total == pytest.approx(result.elapsed, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "kernel", ["dbscan", "variant_dbscan", "cellgraph_dbscan", "minpts_pass"]
+    )
+    def test_phase_totals_equal_elapsed(self, cloud, kernel):
+        # elapsed is read off the phase clocks' own stamps, so the
+        # totals sum to it up to float rounding, preemption or not.
+        tracer = Tracer()
+        if kernel == "dbscan":
+            elapsed = dbscan(cloud, 0.6, 4, tracer=tracer).elapsed
+        elif kernel == "variant_dbscan":
+            donor = dbscan(cloud, 0.5, 8)
+            elapsed = variant_dbscan(
+                cloud, Variant(0.6, 4), donor, tracer=tracer
+            ).elapsed
+        elif kernel == "cellgraph_dbscan":
+            elapsed = cellgraph_dbscan(cloud, 0.6, 4, tracer=tracer).elapsed
+        else:
+            built = MinptsPass(cloud, CellGraphIndex(cloud, 0.6), 8, tracer=tracer)
+            elapsed = built.build_s + built.cluster(4, tracer=tracer).elapsed
+        total = sum(
+            r.dur for r in tracer.records() if r.name.startswith(PHASE_PREFIX)
+        )
+        assert total == pytest.approx(elapsed, abs=1e-9)
+
 
 @pytest.mark.parametrize(
     # deterministic=False for the thread backend: its reuse pattern is
     # wall-clock dependent by design, so two runs agree on cluster
     # *structure* (quality metric) but not on label ids.
-    "make, deterministic",
+    "executor, deterministic",
     [
-        (lambda: SerialExecutor(), True),
-        (lambda: SimulatedExecutor(n_threads=2), True),
-        (lambda: ThreadPoolExecutorBackend(n_threads=2), False),
-        (lambda: ProcessPoolExecutorBackend(n_threads=2), True),
+        ("serial", True),
+        ("simulated", True),
+        ("threads", False),
+        ("processes", True),
     ],
     ids=["serial", "simulated", "threads", "processes"],
 )
 class TestExecutorTracing:
-    def test_phases_cover_wall_clock(self, cloud, make, deterministic):
+    def test_phases_cover_wall_clock(self, cloud, executor, deterministic):
         tracer = Tracer()
         with use_tracer(tracer):
-            batch = make().run(cloud, VARIANTS)
+            batch = run_batch(cloud, VARIANTS, executor, n_threads=2)
         registry = MetricsRegistry.from_batch(batch, tracer)
         coverage = registry.phase_coverage()
         assert set(coverage) == {str(v) for v in VARIANTS}
@@ -161,23 +185,23 @@ class TestExecutorTracing:
         for variant, ratio in coverage.items():
             assert ratio == pytest.approx(1.0, abs=0.05), (variant, coverage)
 
-    def test_variant_spans_present(self, cloud, make, deterministic):
+    def test_variant_spans_present(self, cloud, executor, deterministic):
         tracer = Tracer()
         with use_tracer(tracer):
-            make().run(cloud, VARIANTS)
+            run_batch(cloud, VARIANTS, executor, n_threads=2)
         walls = [r for r in tracer.records() if r.name == "variant"]
         assert sorted(r.args["variant"] for r in walls) == sorted(
             str(v) for v in VARIANTS
         )
 
     def test_results_identical_with_and_without_tracing(
-        self, cloud, make, deterministic
+        self, cloud, executor, deterministic
     ):
         from repro.metrics.quality import quality_score
 
-        plain = make().run(cloud, VARIANTS)
+        plain = run_batch(cloud, VARIANTS, executor, n_threads=2)
         with use_tracer(Tracer()):
-            traced = make().run(cloud, VARIANTS)
+            traced = run_batch(cloud, VARIANTS, executor, n_threads=2)
         for v in VARIANTS:
             if deterministic:
                 assert np.array_equal(
@@ -192,9 +216,7 @@ class TestRegistry:
     def traced_batch(self, cloud):
         tracer = Tracer()
         with use_tracer(tracer):
-            batch = SerialExecutor(cache_bytes=1 << 20, kernel="bfs").run(
-                cloud, VARIANTS, dataset="two_blobs"
-            )
+            batch = run_batch(cloud, VARIANTS, kernel="bfs", dataset="two_blobs")
         return batch, tracer
 
     def test_from_batch_collects_everything(self, traced_batch):
@@ -203,12 +225,6 @@ class TestRegistry:
         assert len(registry.variant_rows) == len(VARIANTS)
         assert registry.meta["dataset"] == "two_blobs"
         assert registry.phase_names()
-        # The serial executor ran with a cache: its stats instant was
-        # folded into the cache dict, not kept as a span.
-        assert registry.cache is not None
-        assert registry.cache["hits"] + registry.cache["misses"] > 0
-        assert 0.0 <= registry.cache_hit_rate <= 1.0
-        assert not any(s.name == "cache.stats" for s in registry.spans)
 
     def test_totals_merge_counters(self, traced_batch):
         batch, tracer = traced_batch
@@ -228,11 +244,10 @@ class TestRegistry:
         for name, dur in sub.items():
             assert dur <= full[name] + 1e-12
 
-    def test_summary_mentions_phases_and_cache(self, traced_batch):
+    def test_summary_mentions_phases(self, traced_batch):
         batch, tracer = traced_batch
         text = MetricsRegistry.from_batch(batch, tracer).summary()
         assert "per-phase breakdown" in text
-        assert "cache:" in text
         assert "expand" in text
 
 
@@ -241,9 +256,7 @@ class TestExport:
     def registry(self, cloud):
         tracer = Tracer()
         with use_tracer(tracer):
-            batch = SerialExecutor(cache_bytes=1 << 20).run(
-                cloud, VARIANTS, dataset="two_blobs"
-            )
+            batch = run_batch(cloud, VARIANTS, dataset="two_blobs")
         return MetricsRegistry.from_batch(batch, tracer)
 
     def test_jsonl_round_trip_is_lossless(self, registry, tmp_path):
@@ -253,7 +266,6 @@ class TestExport:
         assert loaded.meta == registry.meta
         assert loaded.spans == registry.spans
         assert loaded.variant_rows == registry.variant_rows
-        assert loaded.cache == registry.cache
         assert loaded.totals.as_dict() == registry.totals.as_dict()
         # Derived views must agree too.
         assert loaded.phase_coverage() == registry.phase_coverage()
@@ -263,6 +275,23 @@ class TestExport:
         path.write_text('{"type": "meta"}\n{"type": "mystery"}\n')
         with pytest.raises(ValueError, match="mystery"):
             MetricsRegistry.load_jsonl(path)
+
+    def test_jsonl_from_before_cache_removal_loads(self, registry, tmp_path):
+        # Traces written while the neighborhood cache existed carry
+        # neigh_cache_* counters and a "cache" line; both are dropped.
+        path = tmp_path / "legacy.jsonl"
+        registry.to_jsonl(path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        for obj in lines:
+            if obj["type"] == "variant":
+                obj["counters"].update(
+                    neigh_cache_hits=3, neigh_cache_misses=5, neigh_cache_bytes=64
+                )
+        lines.append({"type": "cache", "hits": 3, "misses": 5, "evictions": 0})
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        loaded = MetricsRegistry.load_jsonl(path)
+        assert loaded.totals.as_dict() == registry.totals.as_dict()
+        assert len(loaded.variant_rows) == len(registry.variant_rows)
 
     def test_chrome_trace_structure(self, registry, tmp_path):
         path = tmp_path / "trace.json"

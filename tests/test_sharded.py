@@ -48,7 +48,7 @@ from repro.core.shard import (
 from repro.core.variants import Variant, VariantSet
 from repro.engine.factory import INDEX_KINDS
 from repro.engine.session import Session
-from repro.exec import EXECUTORS, ShardedExecutor
+from repro.exec import EXECUTORS
 from repro.index.brute import BruteForceIndex
 from repro.index.cellgraph import CellGraphIndex
 from repro.index.grid import UniformGridIndex
@@ -315,13 +315,13 @@ def exec_oracle(exec_cloud):
 
 class TestShardedExecutor:
     def test_registered(self):
-        assert EXECUTORS["sharded"] is ShardedExecutor
+        assert EXECUTORS["sharded"] == ("lanes", "shard")
 
     def test_regions_and_part_size_mutually_exclusive(self):
         with pytest.raises(ValueError):
-            ShardedExecutor(regions=2, part_size=100)
-        with pytest.raises(ValueError):
             Session(np.zeros((4, 2)), regions=2, part_size=100)
+        with Session(np.zeros((4, 2))) as s, pytest.raises(ValueError):
+            s.run(EXEC_VSET, executor="sharded", regions=2, part_size=100)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_byte_equal_vs_serial_kernel(self, exec_cloud, exec_oracle, kernel):
@@ -353,12 +353,6 @@ class TestShardedExecutor:
         v = Variant(0.45, 4)
         with Session(exec_cloud, part_size=120) as s:
             batch = s.run(VariantSet([v]), executor="sharded", n_threads=2)
-        assert np.array_equal(batch[v].labels, exec_oracle[v].labels)
-
-    def test_executor_instance_knobs_thread_through(self, exec_cloud, exec_oracle):
-        v = Variant(0.45, 4)
-        ex = ShardedExecutor(n_threads=2, regions=4)
-        batch = ex.run(exec_cloud, VariantSet([v]))
         assert np.array_equal(batch[v].labels, exec_oracle[v].labels)
 
     def test_records_account_every_variant(self, exec_cloud):

@@ -403,15 +403,6 @@ class TestSuperviseKnob:
             assert s.context().supervisor is None
             assert s.context(supervise=pol).supervisor is pol
 
-    def test_executor_level_knob(self, points):
-        from repro.exec import EXECUTORS
-
-        ex = EXECUTORS["processes"](supervise=True)
-        assert ex.supervise == SupervisePolicy()
-        assert "supervise" in repr(ex)
-        with Session(points) as s:
-            assert s.context(executor=ex).supervisor == SupervisePolicy()
-
 
 # ----------------------------------------------------------------------
 # seeded backoff jitter

@@ -19,7 +19,7 @@ from repro.core.result import NOISE
 from repro.core.reuse import CLUS_DEFAULT, CLUS_DENSITY, CLUS_PTS_SQUARED
 from repro.core.variant_dbscan import variant_dbscan
 from repro.core.variants import Variant
-from repro.exec.base import IndexPair
+from repro.engine.factory import IndexPair
 from repro.metrics.counters import WorkCounters
 from repro.metrics.quality import quality_score
 from repro.util.errors import ReuseCriteriaError, ValidationError
