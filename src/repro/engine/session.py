@@ -346,8 +346,8 @@ class Session:
         """Execute every variant and return the batch result.
 
         ``executor`` names a row of :data:`repro.exec.EXECUTORS`
-        (``serial`` / ``simulated`` / ``threads`` / ``processes`` /
-        ``sharded`` / ``hybrid``): the runtime substrate and lowering
+        (``serial`` / ``simulated`` / ``processes`` / ``sharded`` /
+        ``hybrid``): the runtime substrate and lowering
         the batch runs on.  ``serial`` always runs with one worker.
         All other knobs override the session defaults for this run
         only; indexes come from the memoized factory, so repeated runs

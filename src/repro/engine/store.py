@@ -11,9 +11,9 @@ index, executor, and worker process that touches it:
   array and building a new store changes the fingerprint and forces a
   rebuild.
 * **Lazy shared memory.**  ``ensure_shared()`` materializes the array
-  into a POSIX shared-memory segment on first use (the serial /
-  simulated / thread backends never pay for it) and returns a small
-  picklable :class:`PointStoreHandle`.  Worker processes attach with
+  into a POSIX shared-memory segment on first use (the serial and
+  simulated executors, on inline lanes, never pay for it) and returns
+  a small picklable :class:`PointStoreHandle`.  Worker processes attach with
   :meth:`PointStore.attach` — zero-copy, no pickled point array on the
   wire — which is the shared-``D`` economics of the paper's Algorithm 3
   restored for the process backend.

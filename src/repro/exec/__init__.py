@@ -6,15 +6,16 @@ substrate (where tasks run) and a lowering mode (which task DAG):
 :data:`EXECUTORS` is that table, and :meth:`repro.Session.run` reads it
 directly.
 
-* ``serial`` — one worker on the work-unit clock, ``T`` forced to 1;
-  the paper's Section V-D reuse study.
-* ``simulated`` — ``T`` virtual workers on the deterministic work-unit
+Two substrates remain, and both run the runtime's one dispatch loop:
+inline lanes (``sim``) and process lanes (``lanes``).
+
+* ``serial`` — one inline lane on the work-unit clock, ``T`` forced to
+  1; the paper's Section V-D reuse study.
+* ``simulated`` — ``T`` inline lanes on the deterministic work-unit
   clock with a memory-contention model; regenerates the paper's
   thread-scaling figures independently of host hardware.  Its lowering
   follows the run's shard knobs: ``shard_threshold`` set lowers hybrid,
   else ``regions`` / ``part_size`` set lowers shard, else variant.
-* ``threads`` — real shared-memory threads with online reuse
-  (GIL-limited in CPython).
 * ``processes`` — one process lane per statically partitioned reuse
   chain (:func:`~repro.exec.graph.partition_reuse_chains`); workers
   attach the session's shared-memory store and index pack.
@@ -49,7 +50,6 @@ __all__ = [
 EXECUTORS: dict[str, tuple[str, str | None]] = {
     "serial": ("sim", "variant"),
     "simulated": ("sim", None),
-    "threads": ("threads", "variant"),
     "processes": ("lanes", "variant"),
     "sharded": ("lanes", "shard"),
     "hybrid": ("lanes", "hybrid"),

@@ -1,56 +1,45 @@
-"""The unified task-graph runtime every executor backend lowers through.
+"""The unified task-graph runtime every executor name lowers through.
 
-An executor name (:data:`repro.exec.EXECUTORS`) is a *lowering
-policy*: it picks a lowering mode
+An executor name (:data:`repro.exec.EXECUTORS`) picks a lowering mode
 (:func:`repro.core.taskgraph.lower_variants`) and a **substrate**, and
-:class:`GraphRuntime` executes the resulting DAG with dependency-aware
-dispatch.  Three substrates cover every executor:
+:class:`GraphRuntime` executes the resulting DAG with one
+dependency-aware dispatch loop.  The substrate only picks the *lane
+set* that loop dispatches onto:
 
-``sim``
-    A deterministic event loop on the work-unit clock.  ``T`` virtual
-    workers carry availability times; a task starts at
-    ``max(worker_available, hard-dep finishes)`` and finishes after its
-    cost-model price.  Runs the serial backend (``T = 1``) and the
-    simulated backend (any lowering mode) — shard and merge tasks
-    execute inline for real (labels are genuine) and are priced
-    individually, so a hybrid graph shows shard tasks of one variant
-    genuinely overlapping other variants' reuse chains on the modeled
-    clock.
-``threads``
-    Real Python threads over the variant tasks (wall clock, online
-    reuse) — the paper's shared-memory Algorithm 3 loop.
-``lanes``
-    Real processes, one single-process pool per *lane*, so a killed
-    worker breaks exactly one lane instead of poisoning every in-flight
-    future.  Group units (reuse chains) run whole inside a
-    :func:`_chain_worker`; shard tasks fan out one region per lane and
-    merge in the parent.  Hybrid graphs dispatch both unit kinds from
-    one ready queue, which is what lets a big scratch variant's shards
-    run concurrently with other variants' reuse chains.
+``sim`` (inline lanes)
+    ``T`` virtual workers in the parent on the work-unit clock.  A unit
+    is one task; it starts at ``max(lane free, hard-dep finishes)`` and
+    lasts its cost-model price, ties broken by lane id, so the schedule
+    is bit-reproducible.  Runs ``serial`` (``T = 1``) and ``simulated``
+    (any lowering mode).  Shard and merge tasks execute for real and
+    are priced per task, so a hybrid graph shows one variant's shards
+    overlapping other variants' reuse chains on the modeled clock.
+``lanes`` (process lanes)
+    One single-process pool per lane on the wall clock, so a killed
+    worker breaks exactly one lane.  A variant unit is a whole reuse
+    chain run inside :func:`_chain_worker`; shard tasks fan out one
+    region per lane and merge in the parent.
 
-Documented simplifications:
+Both lane sets share shard dispatch, the parent-side merge, checkpoint
+and outcome accounting, the failure handlers and the supervisor hooks,
+so a fault plan fires, and supervision acts, the same way on both.
+Every run record's ``response_time`` is ``finish - start`` on its lane
+set's clock.
 
-* The ``sim`` substrate does not inject faults into shard/merge tasks
-  (variant tasks route through :class:`ResilientRunner` and keep the
-  legacy simulated fault semantics); process-level shard fault fidelity
-  lives in the ``lanes`` substrate, where kills genuinely terminate
-  worker processes.
-* Lane workers cannot share completed results mid-flight (process
-  isolation), so cross-group reuse is still forfeited — except that a
-  *sharded donor's* merged result is shipped to dependent groups at
-  submission time, which is exactly the hard edge hybrid lowering
-  records.
+Documented simplification: lane workers cannot share completed results
+mid-flight (process isolation), so cross-group reuse is forfeited,
+except that a *sharded donor's* merged result is shipped to dependent
+groups at submission time, which is exactly the hard edge hybrid
+lowering records.
 
-Shared-memory economics are unchanged from the legacy process
-backends: the parent materializes the point database and the built
-index pack once; every lane worker attaches (zero-copy) instead of
-pickling points or rebuilding trees.
+Shared-memory economics: the parent materializes the point database
+and the built index pack once; every lane worker attaches (zero-copy)
+instead of pickling points or rebuilding trees.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -72,11 +61,10 @@ from repro.core.shard import (
     resolve_n_regions,
 )
 from repro.core.taskgraph import (
-    MergeTask,
-    ShardTask,
     TaskGraph,
     VariantTask,
     lower_variants,
+    variant_task_id,
 )
 from repro.core.variants import Variant, VariantSet, sort_key
 from repro.engine.context import RunContext
@@ -118,7 +106,7 @@ __all__ = [
 EVENT_SHARD_PLAN = "shard_plan"
 
 #: Recognized execution substrates (see module docstring).
-SUBSTRATES = ("sim", "threads", "lanes")
+SUBSTRATES = ("sim", "lanes")
 
 
 def partition_reuse_chains(
@@ -203,6 +191,7 @@ def _chain_worker(
     checkpoint_root: str | None = None,
     kernel: str = "bfs",
     pulse: PulseHandle | None = None,
+    thread_id: int = 0,
 ):
     """Run one reuse-chain group serially inside a lane worker process.
 
@@ -217,14 +206,12 @@ def _chain_worker(
     own; spans are rebased onto the batch wall window and shipped back
     as plain records.
 
-    Resilience plumbing matches the legacy process backend: the parent
-    ships its retry policy, the already-bound fault plan (re-keyed by
-    the group's submission attempt, see :meth:`BoundFaultPlan.shifted`),
-    and the checkpoint root; the in-worker :class:`ResilientRunner`
-    runs the same recovery loop as every other backend.  ``kill``
-    faults are armed here — and only in workers — so they genuinely
-    terminate a worker process without ever taking down an in-process
-    caller.
+    The parent ships its retry policy, the already-bound fault plan
+    (re-keyed by the group's submission attempt, see
+    :meth:`BoundFaultPlan.shifted`) and the checkpoint root, so the
+    in-worker :class:`ResilientRunner` runs the same recovery loop as an
+    inline lane.  ``kill`` faults are armed here, and only in workers,
+    so they terminate a worker process and never an in-process caller.
     """
     allow_kill_faults(True)
     tracer = Tracer() if trace else None
@@ -299,7 +286,7 @@ def _chain_worker(
             record.start = clock
             clock += record.response_time
             record.finish = clock
-            record.thread_id = 0
+            record.thread_id = thread_id
             registry.add(planned.variant, result, finished_at=clock)
             results[planned.variant] = result
             records.append(record)
@@ -351,6 +338,9 @@ def _shard_worker(
     task_label: str = "",
 ) -> tuple[ShardPiece, list[SpanRecord] | None, float, float]:
     """Cluster one region's slab inside a lane worker process.
+
+    Returns the piece, the worker's spans, and the task's start and
+    duration on the batch wall window.
 
     The worker attaches the parent's shared point segment (zero-copy)
     and slices it by the region's index sets — no point array crosses
@@ -406,17 +396,17 @@ def _shard_worker(
         for s in spans:
             s.t0 = s.t0 - perf_start + start
         set_tracer(None)
-    return piece, spans, start, finish
+    return piece, spans, start, finish - start
 
 
 # --------------------------------------------------------------------------
-# lane-substrate scheduling units
+# scheduling units and lane sets
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class _GroupUnit:
-    """One reuse-chain group destined for a :func:`_chain_worker`."""
+    """Variant tasks run as one unit (a chain on a process lane, one task inline)."""
 
     gid: int
     variants: list[Variant]
@@ -453,7 +443,7 @@ class _ShardPipeline:
 
 @dataclass
 class _Job:
-    """Bookkeeping for one in-flight lane future."""
+    """Bookkeeping for one in-flight unit."""
 
     kind: str  # "group" | "shard"
     unit: object  # _GroupUnit | _ShardPipeline
@@ -462,13 +452,13 @@ class _Job:
     region: int = -1
     stamp: int = -1  # pipeline attempt at submission (staleness check)
     label: str = ""  # supervisor task label ("group:N" / shard task id)
+    where: str = ""  # task-span thread name
 
 
 class _Lane:
     """One worker slot: a single-process pool a kill breaks in isolation."""
 
-    def __init__(self, index: int) -> None:
-        self.index = index
+    def __init__(self) -> None:
         self.pool = ProcessPoolExecutor(max_workers=1)
 
     def respawn(self, *, hung: bool = False) -> None:
@@ -482,13 +472,52 @@ class _Lane:
         self.pool.shutdown(wait=True, cancel_futures=True)
 
 
-class GraphRuntime:
-    """Execute a lowered :class:`TaskGraph` on one worker pool.
+class _InlineLanes:
+    """``T`` virtual lanes in the parent on the work-unit clock.
 
-    ``substrate`` picks the execution medium (one of
-    :data:`SUBSTRATES`); the lowering ``mode`` passed to :meth:`run`
-    picks the graph shape.  :data:`repro.exec.EXECUTORS` names the
-    valid combinations of the two.
+    Lanes carry free times in a min-heap, so ties break on lane id.  A
+    unit reads its :meth:`start` before it runs (the online reuse
+    constraint is ``before = start``) and :meth:`occupy` books it once
+    its price is known; a unit that fails books nothing, so its lane
+    frees at once.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.free = [(0.0, tid) for tid in range(n)]  # sorted: a heap
+        self.finish_at: dict[str, float] = {}
+
+    def next_name(self) -> str:
+        return f"sim-{self.free[0][1]}"
+
+    def start(self, deps) -> float:
+        done = [self.finish_at[d] for d in deps if d in self.finish_at]
+        return max([self.free[0][0], *done])
+
+    def occupy(self, task_id: str, start: float, dur: float) -> tuple[int, float]:
+        _, tid = heapq.heappop(self.free)
+        finish = start + dur
+        heapq.heappush(self.free, (finish, tid))
+        self.finish_at[task_id] = finish
+        return tid, finish
+
+
+def _resolved(fn, *args) -> Future:
+    """Run ``fn`` now and hand back its outcome as a finished future."""
+    fut: Future = Future()
+    try:
+        fut.set_result(fn(*args))
+    except Exception as exc:
+        fut.set_exception(exc)
+    return fut
+
+
+class GraphRuntime:
+    """Execute a lowered :class:`TaskGraph` on one lane set.
+
+    ``substrate`` picks the lane set (one of :data:`SUBSTRATES`); the
+    lowering ``mode`` passed to :meth:`run` picks the graph shape.
+    :data:`repro.exec.EXECUTORS` names the valid combinations of the
+    two.
     """
 
     def __init__(self, substrate: str) -> None:
@@ -546,283 +575,24 @@ class GraphRuntime:
                 ctx.supervisor, tracer=tracer, n_tasks=max(len(graph), 1)
             )
         if len(graph):
-            if self.substrate == "sim":
-                self._run_sim(
-                    ctx, runner, graph, base_plan, registry, results, records
-                )
-            elif self.substrate == "threads":
-                self._run_threads(ctx, runner, graph, registry, results, records)
-            else:
-                self._run_lanes(
-                    ctx,
-                    runner,
-                    graph,
-                    base_plan,
-                    registry,
-                    results,
-                    records,
-                    supervisor=supervisor,
-                )
+            self._dispatch(
+                ctx, runner, graph, base_plan, registry, results, records,
+                supervisor=supervisor,
+            )
         makespan = max((r.finish for r in records), default=0.0)
         batch_record = BatchRunRecord(
             records=records, n_threads=ctx.n_threads, makespan=makespan
         )
         report = runner.report()
         if supervisor is not None:
-            # In-process substrates get the finalize-only supervision
-            # scope: dangling verifications fail, orphans are reclaimed.
+            # Dangling verifications fail, orphaned segments are reclaimed.
             supervisor.finalize()
             if report is not None:
                 report.remediations.extend(supervisor.records)
         return BatchResult(results=results, record=batch_record, report=report)
 
-    # -- sim substrate ---------------------------------------------------
-    def _run_sim(
-        self,
-        ctx: RunContext,
-        runner: ResilientRunner,
-        graph: TaskGraph,
-        base_plan: ShardPlan | None,
-        registry: CompletedRegistry,
-        results: dict,
-        records: list,
-    ) -> None:
-        """Deterministic event loop on the work-unit clock.
-
-        ``T`` virtual workers carry availability times in a min-heap;
-        tasks dispatch in graph (plan) order, each starting at
-        ``max(worker_available, hard-dep finishes)``.  Variant tasks
-        route through the resilient runner with ``before = start`` (the
-        online reuse constraint a real pool faces); shard and merge
-        tasks execute inline for real and are priced by the cost model
-        at contention ``T``.  Ties on availability break on worker id,
-        so the whole schedule is bit-reproducible.
-        """
-        tracer = ctx.tracer
-        workers = [(0.0, tid) for tid in range(ctx.n_threads)]
-        heapq.heapify(workers)
-        finish_at: dict[str, float] = {}
-        failed: set[str] = set()
-        task_spans: list[SpanRecord] = []
-        # Per-sharded-variant state: re-haloed plan, pieces, wall start.
-        plans: dict[Variant, ShardPlan] = {}
-        pieces: dict[Variant, dict[int, tuple[ShardPiece, float]]] = {}
-        wall_t0: dict[Variant, float] = {}
-
-        def variant_plan(variant: Variant) -> ShardPlan:
-            assert base_plan is not None
-            if variant not in plans:
-                plans[variant] = base_plan.with_eps(variant.eps)
-            return plans[variant]
-
-        for task in graph.tasks:
-            dep_finishes = [finish_at[d] for d in task.deps if d in finish_at]
-            if isinstance(task, MergeTask):
-                if any(d in failed for d in task.deps):
-                    # A shard task failed (not reachable today: the sim
-                    # substrate injects no shard faults) — the variant
-                    # fails and the batch continues.
-                    failed.add(task.task_id)
-                    runner.mark_failed_group(
-                        [task.variant], "shard task failed", attempts=1
-                    )
-                    continue
-                avail, tid = heapq.heappop(workers)
-                start = max([avail, *dep_finishes])
-                variant = task.variant
-                merge_delta = WorkCounters()
-                ordered = [pieces[variant][r][0] for r in range(task.n_regions)]
-                labels, core_mask = merge_shards(
-                    ctx.points,
-                    variant_plan(variant),
-                    ordered,
-                    counters=merge_delta,
-                    tracer=tracer,
-                )
-                merged = WorkCounters()
-                for piece, _ in pieces[variant].values():
-                    merged.merge(piece.counters)
-                dur = ctx.cost_model.duration(merge_delta, ctx.n_threads)
-                merged.merge(merge_delta)
-                finish = start + dur
-                result = ClusteringResult(
-                    labels,
-                    core_mask,
-                    variant=variant,
-                    counters=merged,
-                    elapsed=time.perf_counter() - wall_t0[variant],
-                )
-                if runner.enabled:
-                    verify_result(result, ctx.store.n_points)
-                sim_start = min(s for _, s in pieces[variant].values())
-                record = VariantRunRecord(
-                    variant=variant,
-                    response_time=finish - sim_start,
-                    wall_time=result.elapsed,
-                    start=sim_start,
-                    finish=finish,
-                    thread_id=tid,
-                    n_clusters=result.n_clusters,
-                    n_noise=result.n_noise,
-                    counters=merged,
-                )
-                registry.add(variant, result, finished_at=finish)
-                results[variant] = result
-                records.append(record)
-                heapq.heappush(workers, (finish, tid))
-                finish_at[task.task_id] = finish
-                del pieces[variant]
-                if runner.checkpoint is not None:
-                    runner.checkpoint.save(result)
-                if runner.enabled:
-                    runner.merge_outcomes(
-                        BatchReport(
-                            outcomes={
-                                variant: VariantOutcome(
-                                    variant, VariantStatus.OK, attempts=1
-                                )
-                            }
-                        )
-                    )
-                task_spans.append(
-                    SpanRecord(
-                        SPAN_TASK, start, dur, f"sim-{tid}",
-                        {"kind": "merge", "id": task.task_id,
-                         "deps": list(task.deps)},
-                    )
-                )
-            elif isinstance(task, ShardTask):
-                # Sequencing deps (shard mode) gate the start time; a
-                # failed dep simply does not delay (legacy sharded runs
-                # the next variant after a permanent failure).
-                avail, tid = heapq.heappop(workers)
-                start = max([avail, *dep_finishes])
-                variant = task.variant
-                if variant not in wall_t0:
-                    wall_t0[variant] = time.perf_counter()
-                piece = cluster_shard(
-                    ctx.points,
-                    variant_plan(variant),
-                    task.region,
-                    variant.minpts,
-                    kernel=ctx.kernel,
-                    batch_size=ctx.batch_size,
-                    tracer=tracer,
-                )
-                dur = ctx.cost_model.duration(piece.counters, ctx.n_threads)
-                finish = start + dur
-                pieces.setdefault(variant, {})[task.region] = (piece, start)
-                heapq.heappush(workers, (finish, tid))
-                finish_at[task.task_id] = finish
-                task_spans.append(
-                    SpanRecord(
-                        SPAN_TASK, start, dur, f"sim-{tid}",
-                        {"kind": "shard", "id": task.task_id,
-                         "deps": list(task.deps)},
-                    )
-                )
-            else:  # VariantTask
-                avail, tid = heapq.heappop(workers)
-                # Failed hard deps (a sharded donor that died) are
-                # dropped: the donor is absent from the registry, so
-                # select_source re-plans onto a survivor or scratch.
-                start = max([avail, *dep_finishes])
-                result, record = runner.execute(
-                    task.planned, registry, before=start
-                )
-                if result is None:  # permanent failure: worker frees at once
-                    failed.add(task.task_id)
-                    heapq.heappush(workers, (avail, tid))
-                    continue
-                finish = start + record.response_time
-                record.start = start
-                record.finish = finish
-                record.thread_id = tid
-                registry.add(task.variant, result, finished_at=finish)
-                heapq.heappush(workers, (finish, tid))
-                finish_at[task.task_id] = finish
-                results[task.variant] = result
-                records.append(record)
-                task_spans.append(
-                    SpanRecord(
-                        SPAN_TASK, start, finish - start, f"sim-{tid}",
-                        {"kind": "variant", "id": task.task_id,
-                         "deps": list(task.deps),
-                         "soft": list(task.soft_deps)},
-                    )
-                )
-        if tracer.enabled and task_spans:
-            tracer.add_records(task_spans)
-
-    # -- threads substrate -----------------------------------------------
-    def _run_threads(
-        self,
-        ctx: RunContext,
-        runner: ResilientRunner,
-        graph: TaskGraph,
-        registry: CompletedRegistry,
-        results: dict,
-        records: list,
-    ) -> None:
-        """Real shared-memory threads over the variant tasks.
-
-        Variant lowering carries no hard edges (donor edges are soft),
-        so workers pull tasks from the queue in dispatch order and the
-        online registry decides reuse — the paper's OpenMP loop.
-        """
-        tasks = graph.variant_tasks()
-        tracer = ctx.tracer
-        queue_lock = threading.Lock()
-        results_lock = threading.Lock()
-        next_item = 0
-        t0 = time.perf_counter()
-
-        def worker(tid: int) -> None:
-            nonlocal next_item
-            while True:
-                with queue_lock:
-                    if next_item >= len(tasks):
-                        return
-                    task = tasks[next_item]
-                    next_item += 1
-                start = time.perf_counter() - t0
-                with tracer.span(
-                    SPAN_TASK,
-                    kind="variant",
-                    id=task.task_id,
-                    deps=list(task.deps),
-                    soft=list(task.soft_deps),
-                ):
-                    result, record = runner.execute(
-                        task.planned,
-                        registry,
-                        before=None,  # wall clock: anything completed is eligible
-                    )
-                if result is None:  # permanent failure: skip, batch continues
-                    continue
-                finish = time.perf_counter() - t0
-                record.start = start
-                record.finish = finish
-                record.response_time = finish - start
-                record.thread_id = tid
-                registry.add(task.variant, result, finished_at=finish)
-                with results_lock:
-                    results[task.variant] = result
-                    records.append(record)
-
-        threads = [
-            threading.Thread(
-                target=worker, args=(tid,), name=f"variant-worker-{tid}"
-            )
-            for tid in range(ctx.n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    # -- lanes substrate --------------------------------------------------
-    def _run_lanes(
+    # -- the dispatch loop -------------------------------------------------
+    def _dispatch(
         self,
         ctx: RunContext,
         runner: ResilientRunner,
@@ -833,26 +603,28 @@ class GraphRuntime:
         records: list,
         supervisor: Supervisor | None = None,
     ) -> None:
-        """Process lanes: dependency-aware dispatch of groups and shards.
+        """Dependency-aware dispatch of variant units and shards.
 
-        Every lane is its own single-process pool, so a killed worker
-        breaks exactly one lane (the legacy shared pool poisoned every
-        in-flight future).  Group units keep the legacy process-backend
-        accounting: one submission counter per group, fault plans
-        re-keyed with :meth:`BoundFaultPlan.shifted` on resubmission,
-        and a respawn budget extended by the number of *planned* kills.
-        Shard pipelines keep the legacy sharded-backend accounting: one
-        attempt per recovery round, completed regions keep their
-        pieces, finish-phase faults retry the whole variant.
+        Units dispatch in graph order once their hard deps are settled.
+        On process lanes a variant unit is a reuse-chain group run by a
+        :func:`_chain_worker`, with one submission counter per group,
+        fault plans re-keyed with :meth:`BoundFaultPlan.shifted` on
+        resubmission, and a respawn budget extended by the number of
+        *planned* kills.  On inline lanes a unit is one variant task run
+        against the parent's registry with ``before = start``; it runs
+        at submission and returns a finished future, so one unit is in
+        flight at a time.  Shard pipelines are shared: one attempt per
+        recovery round, completed regions keep their pieces, and
+        finish-phase faults retry the whole variant.
 
-        When a :class:`Supervisor` is attached, every lane gets one
-        heartbeat-mailbox slot; workers beat at task boundaries, the
-        dispatch loop polls the monitor between futures, and applied
-        remediations drive lane respawns, gated resubmissions, and —
-        when a unit exhausts its submission budget — the graceful-
-        degradation ladder (inline re-runs on the threads / serial
-        rungs, shard→variant lowering for pipelines).  Every decision
-        is traced and lands in ``BatchReport.remediations``.
+        When a :class:`Supervisor` is attached, the loop polls it
+        between units; on process lanes every lane also gets a
+        heartbeat-mailbox slot, and stale lanes are respawned.  Crash
+        loops and corruption retries pass its risk gate, and a unit
+        that exhausts its submission budget steps down the degradation
+        ladder (a serial re-run on an inline lane; shard→variant
+        lowering for pipelines).  Every decision is traced and lands in
+        ``BatchReport.remediations``.
         """
         tracer = ctx.tracer
         policy = runner.policy
@@ -864,6 +636,7 @@ class GraphRuntime:
         )
         max_submissions = max_attempts + planned_kills
         deadline = policy.deadline_s if policy is not None else None
+        inline = _InlineLanes(ctx.n_threads) if self.substrate == "sim" else None
 
         variant_tasks = graph.variant_tasks()
         merge_tasks = graph.merge_tasks()
@@ -871,13 +644,16 @@ class GraphRuntime:
         for st in graph.shard_tasks():
             shard_deps.setdefault(st.variant, set()).update(st.deps)
         sharded_set = {t.variant for t in merge_tasks}
-        hard_deps = {t.variant: set(t.deps) for t in variant_tasks}
+        task_of = {t.variant: t for t in variant_tasks}
 
-        # Group the plain variants along the *global* reuse forest (so
-        # a sharded root's subtree stays one chain), then drop the
-        # sharded variants themselves — their results arrive as donors.
         groups: list[_GroupUnit] = []
-        if variant_tasks:
+        if inline is not None:
+            for t in variant_tasks:
+                groups.append(_GroupUnit(len(groups), [t.variant], set(t.deps)))
+        elif variant_tasks:
+            # Group the plain variants along the *global* reuse forest
+            # (so a sharded root's subtree stays one chain), then drop
+            # the sharded variants — their results arrive as donors.
             all_vs = [t.variant for t in variant_tasks] + list(sharded_set)
             raw = partition_reuse_chains(VariantSet(all_vs), ctx.n_threads)
             for chain in raw:
@@ -886,7 +662,7 @@ class GraphRuntime:
                     continue
                 deps: set[str] = set()
                 for v in kept:
-                    deps |= hard_deps[v]
+                    deps.update(task_of[v].deps)
                 groups.append(_GroupUnit(len(groups), kept, deps))
 
         pipelines: dict[Variant, _ShardPipeline] = {}
@@ -914,14 +690,18 @@ class GraphRuntime:
                 seen.add(id(unit))
                 units.append(unit)
 
-        if self.substrate == "lanes" and graph.mode == "shard":
+        if inline is not None:
+            n_lanes = 1  # dispatch slots: inline units finish at submission
+        elif graph.mode == "shard":
             n_lanes = max(1, min(ctx.n_threads, merge_tasks[0].n_regions))
         elif graph.mode == "variant":
             n_lanes = max(1, len(groups))
         else:
             n_lanes = max(1, ctx.n_threads)
 
-        store_handle = ctx.store.ensure_shared(tracer=tracer)
+        store_handle = (
+            ctx.store.ensure_shared(tracer=tracer) if inline is None else None
+        )
         checkpoint_root = (
             str(ctx.checkpoint.root) if ctx.checkpoint is not None else None
         )
@@ -949,12 +729,66 @@ class GraphRuntime:
         def shard_label(pipe: _ShardPipeline, region: int) -> str:
             return f"shard:{pipe.variant.eps:g}/{pipe.variant.minpts}#{region}"
 
+        def run_variant(run: ResilientRunner, planned, reg, task_id, deps=()):
+            """One variant as a unit on an inline lane, on the batch clock.
+
+            Inline lanes price it on the work-unit clock; on a
+            process-lane batch (the ladder's serial rung) it runs in the
+            parent on the wall clock.  ``(None, None)`` on permanent
+            failure.
+            """
+            if inline is not None:
+                start = inline.start(deps)
+                result, record = run.execute(
+                    planned, reg, before=start, concurrency=ctx.n_threads
+                )
+                if result is None:
+                    return None, None
+                tid, finish = inline.occupy(task_id, start, record.response_time)
+            else:
+                start = time.perf_counter() - t0
+                result, record = run.execute(planned, reg)
+                if result is None:
+                    return None, None
+                tid, finish = -1, time.perf_counter() - t0
+                record.response_time = finish - start
+            record.start, record.finish, record.thread_id = start, finish, tid
+            reg.add(planned.variant, result, finished_at=finish)
+            return result, record
+
+        def inline_group(unit: _GroupUnit):
+            task = task_of[unit.variants[0]]
+            result, record = run_variant(
+                runner, task.planned, registry, task.task_id, task.deps
+            )
+            batch = BatchResult(
+                results={} if result is None else {task.variant: result},
+                record=BatchRunRecord(records=[] if record is None else [record]),
+            )
+            return batch, None
+
+        def inline_shard(pipe: _ShardPipeline, plan, region, spec, task_id):
+            start = inline.start(pipe.deps)
+            if spec is not None:
+                runner.faults.fire(
+                    spec, deadline_s=deadline, started_at=time.perf_counter()
+                )
+            piece = cluster_shard(
+                ctx.points,
+                plan,
+                region,
+                pipe.variant.minpts,
+                kernel=ctx.kernel,
+                batch_size=ctx.batch_size,
+                tracer=tracer,
+            )
+            dur = ctx.cost_model.duration(piece.counters, ctx.n_threads)
+            inline.occupy(task_id, start, dur)
+            return piece, None, start, dur
+
         replan_noted: set[tuple[int, str]] = set()
 
         def submit_group(unit: _GroupUnit, lane: int) -> None:
-            plan = runner.faults
-            if plan is not None and unit.submissions > 0:
-                plan = plan.shifted(unit.submissions)
             donors = []
             for dep in sorted(unit.deps):
                 v = merge_variant[dep]
@@ -965,7 +799,7 @@ class GraphRuntime:
                     and dep in failed_ids
                     and (unit.gid, dep) not in replan_noted
                 ):
-                    # The donor died permanently; the worker's scheduler
+                    # The donor died permanently; the unit's scheduler
                     # re-plans the chain onto surviving donors / scratch.
                     replan_noted.add((unit.gid, dep))
                     supervisor.on_replanned(
@@ -973,37 +807,47 @@ class GraphRuntime:
                         dep,
                         blast_radius=len(unit.variants) / n_graph_tasks,
                     )
-            budget = (
-                time.monotonic()
-                + deadline * len(unit.variants) * max_attempts
-                + 30.0
-                if deadline is not None
-                else None
-            )
             unit.running = True
-            fut = lanes[lane].pool.submit(
-                _chain_worker,
-                store_handle,
-                idx_handle,
-                [v.as_tuple() for v in unit.variants],
-                donors,
-                ctx.reuse_policy.name,
-                ctx.cost_model,
-                t0,
-                ctx.batch_size,
-                tracer.enabled,
-                policy,
-                plan,
-                checkpoint_root,
-                ctx.kernel,
-                mailbox.handle(lane) if mailbox is not None else None,
-            )
+            budget = None
+            if inline is not None:
+                where = inline.next_name()
+                fut = _resolved(inline_group, unit)
+            else:
+                where = f"lane-{lane}"
+                plan = runner.faults
+                if plan is not None and unit.submissions > 0:
+                    plan = plan.shifted(unit.submissions)
+                if deadline is not None:
+                    budget = (
+                        time.monotonic()
+                        + deadline * len(unit.variants) * max_attempts
+                        + 30.0
+                    )
+                fut = lanes[lane].pool.submit(
+                    _chain_worker,
+                    store_handle,
+                    idx_handle,
+                    [v.as_tuple() for v in unit.variants],
+                    donors,
+                    ctx.reuse_policy.name,
+                    ctx.cost_model,
+                    t0,
+                    ctx.batch_size,
+                    tracer.enabled,
+                    policy,
+                    plan,
+                    checkpoint_root,
+                    ctx.kernel,
+                    mailbox.handle(lane) if mailbox is not None else None,
+                    unit.gid,
+                )
             if supervisor is not None:
                 supervisor.job_started(
                     lane, group_label(unit), deadline_s=deadline
                 )
             inflight[fut] = _Job(
-                "group", unit, lane, budget, label=group_label(unit)
+                "group", unit, lane, budget, label=group_label(unit),
+                where=where,
             )
 
         def submit_shard(pipe: _ShardPipeline, region: int, lane: int) -> None:
@@ -1019,27 +863,31 @@ class GraphRuntime:
                     spec = found
                 if spec is None:
                     spec = runner.faults.find_task(label, pipe.attempt, "start")
-            budget = (
-                time.monotonic() + deadline + 30.0
-                if deadline is not None
-                else None
-            )
             pipe.inflight.add(region)
-            fut = lanes[lane].pool.submit(
-                _shard_worker,
-                store_handle,
-                base_plan.with_eps(pipe.variant.eps),
-                region,
-                pipe.variant.minpts,
-                ctx.kernel,
-                ctx.batch_size,
-                t0,
-                tracer.enabled,
-                spec,
-                deadline,
-                mailbox.handle(lane) if mailbox is not None else None,
-                label,
-            )
+            plan = base_plan.with_eps(pipe.variant.eps)
+            budget = None
+            if inline is not None:
+                where = inline.next_name()
+                fut = _resolved(inline_shard, pipe, plan, region, spec, label)
+            else:
+                where = f"lane-{lane}"
+                if deadline is not None:
+                    budget = time.monotonic() + deadline + 30.0
+                fut = lanes[lane].pool.submit(
+                    _shard_worker,
+                    store_handle,
+                    plan,
+                    region,
+                    pipe.variant.minpts,
+                    ctx.kernel,
+                    ctx.batch_size,
+                    t0,
+                    tracer.enabled,
+                    spec,
+                    deadline,
+                    mailbox.handle(lane) if mailbox is not None else None,
+                    label,
+                )
             if supervisor is not None:
                 supervisor.job_started(lane, label, deadline_s=deadline)
             inflight[fut] = _Job(
@@ -1050,6 +898,7 @@ class GraphRuntime:
                 region=region,
                 stamp=pipe.attempt,
                 label=label,
+                where=where,
             )
 
         def next_dispatch() -> tuple[str, object, int] | None:
@@ -1069,7 +918,7 @@ class GraphRuntime:
                             return ("shard", unit, pending[0])
             return None
 
-        def run_inline(
+        def run_serial(
             order: list[Variant],
             consumed: int,
             kernel: str,
@@ -1077,8 +926,9 @@ class GraphRuntime:
             *,
             donors: tuple[Variant, ...] | list[Variant] = (),
             force_scratch: bool = False,
+            task_id: str | None = None,
         ) -> tuple[bool, int]:
-            """Degraded-rung execution: run ``order`` serially in-parent.
+            """The ladder's serial rung: ``order`` as units on an inline lane.
 
             The fault plan is shifted past the ``consumed`` submissions so
             already-fired faults do not refire; completed variants land
@@ -1101,8 +951,7 @@ class GraphRuntime:
                 n_threads=1,
                 kernel=kernel,
             )
-            sub_vset = VariantSet(order)
-            local_runner = ResilientRunner(local_ctx, sub_vset)
+            local_runner = ResilientRunner(local_ctx, VariantSet(order))
             reg = CompletedRegistry()
             for d in donors:
                 if d in results:
@@ -1110,23 +959,18 @@ class GraphRuntime:
             used = 0
             try:
                 for v in order:
-                    planned = PlannedVariant(v, force_scratch=force_scratch)
-                    v_start = time.perf_counter() - t0
-                    result, record = local_runner.execute(
-                        planned, reg, concurrency=1
+                    result, record = run_variant(
+                        local_runner,
+                        PlannedVariant(v, force_scratch=force_scratch),
+                        reg,
+                        task_id or variant_task_id(v),
                     )
                     outcome = local_runner.report().outcomes.get(v)
                     attempts = outcome.attempts if outcome is not None else 1
                     used += attempts
                     if result is None:
                         return False, used
-                    now = time.perf_counter() - t0
-                    record.start = v_start
-                    record.finish = now
-                    record.response_time = now - v_start
-                    record.thread_id = -1
-                    reg.add(v, result, finished_at=now)
-                    registry.add(v, result, finished_at=now)
+                    registry.add(v, result, finished_at=record.finish)
                     results[v] = result
                     records.append(record)
                     runner.mark_degraded(
@@ -1139,34 +983,8 @@ class GraphRuntime:
                 return False, used + 1
             return True, used
 
-        def run_inline_on_thread(
-            order: list[Variant],
-            consumed: int,
-            kernel: str,
-            step_label: str,
-            donors: list[Variant],
-        ) -> tuple[bool, int]:
-            out: list[tuple[bool, int]] = []
-
-            def target() -> None:
-                out.append(
-                    run_inline(
-                        order, consumed, kernel, step_label, donors=donors
-                    )
-                )
-
-            th = threading.Thread(target=target, name="degrade-runner")
-            th.start()
-            th.join()
-            return out[0] if out else (False, 1)
-
         def degrade_group(unit: _GroupUnit, error: str) -> bool:
-            """Walk the substrate ladder for an exhausted group.
-
-            Each rung re-runs the group's remaining variants inline
-            (threads rung: a parent thread; serial rung: the parent
-            itself — no worker boundary left to fail).
-            """
+            """Walk the substrate ladder for an exhausted group."""
             assert supervisor is not None
             label = group_label(unit)
             rung = "lanes"
@@ -1193,15 +1011,9 @@ class GraphRuntime:
                     for dep in sorted(unit.deps)
                     if merge_variant[dep] in results
                 ] + [v for v in unit.variants if v in results]
-                if step.target == "threads":
-                    ok, used = run_inline_on_thread(
-                        remaining, consumed, ctx.kernel, step.label, donors
-                    )
-                else:
-                    ok, used = run_inline(
-                        remaining, consumed, ctx.kernel, step.label,
-                        donors=donors,
-                    )
+                ok, used = run_serial(
+                    remaining, consumed, ctx.kernel, step.label, donors=donors
+                )
                 supervisor.task_done(label, ok, step.label)
                 if ok:
                     unit.done = True
@@ -1233,9 +1045,9 @@ class GraphRuntime:
             kernel = "bfs" if axis == "kernel" else ctx.kernel
             # Shard pipelines compute from scratch; the variant-lowered
             # re-run must too, or cluster ids permute under reuse.
-            ok, _used = run_inline(
+            ok, _used = run_serial(
                 [pipe.variant], pipe.attempt, kernel, step.label,
-                force_scratch=True,
+                force_scratch=True, task_id=pipe.merge_id,
             )
             supervisor.task_done(label, ok, step.label)
             for r in range(pipe.n_regions):
@@ -1325,18 +1137,27 @@ class GraphRuntime:
             if exhausted:
                 fail_pipeline(pipe, error)
 
+        def handle_failure(job: _Job, error: str) -> None:
+            """Account a lost job; ``error`` is prefixed with its kind."""
+            if job.kind == "group":
+                handle_group_failure(job, f"group {error}")
+            else:
+                handle_shard_failure(job, f"shard {error}")
+
         def merge_pipeline(pipe: _ShardPipeline) -> None:
             assert base_plan is not None
             variant = pipe.variant
             plan = base_plan.with_eps(variant.eps)
             merge_t0 = time.perf_counter()
+            merge_delta = WorkCounters()
+            ordered = [pipe.pieces[r][0] for r in range(pipe.n_regions)]
+            labels, core_mask = merge_shards(
+                ctx.points, plan, ordered, counters=merge_delta, tracer=tracer
+            )
             merged = WorkCounters()
             for piece, _ in pipe.pieces.values():
                 merged.merge(piece.counters)
-            ordered = [pipe.pieces[r][0] for r in range(pipe.n_regions)]
-            labels, core_mask = merge_shards(
-                ctx.points, plan, ordered, counters=merged, tracer=tracer
-            )
+            merged.merge(merge_delta)
             result = ClusteringResult(
                 labels,
                 core_mask,
@@ -1392,20 +1213,23 @@ class GraphRuntime:
                     # resubmit their own region.
                     pipe.pieces = {}
                 return
-            finish = time.perf_counter() - t0
+            if inline is not None:
+                m_start = inline.start(pipe.shard_ids)
+                where = inline.next_name()
+                dur = ctx.cost_model.duration(merge_delta, ctx.n_threads)
+                tid, finish = inline.occupy(pipe.merge_id, m_start, dur)
+            else:
+                m_start = merge_t0 - t0
+                finish = time.perf_counter() - t0
+                tid, dur, where = 0, finish - m_start, "parent"
             start = min((w for _, w in pipe.pieces.values()), default=finish)
-            # Modeled critical path of the region decomposition: the R
-            # active workers each hold ~1/R of the merged ledger and run
-            # at concurrency R.  duration() is linear in the counters,
-            # so the per-worker share is duration(merged, R) / R.
-            active = max(1, min(ctx.n_threads, pipe.n_regions))
             record = VariantRunRecord(
                 variant=variant,
-                response_time=ctx.cost_model.duration(merged, active) / active,
+                response_time=finish - start,
                 wall_time=result.elapsed,
                 start=start,
                 finish=finish,
-                thread_id=0,
+                thread_id=tid,
                 n_clusters=result.n_clusters,
                 n_noise=result.n_noise,
                 counters=merged,
@@ -1420,10 +1244,7 @@ class GraphRuntime:
             if tracer.enabled:
                 task_spans.append(
                     SpanRecord(
-                        SPAN_TASK,
-                        merge_t0 - t0,
-                        time.perf_counter() - merge_t0,
-                        "parent",
+                        SPAN_TASK, m_start, dur, where,
                         {"kind": "merge", "id": pipe.merge_id,
                          "deps": list(pipe.shard_ids)},
                     )
@@ -1454,19 +1275,18 @@ class GraphRuntime:
             assert isinstance(unit, _GroupUnit)
             batch, spans = payload
             for rec in batch.record.records:
-                rec.thread_id = unit.gid
                 records.append(rec)
                 if tracer.enabled:
+                    task = task_of[rec.variant]
                     task_spans.append(
                         SpanRecord(
                             SPAN_TASK,
                             rec.start,
                             rec.finish - rec.start,
-                            f"lane-{job.lane}",
-                            {"kind": "variant",
-                             "id": f"variant:{rec.variant.eps:g}"
-                                   f"/{rec.variant.minpts}",
-                             "deps": sorted(unit.deps)},
+                            job.where,
+                            {"kind": "variant", "id": task.task_id,
+                             "deps": list(task.deps),
+                             "soft": list(task.soft_deps)},
                         )
                     )
             if spans:
@@ -1493,7 +1313,7 @@ class GraphRuntime:
         def handle_shard_success(job: _Job, payload) -> None:
             pipe = job.unit
             assert isinstance(pipe, _ShardPipeline)
-            piece, spans, w_start, w_finish = payload
+            piece, spans, w_start, w_dur = payload
             pipe.inflight.discard(job.region)
             if supervisor is not None:
                 supervisor.job_finished(job.lane)
@@ -1508,26 +1328,23 @@ class GraphRuntime:
             if tracer.enabled:
                 task_spans.append(
                     SpanRecord(
-                        SPAN_TASK,
-                        w_start,
-                        w_finish - w_start,
-                        f"lane-{job.lane}",
-                        {"kind": "shard",
-                         "id": f"shard:{pipe.variant.eps:g}"
-                               f"/{pipe.variant.minpts}#{job.region}",
-                         "deps": []},
+                        SPAN_TASK, w_start, w_dur, job.where,
+                        {"kind": "shard", "id": job.label,
+                         "deps": sorted(pipe.deps)},
                     )
                 )
             if len(pipe.pieces) == pipe.n_regions:
                 merge_pipeline(pipe)
 
         try:
-            if groups:
-                idx_shm, idx_handle = share_index_pair(ctx.indexes, tracer=tracer)
-            for i in range(n_lanes):
-                lanes.append(_Lane(i))
-            if supervisor is not None:
-                mailbox = supervisor.open_mailbox(n_lanes)
+            if inline is None:
+                if groups:
+                    idx_shm, idx_handle = share_index_pair(
+                        ctx.indexes, tracer=tracer
+                    )
+                lanes.extend(_Lane() for _ in range(n_lanes))
+                if supervisor is not None:
+                    mailbox = supervisor.open_mailbox(n_lanes)
             while True:
                 while free_lanes:
                     dispatch = next_dispatch()
@@ -1576,14 +1393,7 @@ class GraphRuntime:
                         job = inflight.pop(match)
                         lanes[job.lane].respawn(hung=True)
                         free_lanes.append(job.lane)
-                        if job.kind == "group":
-                            handle_group_failure(
-                                job, "stuck task: heartbeat stale"
-                            )
-                        else:
-                            handle_shard_failure(
-                                job, "stuck shard: heartbeat stale"
-                            )
+                        handle_failure(job, "stuck: heartbeat stale")
                 if not done_futs:
                     # Watchdog: a truly wedged worker never joins; stop
                     # waiting, kill its lane, and account the failure.
@@ -1594,15 +1404,9 @@ class GraphRuntime:
                             del inflight[fut]
                             lanes[job.lane].respawn(hung=True)
                             free_lanes.append(job.lane)
-                            error = (
-                                "worker exceeded the deadline budget"
-                                if job.kind == "group"
-                                else "shard worker exceeded the deadline budget"
+                            handle_failure(
+                                job, "worker exceeded the deadline budget"
                             )
-                            if job.kind == "group":
-                                handle_group_failure(job, error)
-                            else:
-                                handle_shard_failure(job, error)
                     continue
                 for fut in done_futs:
                     job = inflight.pop(fut, None)
@@ -1613,15 +1417,12 @@ class GraphRuntime:
                     except Exception as exc:
                         if not runner.enabled:
                             raise  # seed semantics: plain runs propagate
-                        lanes[job.lane].respawn()
+                        if lanes:
+                            lanes[job.lane].respawn()
                         free_lanes.append(job.lane)
-                        error = f"worker died: {type(exc).__name__}: {exc}"
-                        if job.kind == "group":
-                            handle_group_failure(job, error)
-                        else:
-                            handle_shard_failure(
-                                job, f"shard {error}"
-                            )
+                        handle_failure(
+                            job, f"worker died: {type(exc).__name__}: {exc}"
+                        )
                         continue
                     free_lanes.append(job.lane)
                     if job.kind == "group":

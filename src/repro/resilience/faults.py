@@ -5,10 +5,11 @@ first-class event; testing that requires *reproducible* failure.  A
 :class:`FaultPlan` is a declarative list of :class:`FaultSpec` entries,
 each keyed on the **canonical variant index** in the batch's
 :class:`~repro.core.variants.VariantSet`, the **attempt number**, and
-the **phase** of the attempt it fires in.  Every executor backend
-honors the plan through the shared resilient runner, so one plan
-produces the same failure schedule on the serial, thread, process, and
-simulated backends.
+the **phase** of the attempt it fires in.  Variant tasks honor the plan
+through the shared resilient runner and shard/merge tasks through the
+runtime's shard pipeline, both shared by inline and process lanes, so
+one plan yields the same per-variant outcomes on every executor (only
+a process-lane worker honors ``kill``/``stall`` in full).
 
 Fault kinds
 -----------
@@ -39,11 +40,9 @@ Fault kinds
     Cooperative delay of ``hang_s`` seconds, then the variant completes
     normally.  Exercises deadline-at-risk detection without failure.
 
-Specs are keyed on the canonical variant index by default; setting
-``task`` instead targets one concrete task-graph node
+Setting ``task`` instead of an index targets one task-graph node
 (``shard:eps/minpts#region`` / ``merge:eps/minpts`` ids from
-:mod:`repro.core.taskgraph`), which the sharded pipelines resolve via
-:meth:`BoundFaultPlan.find_task`.
+:mod:`repro.core.taskgraph`), resolved by :meth:`BoundFaultPlan.find_task`.
 
 Random plans are drawn through :func:`repro.util.rng.resolve_rng`, so a
 seeded :meth:`FaultPlan.random` is bit-reproducible like every other

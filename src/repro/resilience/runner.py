@@ -95,10 +95,10 @@ def classify_replans(report: BatchReport, vset: VariantSet) -> None:
 
 
 class ResilientRunner:
-    """Per-batch recovery state shared by an executor's workers.
+    """Per-batch recovery state shared by a batch's units.
 
-    Thread-safe: the thread backend calls :meth:`execute` concurrently
-    from every worker; outcome accounting locks internally.
+    Outcome accounting locks internally, so one runner may be shared
+    by callers on several threads.
     """
 
     def __init__(self, ctx: RunContext, vset: VariantSet) -> None:

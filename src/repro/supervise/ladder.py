@@ -11,14 +11,15 @@ lowering    hybrid → shard → variant                   intra-variant
                                                        parallelism
 kernel      cellgraph → bfs                            grid-kernel
                                                        throughput
-substrate   lanes → threads → serial                   process isolation
+substrate   lanes → serial                             process isolation
 ==========  =========================================  ================
 
 Every rung produces byte-identical labels (the repo's equivalence
 suites pin this), so degradation trades throughput for survivability
-without touching correctness.  The bottom rung — serial, in the parent
-process — has no pools, no shared memory, and no worker boundary left
-to fail, which is what makes the ladder terminate.
+without touching correctness.  The bottom rung — serial, one unit at a
+time on an inline lane in the parent process — has no pools, no shared
+memory, and no worker boundary left to fail, which is what makes the
+ladder terminate.
 
 The :class:`CircuitBreaker` bounds how much remediation one subject may
 consume: after ``threshold`` failures of the same ``(variant, region)``
@@ -51,8 +52,7 @@ DEFAULT_LADDER = (
     LadderStep("lowering", "hybrid", "shard"),
     LadderStep("lowering", "shard", "variant"),
     LadderStep("kernel", "cellgraph", "bfs"),
-    LadderStep("substrate", "lanes", "threads"),
-    LadderStep("substrate", "threads", "serial"),
+    LadderStep("substrate", "lanes", "serial"),
 )
 
 

@@ -28,9 +28,9 @@ active tracer defaults to a :class:`NullTracer` whose ``span()`` /
 uninstrumented run pays one no-op method call per *phase boundary*
 (thousands per run, not millions) and allocates nothing.
 
-Thread-safety: a single :class:`Tracer` may be shared by every worker
-of the thread backend — record emission appends under a lock, and span
-nesting state lives in ``threading.local``.  Process workers build
+Thread-safety: a single :class:`Tracer` may be shared across threads —
+record emission appends under a lock, and span nesting state lives in
+``threading.local``.  Process workers build
 their own tracer and ship their records back for merging (see
 :mod:`repro.exec.graph`).
 

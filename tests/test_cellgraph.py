@@ -370,7 +370,7 @@ def wiring_reference(two_blobs):
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
 @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes", "simulated"])
+@pytest.mark.parametrize("executor", ["serial", "processes", "simulated"])
 def test_kernel_matches_bfs_reference(
     two_blobs, wiring_reference, executor, scheduler_name, policy_name
 ):

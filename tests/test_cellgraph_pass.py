@@ -165,7 +165,6 @@ class TestBatchEngine:
             runs = {
                 "serial": session.run(self.VSET),
                 "simulated": session.run(self.VSET, executor="simulated", n_threads=3),
-                "threads": session.run(self.VSET, executor="threads", n_threads=2),
                 "processes": session.run(self.VSET, executor="processes", n_threads=2),
                 "hybrid": session.run(
                     self.VSET, executor="hybrid", n_threads=2, regions=2,

@@ -124,22 +124,6 @@ class TestSimulatedExecutor:
                 assert r.from_scratch
 
 
-class TestThreadPool:
-    def test_completes_and_matches(self, blobs, reference_results):
-        batch = run_batch(blobs, VSET, "threads", n_threads=4)
-        assert set(batch.results) == set(VSET)
-        for v in VSET:
-            assert quality_score(reference_results[v], batch.results[v]) >= 0.99
-
-    def test_records_have_thread_ids(self, blobs):
-        batch = run_batch(blobs, VSET, "threads", n_threads=2)
-        assert {r.thread_id for r in batch.record.records} <= {0, 1}
-
-    def test_makespan_positive(self, blobs):
-        batch = run_batch(blobs, VSET, "threads", n_threads=2)
-        assert batch.record.makespan > 0
-
-
 class TestProcessPool:
     def test_partition_covers_all_variants(self):
         groups = partition_reuse_chains(VSET, 3)
@@ -174,7 +158,7 @@ class TestProcessPool:
 class TestRegistry:
     def test_executor_registry(self):
         assert set(EXECUTORS) == {
-            "serial", "simulated", "threads", "processes", "sharded", "hybrid"
+            "serial", "simulated", "processes", "sharded", "hybrid"
         }
 
     def test_record_carries_config(self, blobs):

@@ -30,6 +30,17 @@ from repro.util.rng import resolve_rng
 
 VSET = VariantSet.from_product([0.4, 0.5, 0.6], [4, 6])
 
+#: Lowering-matrix inputs: case id -> (executor, shard knobs).
+#: ``simulated`` follows the knobs into shard or hybrid lowering.
+LOWERING_CASES = {
+    "processes": ("processes", {}),
+    "sharded": ("sharded", {"regions": 2}),
+    "hybrid": ("hybrid", {"regions": 2, "shard_threshold": 0}),
+    "simulated": ("simulated", {}),
+    "simulated-shard": ("simulated", {"regions": 2}),
+    "simulated-hybrid": ("simulated", {"shard_threshold": 0}),
+}
+
 #: Policy subset for the equality matrix (the full registry is already
 #: swept by the recovery grid in tests/test_resilience.py).
 MATRIX_POLICIES = ("CLUSDENSITY", "CLUSSIZE")
@@ -91,17 +102,13 @@ def _hybrid_partition(points) -> tuple[set[Variant], list[Variant]]:
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("policy", MATRIX_POLICIES)
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-@pytest.mark.parametrize(
-    "executor", ["threads", "processes", "sharded", "hybrid", "simulated"]
-)
+@pytest.mark.parametrize("case", sorted(LOWERING_CASES))
 class TestLoweringMatrix:
     def test_matches_serial_reference(
-        self, points, baseline, executor, scheduler, policy, kernel
+        self, points, baseline, case, scheduler, policy, kernel
     ):
         assert policy in POLICIES
-        kw: dict = {"regions": 2} if executor in ("sharded", "hybrid") else {}
-        if executor == "hybrid":
-            kw["shard_threshold"] = 0
+        executor, kw = LOWERING_CASES[case]
         with Session(points) as s:
             batch = s.run(
                 VSET,
@@ -114,6 +121,9 @@ class TestLoweringMatrix:
             )
         assert set(batch.results) == set(VSET)
         assert_canonical_equal(batch, baseline)
+        # Every record is timed on one clock: its lane set's.
+        for rec in batch.record.records:
+            assert rec.response_time == pytest.approx(rec.finish - rec.start)
 
 
 # ----------------------------------------------------------------------

@@ -35,11 +35,7 @@ class TestPipeline:
         pts = sw_tiny.points
         with Session(pts) as session:
             ref = reference_run(pts, VSET, index=session.indexes().t_high)
-            for executor, n_threads in (
-                ("serial", 1),
-                ("simulated", 4),
-                ("threads", 2),
-            ):
+            for executor, n_threads in (("serial", 1), ("simulated", 4)):
                 batch = session.run(VSET, executor=executor, n_threads=n_threads)
                 for v in VSET:
                     assert quality_score(ref.results[v], batch.results[v]) >= 0.99, (

@@ -58,7 +58,7 @@ from repro.util.errors import (
 )
 from repro.util.rng import resolve_rng
 
-EXECUTORS = ["serial", "threads", "simulated", "processes"]
+EXECUTORS = ["serial", "simulated", "processes"]
 
 
 def _repro_segments() -> set[str]:
@@ -304,7 +304,7 @@ class TestPermanentFailure:
 # Acceptance scenario: crashed donors + a hung variant, no abort
 # ----------------------------------------------------------------------
 class TestAcceptanceScenario:
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("executor", ["simulated", "processes"])
     def test_two_dead_donors_one_hang(self, points, baseline, executor):
         assert len(VSET) >= 12
         tree = dependency_tree(VSET)

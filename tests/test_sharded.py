@@ -45,6 +45,7 @@ from repro.core.shard import (
     shard_members,
     sharded_dbscan,
 )
+from repro.core.taskgraph import merge_task_id
 from repro.core.variants import Variant, VariantSet
 from repro.engine.factory import INDEX_KINDS
 from repro.engine.session import Session
@@ -423,25 +424,39 @@ class TestShardedResilience:
         # no leaked shared-memory segments (the `repro doctor` contract)
         assert _repro_segments() <= before
 
-    def test_corrupt_merge_retries_whole_variant(self, cloud, oracle):
-        plan = FaultPlan([FaultSpec("corrupt", 1, phase="finish")])
+    @pytest.mark.parametrize("keyed", ["variant", "merge"])
+    @pytest.mark.parametrize("executor", ["sharded", "simulated"])
+    def test_corrupt_merge_retries_whole_variant(
+        self, cloud, oracle, executor, keyed
+    ):
+        target = list(EXEC_VSET)[1]
+        spec = (
+            FaultSpec("corrupt", 1, phase="finish")
+            if keyed == "variant"
+            else FaultSpec(
+                "corrupt", -1, task=merge_task_id(target), phase="finish"
+            )
+        )
         with Session(cloud) as s:
             batch = s.run(
-                EXEC_VSET, executor="sharded", n_threads=2, regions=2,
-                retry_policy=RetryPolicy(max_retries=2), fault_plan=plan,
+                EXEC_VSET, executor=executor, n_threads=2, regions=2,
+                retry_policy=RetryPolicy(max_retries=2),
+                fault_plan=FaultPlan([spec]),
             )
         for v in EXEC_VSET:
             assert np.array_equal(batch[v].labels, oracle[v].labels)
-        target = list(EXEC_VSET)[1]
         assert batch.report.outcomes[target].status is VariantStatus.RETRIED
 
-    def test_budget_exhaustion_fails_only_that_variant(self, cloud, oracle):
+    @pytest.mark.parametrize("executor", ["sharded", "simulated"])
+    def test_budget_exhaustion_fails_only_that_variant(
+        self, cloud, oracle, executor
+    ):
         plan = FaultPlan([
             FaultSpec("crash", 0, attempt=a) for a in range(4)
         ])
         with Session(cloud) as s:
             batch = s.run(
-                EXEC_VSET, executor="sharded", n_threads=2, regions=2,
+                EXEC_VSET, executor=executor, n_threads=2, regions=2,
                 retry_policy=RetryPolicy(max_retries=1), fault_plan=plan,
             )
         target = list(EXEC_VSET)[0]

@@ -265,10 +265,10 @@ class TestRemediationLoop:
         mid_budget = proposer.propose(anomaly)
         assert [a.kind for a in mid_budget] == ["resubmit-task"]
         exhausted = proposer.propose(
-            anomaly, ladder_hint="substrate:lanes→threads"
+            anomaly, ladder_hint="substrate:lanes→serial"
         )
         assert [a.kind for a in exhausted] == ["degrade"]
-        assert "substrate:lanes→threads" in exhausted[0].detail
+        assert "substrate:lanes→serial" in exhausted[0].detail
 
     def test_register_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown anomaly kind"):
@@ -295,14 +295,14 @@ class TestLadder:
         ladder = DegradationLadder()
         assert ladder.rungs("lowering") == ("hybrid", "shard", "variant")
         assert ladder.rungs("kernel") == ("cellgraph", "bfs")
-        assert ladder.rungs("substrate") == ("lanes", "threads", "serial")
+        assert ladder.rungs("substrate") == ("lanes", "serial")
         assert ladder.axes == ("kernel", "lowering", "substrate")
 
     def test_next_step_and_floor(self):
         ladder = DegradationLadder()
         step = ladder.next_step("substrate", "lanes")
-        assert (step.source, step.target) == ("lanes", "threads")
-        assert step.label == "substrate:lanes→threads"
+        assert (step.source, step.target) == ("lanes", "serial")
+        assert step.label == "substrate:lanes→serial"
         assert ladder.next_step("substrate", "serial") is None
         assert ladder.floor("substrate") == "serial"
         assert ladder.floor("lowering") == "variant"
@@ -319,8 +319,8 @@ class TestLadder:
         with pytest.raises(ValueError, match="chain"):
             DegradationLadder(
                 (
-                    LadderStep("substrate", "lanes", "threads"),
                     LadderStep("substrate", "lanes", "serial"),
+                    LadderStep("substrate", "lanes", "inline"),
                 )
             )
 
@@ -351,19 +351,15 @@ class TestLadder:
             axis="substrate", rung="lanes",
         )
         assert rec.decision == "applied" and rec.action.kind == "degrade"
-        assert (step.source, step.target) == ("lanes", "threads")
+        assert (step.source, step.target) == ("lanes", "serial")
         rec2, step2 = sup.on_exhausted(
             "group:g0", submissions=4, budget=3, blast_radius=0.1,
-            axis="substrate", rung="threads",
-        )
-        assert (step2.source, step2.target) == ("threads", "serial")
-        rec3, step3 = sup.on_exhausted(
-            "group:g0", submissions=5, budget=3, blast_radius=0.1,
             axis="substrate", rung="serial",
         )
-        # Third strike trips the default breaker *and* serial is the
-        # floor; either way no step comes back.
-        assert step3 is None
+        # Serial is the floor: no step comes back.
+        assert step2 is None
+        assert rec2.decision == "recommended"
+        assert "floor" in rec2.detail
 
 
 # ----------------------------------------------------------------------

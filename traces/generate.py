@@ -6,7 +6,7 @@ Run from the repository root::
 
 Each trace is a :func:`repro.obs.export.write_jsonl` file from one
 supervised run with injected faults (plus one deterministic simulated
-run).  They are committed as fixtures for the trace-replay race
+run without faults).  They are committed as fixtures for the trace-replay race
 checker::
 
     PYTHONPATH=src python -m repro check --traces traces/*.jsonl
@@ -102,10 +102,33 @@ def chaos_sharded(points: np.ndarray) -> None:
     _write("chaos_sharded.jsonl", batch, tracer)
 
 
+def chaos_sim(points: np.ndarray) -> None:
+    """Inline lanes, hybrid lowering, a corrupted root merge retried."""
+    root = VSET[0]
+    plan = FaultPlan(
+        [
+            FaultSpec(
+                "corrupt", -1, task=f"merge:{root.eps:g}/{root.minpts}",
+                attempt=0, phase="finish",
+            )
+        ]
+    )
+    tracer = Tracer()
+    with use_tracer(tracer), Session(points) as s:
+        batch = s.run(
+            VSET, executor="simulated", n_threads=2, shard_threshold=0,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=2),
+            supervise=AUTONOMOUS,
+        )
+    _write("chaos_sim.jsonl", batch, tracer)
+
+
 SCENARIOS = {
     "sim_hybrid": sim_hybrid,
     "chaos_processes": chaos_processes,
     "chaos_sharded": chaos_sharded,
+    "chaos_sim": chaos_sim,
 }
 
 
