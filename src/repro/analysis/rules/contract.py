@@ -4,9 +4,8 @@ The recovery-transparency grid (tests/test_resilience.py) and the
 canonical-label equivalence suite hold *because* every executor name
 runs on the shared task-graph runtime
 (:class:`repro.exec.graph.GraphRuntime`), which is the single place
-that owns worker pools and routes fault handling through
-:class:`repro.resilience.runner.ResilientRunner` (the consumer of the
-:class:`FaultPlan`).  dislib's history shows what happens when
+that owns worker pools and handles every failure in its one failure
+path (the consumer of the :class:`FaultPlan` and the retry budgets).  dislib's history shows what happens when
 distributed backends drift: one grows a private pool the others lack,
 and every cross-backend equivalence claim silently narrows.  This rule
 pins the contract:

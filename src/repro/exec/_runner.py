@@ -12,11 +12,19 @@ by the run's :class:`~repro.engine.context.RunContext`:
   completed registry, then VariantDBSCAN (or DBSCAN from scratch).
 
 Either way the step ends by building the variant's run record.
+
+:func:`attempt_variant` wraps the step in one attempt (fault injection,
+integrity audit, deadline check) and :func:`run_chain` runs a unit's
+variants one attempt each, stopping at the first failure.  What follows
+a failure is decided by the runtime (:mod:`repro.exec.graph`), never
+here.
 """
 
 from __future__ import annotations
 
 import threading
+import time
+from collections.abc import Callable
 
 from repro.core.cellgraph import MinptsPass
 from repro.core.result import ClusteringResult
@@ -28,8 +36,17 @@ from repro.index.cellgraph import CellGraphIndex
 from repro.metrics.counters import WorkCounters
 from repro.metrics.records import VariantRunRecord
 from repro.obs.span import Tracer, resolve_tracer
+from repro.resilience.faults import BoundFaultPlan, FaultSpec, fire, verify_result
+from repro.resilience.policy import RetryPolicy
+from repro.util.errors import VariantTimeoutError
 
-__all__ = ["PassMemo", "execute_variant"]
+__all__ = [
+    "PassMemo",
+    "attempt_variant",
+    "execute_variant",
+    "finish_attempt",
+    "run_chain",
+]
 
 
 class PassMemo:
@@ -162,3 +179,116 @@ def execute_variant(
         counters=counters,
     )
     return result, record
+
+
+def finish_attempt(
+    result: ClusteringResult,
+    spec: FaultSpec | None,
+    policy: RetryPolicy | None,
+    n_points: int,
+    started_at: float,
+) -> None:
+    """The tail every attempt shares: a finish-phase fault, then the audit.
+
+    ``spec`` is the attempt's finish-phase fault (``corrupt`` damages
+    ``result``); the :func:`verify_result` audit runs only when the run
+    has a retry policy.  The parent-side shard merge ends the same way.
+    """
+    fire(
+        spec,
+        deadline_s=policy.deadline_s if policy is not None else None,
+        started_at=started_at,
+        result=result,
+    )
+    if policy is not None:
+        verify_result(result, n_points)
+
+
+def attempt_variant(
+    ctx: RunContext,
+    planned: PlannedVariant,
+    vset: VariantSet,
+    registry: CompletedRegistry,
+    attempt: int,
+    *,
+    faults: BoundFaultPlan | None = None,
+    policy: RetryPolicy | None = None,
+    concurrency: int | None = None,
+    before: float | None = None,
+    passes: PassMemo | None = None,
+) -> tuple[ClusteringResult, VariantRunRecord]:
+    """One attempt at one variant: faults, kernel, audit, deadline check.
+
+    ``attempt`` is the variant's own attempt number (the runtime counts
+    them), which keys the fault-plan lookups.  Raises on any failure.
+    """
+    variant = planned.variant
+    deadline_s = policy.deadline_s if policy is not None else None
+    t0 = time.perf_counter()
+    if faults:
+        fire(
+            faults.find(variant, attempt, "start"),
+            deadline_s=deadline_s,
+            started_at=t0,
+        )
+    result, record = execute_variant(
+        ctx, planned, vset, registry,
+        concurrency=concurrency, before=before, passes=passes,
+    )
+    finish_attempt(
+        result,
+        faults.find(variant, attempt, "finish") if faults else None,
+        policy,
+        ctx.store.n_points,
+        t0,
+    )
+    elapsed = time.perf_counter() - t0
+    if deadline_s is not None and elapsed > deadline_s:
+        raise VariantTimeoutError(
+            f"variant {variant} attempt {attempt} took {elapsed:.3f}s "
+            f"(deadline {deadline_s:g}s)"
+        )
+    return result, record
+
+
+def run_chain(
+    ctx: RunContext,
+    vset: VariantSet,
+    todo: list[tuple[PlannedVariant, int]],
+    registry: CompletedRegistry,
+    done: Callable[[ClusteringResult, VariantRunRecord], float],
+    *,
+    faults: BoundFaultPlan | None = None,
+    policy: RetryPolicy | None = None,
+    concurrency: int | None = None,
+    before: float | None = None,
+    passes: PassMemo | None = None,
+    beat: Callable[[str], None] | None = None,
+) -> tuple[Variant, Exception] | None:
+    """One unit attempt: each ``(planned, attempt)`` of ``todo`` once, in order.
+
+    ``vset`` is the unit's whole chain (it normalizes reuse distances,
+    so a resubmitted suffix picks the same sources), ``registry`` holds
+    its donors, and ``done`` stamps each completed record and returns
+    its finish time.  Stops at the first failure and returns the
+    failing variant and its error, so the next variant of the chain
+    runs only after the runtime has retried or dropped this one.
+    Without a retry ``policy`` the error propagates instead.
+    """
+    for planned, attempt in todo:
+        variant = planned.variant
+        if beat is not None:
+            # Beat *before* the attempt: a stall fault freezes the
+            # counter mid-task, which is what the parent's monitor sees.
+            beat(f"variant:{variant.eps:g}/{variant.minpts}")
+        try:
+            result, record = attempt_variant(
+                ctx, planned, vset, registry, attempt, faults=faults, policy=policy,
+                concurrency=concurrency, before=before, passes=passes,
+            )
+        except Exception as exc:
+            if policy is None:
+                raise
+            return variant, exc
+        registry.add(variant, result, finished_at=done(result, record))
+    return None

@@ -20,11 +20,19 @@ set* that loop dispatches onto:
     chain run inside :func:`_chain_worker`; shard tasks fan out one
     region per lane and merge in the parent.
 
-Both lane sets share shard dispatch, the parent-side merge, checkpoint
-and outcome accounting, the failure handlers and the supervisor hooks,
-so a fault plan fires, and supervision acts, the same way on both.
-Every run record's ``response_time`` is ``finish - start`` on its lane
-set's clock.
+**One failure path.**  A unit attempt runs each unfinished variant of
+its unit once, in chain order (:func:`repro.exec._runner.run_chain`),
+and stops at the first failure.  Every lost attempt — a variant that
+raised, timed out or failed its audit, a dead, hung or stuck worker, a
+failed shard or a damaged merge — lands in the dispatch loop's one
+failure handler.  It charges the attempt to the variants concerned,
+then retries the unfinished suffix after a backoff, asks the
+supervisor's risk gate, steps the unit down the degradation ladder, or
+drops a variant permanently.  Checkpoint saves, outcome statuses and
+backoff are computed once, in the parent, so a fault plan fires, and
+supervision acts, the same way on both lane sets.  Every
+run record's ``response_time`` is ``finish - start`` on its lane set's
+clock.
 
 Documented simplification: lane workers cannot share completed results
 mid-flight (process isolation), so cross-group reuse is forfeited,
@@ -76,24 +84,23 @@ from repro.engine.factory import (
 )
 from repro.engine.shm import destroy_segment, release_segment
 from repro.engine.store import PointStore, PointStoreHandle
+from repro.exec._runner import PassMemo, finish_attempt, run_chain
 from repro.exec.base import BatchResult
 from repro.exec.cost import CostModel
 from repro.metrics.counters import WorkCounters
 from repro.metrics.records import BatchRunRecord, VariantRunRecord
 from repro.obs.span import SPAN_TASK, SpanRecord, Tracer, set_tracer
-from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import (
     BoundFaultPlan,
     FaultSpec,
     allow_kill_faults,
-    corrupt_result,
-    verify_result,
+    fire,
 )
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.report import BatchReport, VariantOutcome, VariantStatus
-from repro.resilience.runner import EVENT_RETRY, ResilientRunner
+from repro.resilience.report import BatchReport, VariantOutcome, VariantStatus, classify_replans
 from repro.supervise.signals import PulseHandle, worker_pulse
 from repro.supervise.supervisor import Supervisor
+from repro.util.errors import CorruptResultError, VariantTimeoutError
 
 __all__ = [
     "EVENT_SHARD_PLAN",
@@ -104,6 +111,12 @@ __all__ = [
 
 #: Instant event emitted once per batch describing the shard partition.
 EVENT_SHARD_PLAN = "shard_plan"
+
+#: Obs instant events of the failure path.
+EVENT_RETRY = "variant_retry"
+EVENT_TIMEOUT = "variant_timeout"
+EVENT_FAILED = "variant_failed"
+EVENT_RESUMED = "variant_resumed"
 
 #: Recognized execution substrates (see module docstring).
 SUBSTRATES = ("sim", "lanes")
@@ -164,54 +177,45 @@ def partition_reuse_chains(
     return [b for b in bins if b]
 
 
-class _FixedOrderScheduler(SchedGreedy):
-    """SCHEDGREEDY source selection, but a caller-specified queue order."""
-
-    name = "SCHEDGREEDY(chain)"
-
-    def __init__(self, order: list[Variant]) -> None:
-        self._order = list(order)
-
-    def plan(self, vset: VariantSet) -> list[PlannedVariant]:
-        return [PlannedVariant(v) for v in self._order]
-
-
 def _chain_worker(
     store_handle: PointStoreHandle,
     idx_handle: IndexPairHandle,
-    variant_tuples: list[tuple[float, int]],
+    chain: list[tuple[float, int]],
+    todo: list[tuple[PlannedVariant, int]],
     donors: list[tuple[tuple[float, int], ClusteringResult]],
     reuse_policy_name: str,
     cost_model: CostModel,
     t0: float,
     batch_size: int,
     trace: bool,
-    retry_policy: RetryPolicy | None = None,
-    fault_plan: BoundFaultPlan | None = None,
-    checkpoint_root: str | None = None,
+    policy: RetryPolicy | None = None,
+    faults: BoundFaultPlan | None = None,
     kernel: str = "bfs",
     pulse: PulseHandle | None = None,
     thread_id: int = 0,
 ):
-    """Run one reuse-chain group serially inside a lane worker process.
+    """Run one attempt of a reuse-chain unit inside a lane worker process.
+
+    ``chain`` is the unit's whole chain (its variant set normalizes
+    reuse distances), ``todo`` the ``(planned variant, attempt)`` pairs
+    still to run, in chain order, and ``donors`` the results they may
+    reuse: sharded donors the chain hard-depends on and the chain's own
+    completed prefix.  Donors are seeded into the worker's completed
+    registry at t = 0 (the registry accepts out-of-set donors —
+    inclusion checks are pure variant arithmetic), so a resubmitted
+    suffix sees exactly the sources it would have seen in one pass.
 
     The worker attaches the parent's shared point segment and index
     pack (zero-copy views; spans ``shm_attach``) instead of receiving
-    pickled points and rebuilding both trees.  ``donors`` carries the
-    completed results of sharded donors this group hard-depends on;
-    they are seeded into the worker's completed registry at t = 0 so
-    the group's head can reuse them (the registry accepts out-of-set
-    donors — inclusion checks are pure variant arithmetic).  The
-    tracer cannot cross the process boundary, so each worker builds its
-    own; spans are rebased onto the batch wall window and shipped back
-    as plain records.
+    pickled points and rebuilding both trees.  The tracer cannot cross
+    the process boundary, so each worker builds its own; spans are
+    rebased onto the batch wall window and shipped back as plain
+    records.  ``kill`` faults are armed here, and only in workers, so
+    they terminate a worker process and never an in-process caller.
 
-    The parent ships its retry policy, the already-bound fault plan
-    (re-keyed by the group's submission attempt, see
-    :meth:`BoundFaultPlan.shifted`) and the checkpoint root, so the
-    in-worker :class:`ResilientRunner` runs the same recovery loop as an
-    inline lane.  ``kill`` faults are armed here, and only in workers,
-    so they terminate a worker process and never an in-process caller.
+    Returns the completed ``(result, record)`` pairs, the first failure
+    as ``(variant, error)`` (``None`` when the whole suffix ran) and the
+    worker's spans.
     """
     allow_kill_faults(True)
     tracer = Tracer() if trace else None
@@ -230,66 +234,50 @@ def _chain_worker(
     store: PointStore | None = None
     idx_shm = None
     ctx = indexes = None
-    results: dict[Variant, ClusteringResult] = {}
-    records: list[VariantRunRecord] = []
+    pairs: list[tuple[ClusteringResult, VariantRunRecord]] = []
+    clock = 0.0
+
+    def done(result: ClusteringResult, record: VariantRunRecord) -> float:
+        nonlocal clock
+        record.start = clock
+        clock += record.response_time
+        record.finish = clock
+        record.thread_id = thread_id
+        pairs.append((result, record))
+        return clock
+
     try:
         store = PointStore.attach(store_handle, tracer=tracer)
         idx_shm, indexes = attach_index_pair(
             idx_handle, store.points, tracer=tracer
         )
-        order = [Variant(e, m) for e, m in variant_tuples]
-        vset = VariantSet(order)
-        checkpoint = (
-            CheckpointStore(checkpoint_root, store.fingerprint, store.n_points)
-            if checkpoint_root
-            else None
-        )
         ctx = RunContext(
             store=store,
             indexes=indexes,
-            scheduler=_FixedOrderScheduler(order),
+            scheduler=SchedGreedy(),
             reuse_policy=POLICIES[reuse_policy_name],
             cost_model=cost_model,
             n_threads=1,
             batch_size=batch_size,
-            dataset="",
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
             kernel=kernel,
             factory=IndexFactory(),
             **({"tracer": tracer} if tracer is not None else {}),
         )
-        runner = ResilientRunner(ctx, vset)
         registry = CompletedRegistry()
-        done = runner.resume_into(registry, results, records)
-        # Sharded donors completed before this group was even submitted;
-        # t = 0 makes them eligible for the whole chain.  They are *not*
-        # part of the worker's variant set (resume/record bookkeeping
-        # iterates the set), only reuse sources.
         for (e, m), donor_result in donors:
             registry.add(Variant(e, m), donor_result, finished_at=0.0)
-        clock = 0.0
-        for planned in ctx.scheduler.plan(vset):
-            if planned.variant in done:
-                continue
-            if hb is not None:
-                # Beat *before* the attempt: a stall fault freezes the
-                # counter mid-task, which is exactly what the parent's
-                # HealthMonitor is looking for.
-                hb.beat(
-                    f"variant:{planned.variant.eps:g}/{planned.variant.minpts}"
-                )
-            result, record = runner.execute(planned, registry, concurrency=1)
-            if result is None:  # permanent failure: skip, group continues
-                continue
-            record.start = clock
-            clock += record.response_time
-            record.finish = clock
-            record.thread_id = thread_id
-            registry.add(planned.variant, result, finished_at=clock)
-            results[planned.variant] = result
-            records.append(record)
+        failed = run_chain(
+            ctx,
+            VariantSet([Variant(e, m) for e, m in chain]),
+            todo,
+            registry,
+            done,
+            faults=faults,
+            policy=policy,
+            concurrency=1,
+            passes=PassMemo(VariantSet([p.variant for p, _ in todo])),
+            beat=hb.beat if hb is not None else None,
+        )
     finally:
         # Drop every view into the segments before unmapping; both
         # closes tolerate lingering exports (OS reclaims at exit).
@@ -305,22 +293,17 @@ def _chain_worker(
     # Re-stamp the work-unit timestamps onto the worker's wall window.
     span = finish - start
     total = clock or 1.0
-    for rec in records:
+    for _, rec in pairs:
         rec.start = start + rec.start / total * span
         rec.finish = start + rec.finish / total * span
         rec.response_time = rec.finish - rec.start
-    batch = BatchResult(
-        results=results,
-        record=BatchRunRecord(records=records, n_threads=1, makespan=clock),
-        report=runner.report(),
-    )
     spans = None
     if tracer is not None:
         spans = tracer.drain()
         for s in spans:
             s.t0 = s.t0 - perf_start + start
         set_tracer(None)
-    return batch, spans
+    return pairs, failed, spans
 
 
 def _shard_worker(
@@ -369,10 +352,7 @@ def _shard_worker(
         if hb is not None:
             # Before the fault fires: a stall freezes the counter here.
             hb.beat(task_label or "shard")
-        if fault_spec is not None:
-            BoundFaultPlan({}).fire(
-                fault_spec, deadline_s=deadline_s, started_at=perf_start
-            )
+        fire(fault_spec, deadline_s=deadline_s, started_at=perf_start)
         piece = cluster_shard(
             store.points,
             plan,
@@ -409,11 +389,21 @@ class _GroupUnit:
     """Variant tasks run as one unit (a chain on a process lane, one task inline)."""
 
     gid: int
-    variants: list[Variant]
+    variants: list[Variant]  # the whole chain: its set normalizes reuse distances
+    todo: list[PlannedVariant]  # unfinished, in chain order
     deps: set[str]  # merge-task ids of sharded donors
-    submissions: int = 0
+    budget: int  # attempts each variant may use up to on the current rung
+    rung: str = "lanes"  # "lanes": a chain worker; "serial": an inline lane
+    kernel: str | None = None  # a ladder step's kernel override
+    merge_id: str | None = None  # set when a shard pipeline was lowered to this
+    degraded: str | None = None  # the ladder step this unit took
+    ready_after: float = 0.0  # time.monotonic() a retry's backoff ends
     running: bool = False
     done: bool = False
+
+    @property
+    def label(self) -> str:
+        return self.merge_id or f"group:{self.gid}"
 
 
 @dataclass
@@ -425,13 +415,16 @@ class _ShardPipeline:
     deps: set[str]  # sequencing edges (shard mode) — empty in hybrid
     merge_id: str
     shard_ids: tuple[str, ...]
-    attempt: int = 0  # advances once per absorbed recovery round
-    started_at: float = 0.0  # perf_counter at first dispatch
-    started: bool = False
+    budget: int
+    ready_after: float = 0.0
+    started_at: float = 0.0  # perf_counter at first dispatch (0: not yet)
     done: bool = False
-    last_error: str | None = None
     pieces: dict[int, tuple[ShardPiece, float]] = field(default_factory=dict)
     inflight: set[int] = field(default_factory=set)
+
+    @property
+    def label(self) -> str:
+        return self.merge_id
 
     def pending_regions(self) -> list[int]:
         return [
@@ -445,12 +438,11 @@ class _ShardPipeline:
 class _Job:
     """Bookkeeping for one in-flight unit."""
 
-    kind: str  # "group" | "shard"
-    unit: object  # _GroupUnit | _ShardPipeline
+    unit: _GroupUnit | _ShardPipeline
     lane: int
     deadline: float | None  # absolute time.monotonic() watchdog budget
     region: int = -1
-    stamp: int = -1  # pipeline attempt at submission (staleness check)
+    stamp: int = -1  # the variant's attempt at submission (staleness check)
     label: str = ""  # supervisor task label ("group:N" / shard task id)
     where: str = ""  # task-span thread name
 
@@ -511,6 +503,20 @@ def _resolved(fn, *args) -> Future:
     return fut
 
 
+def _settle(
+    outcomes: dict,
+    variant: Variant,
+    status: VariantStatus,
+    attempts: int,
+    error: str | None = None,
+    degraded: str | None = None,
+) -> None:
+    """Write ``variant``'s outcome: the one place a status is set."""
+    outcomes[variant] = VariantOutcome(
+        variant, status, attempts=attempts, error=error, degraded=degraded
+    )
+
+
 class GraphRuntime:
     """Execute a lowered :class:`TaskGraph` on one lane set.
 
@@ -533,13 +539,45 @@ class GraphRuntime:
         self, ctx: RunContext, variants: VariantSet, *, mode: str = "variant"
     ) -> BatchResult:
         tracer = ctx.tracer
-        runner = ResilientRunner(ctx, variants)
+        faults = ctx.fault_plan.bind(variants) if ctx.fault_plan else None
+        policy = ctx.retry_policy
+        if policy is None and ctx.supervisor is not None:
+            # Supervision without an explicit policy: self-healing needs
+            # a retry budget for its respawn/resubmit remediations.
+            policy = RetryPolicy()
+        elif policy is None and (faults or ctx.checkpoint is not None):
+            # Faults or a checkpoint without a policy: capture failures
+            # into the report (no retries) instead of aborting the batch.
+            policy = RetryPolicy(max_retries=0)
+        outcomes: dict[Variant, VariantOutcome] = {}
         registry = CompletedRegistry()
         results: dict[Variant, ClusteringResult] = {}
         records: list[VariantRunRecord] = []
-        done = runner.resume_into(registry, results, records)
+        if ctx.checkpoint is not None:
+            # A loaded result is genuine for this database fingerprint,
+            # so it is registered at t = 0 as a legal donor.
+            for variant in variants:
+                result = ctx.checkpoint.load(variant)
+                if result is None:
+                    continue
+                registry.add(variant, result, finished_at=0.0)
+                results[variant] = result
+                records.append(
+                    VariantRunRecord(
+                        variant=variant,
+                        reused_from=result.reused_from,
+                        points_reused=result.points_reused,
+                        reuse_fraction=result.reuse_fraction,
+                        response_time=0.0,
+                        wall_time=0.0,
+                        n_clusters=result.n_clusters,
+                        n_noise=result.n_noise,
+                    )
+                )
+                _settle(outcomes, variant, VariantStatus.RESUMED, 0)
+                tracer.instant(EVENT_RESUMED, variant=str(variant))
         plan = [
-            p for p in ctx.scheduler.plan(variants) if p.variant not in done
+            p for p in ctx.scheduler.plan(variants) if p.variant not in results
         ]
         base_plan: ShardPlan | None = None
         n_regions = 1
@@ -576,14 +614,18 @@ class GraphRuntime:
             )
         if len(graph):
             self._dispatch(
-                ctx, runner, graph, base_plan, registry, results, records,
+                ctx, variants, graph, base_plan, registry, results, records,
+                policy=policy, faults=faults, outcomes=outcomes,
                 supervisor=supervisor,
             )
         makespan = max((r.finish for r in records), default=0.0)
         batch_record = BatchRunRecord(
             records=records, n_threads=ctx.n_threads, makespan=makespan
         )
-        report = runner.report()
+        report = None
+        if policy is not None:  # else errors propagated: no report
+            report = BatchReport(outcomes=outcomes)
+            classify_replans(report, variants)
         if supervisor is not None:
             # Dangling verifications fail, orphaned segments are reclaimed.
             supervisor.finalize()
@@ -595,48 +637,55 @@ class GraphRuntime:
     def _dispatch(
         self,
         ctx: RunContext,
-        runner: ResilientRunner,
+        variants: VariantSet,
         graph: TaskGraph,
         base_plan: ShardPlan | None,
         registry: CompletedRegistry,
         results: dict,
         records: list,
+        *,
+        policy: RetryPolicy | None,
+        faults: BoundFaultPlan | None,
+        outcomes: dict,
         supervisor: Supervisor | None = None,
     ) -> None:
         """Dependency-aware dispatch of variant units and shards.
 
-        Units dispatch in graph order once their hard deps are settled.
-        On process lanes a variant unit is a reuse-chain group run by a
-        :func:`_chain_worker`, with one submission counter per group,
-        fault plans re-keyed with :meth:`BoundFaultPlan.shifted` on
-        resubmission, and a respawn budget extended by the number of
-        *planned* kills.  On inline lanes a unit is one variant task run
-        against the parent's registry with ``before = start``; it runs
-        at submission and returns a finished future, so one unit is in
-        flight at a time.  Shard pipelines are shared: one attempt per
-        recovery round, completed regions keep their pieces, and
-        finish-phase faults retry the whole variant.
+        Units dispatch in graph order once their hard deps are settled
+        and their backoff has ended; inline lanes keep graph order
+        strictly, so a unit waiting out its backoff holds the lane.  On
+        process lanes a variant unit is a reuse-chain group run by a
+        :func:`_chain_worker`; on inline lanes it is one variant task
+        run against the parent's registry with ``before = start``, at
+        submission, so one unit is in flight at a time.  A unit on the
+        ladder's serial rung runs inline too, in the parent, on the
+        wall clock.  Shard pipelines keep completed regions' pieces;
+        a failed merge re-runs every region.
 
-        When a :class:`Supervisor` is attached, the loop polls it
-        between units; on process lanes every lane also gets a
-        heartbeat-mailbox slot, and stale lanes are respawned.  Crash
-        loops and corruption retries pass its risk gate, and a unit
-        that exhausts its submission budget steps down the degradation
-        ladder (a serial re-run on an inline lane; shard→variant
-        lowering for pipelines).  Every decision is traced and lands in
+        Each variant carries its own attempt count, shipped with every
+        submission so fault-plan lookups key on it.  Its budget is
+        ``max_attempts`` plus the plan's ``kill`` faults, so collateral
+        deaths never exhaust an innocent variant.  ``fail`` is the one
+        failure handler (see the module docstring); with a
+        :class:`Supervisor` attached it also gates crash loops and
+        corrupt merges, steps exhausted units down the ladder, and —
+        on process lanes — respawns lanes whose heartbeat went stale.
+        Every decision is traced and lands in
         ``BatchReport.remediations``.
         """
         tracer = ctx.tracer
-        policy = runner.policy
         max_attempts = policy.max_attempts if policy is not None else 1
-        planned_kills = (
-            sum(1 for s in runner.faults.table.values() if s.kind == "kill")
-            if runner.faults
-            else 0
-        )
-        max_submissions = max_attempts + planned_kills
+        kills = sum(s.kind == "kill" for s in faults.table.values()) if faults else 0
+        budget = max_attempts + kills
         deadline = policy.deadline_s if policy is not None else None
         inline = _InlineLanes(ctx.n_threads) if self.substrate == "sim" else None
+        # Failed attempts per variant, and the last error of each.
+        attempts = dict.fromkeys(variants, 0)
+        last_error: dict[Variant, str] = {}
+        # Canonical batch index: the backoff jitter key of a variant.
+        index_of = {v: i for i, v in enumerate(variants)}
+        # The batch's cell-graph passes, one per eps (inline lanes).
+        passes = PassMemo(variants)
 
         variant_tasks = graph.variant_tasks()
         merge_tasks = graph.merge_tasks()
@@ -649,7 +698,12 @@ class GraphRuntime:
         groups: list[_GroupUnit] = []
         if inline is not None:
             for t in variant_tasks:
-                groups.append(_GroupUnit(len(groups), [t.variant], set(t.deps)))
+                groups.append(
+                    _GroupUnit(
+                        len(groups), [t.variant], [t.planned], set(t.deps),
+                        budget, rung="serial",
+                    )
+                )
         elif variant_tasks:
             # Group the plain variants along the *global* reuse forest
             # (so a sharded root's subtree stays one chain), then drop
@@ -663,7 +717,12 @@ class GraphRuntime:
                 deps: set[str] = set()
                 for v in kept:
                     deps.update(task_of[v].deps)
-                groups.append(_GroupUnit(len(groups), kept, deps))
+                groups.append(
+                    _GroupUnit(
+                        len(groups), kept, [PlannedVariant(v) for v in kept],
+                        deps, budget,
+                    )
+                )
 
         pipelines: dict[Variant, _ShardPipeline] = {}
         for mt in merge_tasks:
@@ -673,6 +732,7 @@ class GraphRuntime:
                 deps=set(shard_deps.get(mt.variant, set())),
                 merge_id=mt.task_id,
                 shard_ids=tuple(mt.deps),
+                budget=budget,
             )
         merge_variant = {p.merge_id: p.variant for p in pipelines.values()}
 
@@ -702,9 +762,6 @@ class GraphRuntime:
         store_handle = (
             ctx.store.ensure_shared(tracer=tracer) if inline is None else None
         )
-        checkpoint_root = (
-            str(ctx.checkpoint.root) if ctx.checkpoint is not None else None
-        )
         t0 = time.perf_counter()
         # The index pack, lane pools, and heartbeat mailbox are acquired
         # inside the dispatch try (below) so the finally reaches them on
@@ -720,59 +777,211 @@ class GraphRuntime:
         failed_ids: set[str] = set()
         task_spans: list[SpanRecord] = []
 
-        def settled() -> set[str]:
-            return resolved | failed_ids
-
-        def group_label(unit: _GroupUnit) -> str:
-            return f"group:{unit.gid}"
-
         def shard_label(pipe: _ShardPipeline, region: int) -> str:
             return f"shard:{pipe.variant.eps:g}/{pipe.variant.minpts}#{region}"
 
-        def run_variant(run: ResilientRunner, planned, reg, task_id, deps=()):
-            """One variant as a unit on an inline lane, on the batch clock.
+        def radius(unit: _GroupUnit | _ShardPipeline) -> float:
+            """The fraction of the batch a remediation of ``unit`` touches."""
+            if isinstance(unit, _ShardPipeline):
+                return (1 + unit.n_regions) / n_graph_tasks
+            return len(unit.todo) / n_graph_tasks
 
-            Inline lanes price it on the work-unit clock; on a
-            process-lane batch (the ladder's serial rung) it runs in the
-            parent on the wall clock.  ``(None, None)`` on permanent
-            failure.
-            """
-            if inline is not None:
-                start = inline.start(deps)
-                result, record = run.execute(
-                    planned, reg, before=start, concurrency=ctx.n_threads
-                )
-                if result is None:
-                    return None, None
-                tid, finish = inline.occupy(task_id, start, record.response_time)
+        # -- completion and the one failure path ----------------------------
+        def complete(
+            variant: Variant,
+            result: ClusteringResult,
+            record: VariantRunRecord,
+            degraded: str | None = None,
+        ) -> None:
+            """A variant finished: keep it, checkpoint it, write its outcome."""
+            results[variant] = result
+            records.append(record)
+            if ctx.checkpoint is not None:
+                ctx.checkpoint.save(result)
+            _settle(
+                outcomes,
+                variant,
+                VariantStatus.RETRIED if attempts[variant] else VariantStatus.OK,
+                attempts[variant] + 1,
+                last_error.get(variant),
+                degraded,
+            )
+
+        def close(unit: _GroupUnit | _ShardPipeline, ok: bool, detail: str) -> None:
+            """Mark ``unit`` settled and resolve its pending verifications."""
+            unit.done = True
+            labels = [unit.label]
+            merge_id = unit.merge_id
+            if merge_id is not None:
+                (resolved if ok else failed_ids).add(merge_id)
+                if isinstance(unit, _GroupUnit):
+                    # Shard-level remediations of a lowered pipeline (a
+                    # stuck region that forced the lowering) settle with
+                    # the variant-level re-run.
+                    pipe = pipelines[unit.variants[0]]
+                    labels += [shard_label(pipe, r) for r in range(pipe.n_regions)]
+            if supervisor is not None:
+                for label in labels:
+                    supervisor.task_done(label, ok, detail)
+
+        def degrade(unit: _GroupUnit | _ShardPipeline, n: int, corrupt: bool) -> bool:
+            """Step an exhausted unit down the ladder; False when none applies."""
+            assert supervisor is not None
+            if isinstance(unit, _GroupUnit):
+                axis, rung = "substrate", unit.rung
+            elif corrupt and ctx.kernel == "cellgraph":
+                axis, rung = "kernel", ctx.kernel
             else:
-                start = time.perf_counter() - t0
-                result, record = run.execute(planned, reg)
-                if result is None:
-                    return None, None
-                tid, finish = -1, time.perf_counter() - t0
-                record.response_time = finish - start
-            record.start, record.finish, record.thread_id = start, finish, tid
-            reg.add(planned.variant, result, finished_at=finish)
-            return result, record
+                axis, rung = "lowering", "shard"
+            _, step = supervisor.on_exhausted(
+                unit.label,
+                submissions=n,
+                budget=unit.budget,
+                blast_radius=radius(unit),
+                breaker_key=unit.label,
+                axis=axis,
+                rung=rung,
+            )
+            if step is None:
+                return False
+            if isinstance(unit, _GroupUnit):
+                unit.rung, unit.degraded = step.target, step.label
+                unit.budget = n + max_attempts
+                return True
+            # The pipeline's variant re-runs as a unit on an inline lane,
+            # from scratch: shard pipelines compute from scratch, and a
+            # reused source could permute cluster ids.
+            unit.done = True
+            units[units.index(unit)] = _GroupUnit(
+                -1,
+                [unit.variant],
+                [PlannedVariant(unit.variant, force_scratch=True)],
+                set(),
+                n + max_attempts,
+                rung="serial",
+                kernel="bfs" if axis == "kernel" else None,
+                merge_id=unit.merge_id,
+                degraded=step.label,
+            )
+            return True
 
-        def inline_group(unit: _GroupUnit):
-            task = task_of[unit.variants[0]]
-            result, record = run_variant(
-                runner, task.planned, registry, task.task_id, task.deps
+        def fail(
+            unit: _GroupUnit | _ShardPipeline,
+            charged: list[Variant],
+            error: BaseException | str,
+            label: str,
+            *,
+            key: int | None = None,
+        ) -> None:
+            """The one failure path: every lost attempt of the batch lands here.
+
+            Charges one attempt to each variant of ``charged``, then
+            retries the unit after a backoff (keyed on ``key``, default
+            the first charged variant's canonical index), or — once a
+            variant's budget is spent or the supervisor's risk gate
+            rejects the retry — steps the unit down the ladder or drops
+            the exhausted variants permanently.
+            """
+            assert policy is not None
+            err = error if isinstance(error, str) else f"{type(error).__name__}: {error}"
+            for v in charged:
+                attempts[v] += 1
+                last_error[v] = err
+            n = max(attempts[v] for v in charged)
+            tracer.instant(
+                EVENT_TIMEOUT
+                if isinstance(error, VariantTimeoutError)
+                else EVENT_RETRY,
+                variant=str(charged[0]),
+                attempt=n - 1,
+                error=err,
             )
-            batch = BatchResult(
-                results={} if result is None else {task.variant: result},
-                record=BatchRunRecord(records=[] if record is None else [record]),
+            corrupt = isinstance(unit, _ShardPipeline) and isinstance(
+                error, CorruptResultError
             )
-            return batch, None
+            lost = [v for v in charged if attempts[v] >= unit.budget]
+            if supervisor is not None and not lost and (corrupt or n >= 2):
+                # Crash loops and corrupt merges are supervised
+                # decisions: the risk gate must admit the retry.
+                if corrupt:
+                    rec = supervisor.on_corruption(
+                        label, err, blast_radius=radius(unit)
+                    )
+                else:
+                    rec = supervisor.on_crash(
+                        label,
+                        submissions=n,
+                        budget=unit.budget,
+                        blast_radius=len(charged) / n_graph_tasks,
+                    )
+                if rec.decision != "applied":
+                    lost = list(charged)
+            if lost and supervisor is not None and degrade(unit, n, corrupt):
+                return
+            for v in lost:
+                _settle(outcomes, v, VariantStatus.FAILED, attempts[v], err)
+                tracer.instant(
+                    EVENT_FAILED, variant=str(v), attempts=attempts[v], error=err
+                )
+            if isinstance(unit, _GroupUnit):
+                unit.todo = [p for p in unit.todo if p.variant not in lost]
+                if not unit.todo:
+                    close(unit, False, err)
+                    return
+            elif lost:
+                close(unit, False, err)
+                return
+            unit.ready_after = time.monotonic() + policy.backoff_s(
+                n - 1, key=index_of[charged[0]] if key is None else key
+            )
+
+        # -- running units ---------------------------------------------------
+        def run_inline(unit: _GroupUnit, todo, donors):
+            """A unit attempt on an inline lane, in the parent."""
+            pairs: list[tuple[ClusteringResult, VariantRunRecord]] = []
+            if inline is not None:
+                # One task on the work-unit clock, priced by the cost
+                # model and started when its lane and hard deps free up.
+                start = inline.start(unit.deps)
+                task_id = unit.merge_id or variant_task_id(unit.variants[0])
+                reg, vset, memo, before = registry, variants, passes, start
+
+                def done(result, record) -> float:
+                    tid, finish = inline.occupy(task_id, start, record.response_time)
+                    record.start, record.finish, record.thread_id = start, finish, tid
+                    pairs.append((result, record))
+                    return finish
+
+            else:
+                # The serial rung of a process-lane batch: the wall
+                # clock, and exactly the donors a chain worker seeds.
+                reg = CompletedRegistry()
+                for v, result in donors:
+                    reg.add(v, result, finished_at=0.0)
+                vset, before = VariantSet(unit.variants), None
+                memo = PassMemo(VariantSet([p.variant for p, _ in todo]))
+                mark = time.perf_counter() - t0
+
+                def done(result, record) -> float:
+                    nonlocal mark
+                    finish = time.perf_counter() - t0
+                    record.start, record.finish, record.thread_id = mark, finish, -1
+                    record.response_time = finish - mark
+                    mark = finish
+                    pairs.append((result, record))
+                    return finish
+
+            failed = run_chain(
+                ctx if unit.kernel is None else ctx.with_(kernel=unit.kernel),
+                vset, todo, reg, done,
+                faults=faults, policy=policy,
+                concurrency=ctx.n_threads, before=before, passes=memo,
+            )
+            return pairs, failed, None
 
         def inline_shard(pipe: _ShardPipeline, plan, region, spec, task_id):
             start = inline.start(pipe.deps)
-            if spec is not None:
-                runner.faults.fire(
-                    spec, deadline_s=deadline, started_at=time.perf_counter()
-                )
+            fire(spec, deadline_s=deadline, started_at=time.perf_counter())
             piece = cluster_shard(
                 ctx.points,
                 plan,
@@ -793,7 +1002,7 @@ class GraphRuntime:
             for dep in sorted(unit.deps):
                 v = merge_variant[dep]
                 if v in results:
-                    donors.append((v.as_tuple(), results[v]))
+                    donors.append((v, results[v]))
                 elif (
                     supervisor is not None
                     and dep in failed_ids
@@ -803,76 +1012,68 @@ class GraphRuntime:
                     # re-plans the chain onto surviving donors / scratch.
                     replan_noted.add((unit.gid, dep))
                     supervisor.on_replanned(
-                        group_label(unit),
+                        unit.label,
                         dep,
                         blast_radius=len(unit.variants) / n_graph_tasks,
                     )
+            # The chain's completed prefix: a resubmitted suffix sees
+            # the sources it would have seen in one pass.
+            donors += [(v, results[v]) for v in unit.variants if v in results]
+            todo = [(p, attempts[p.variant]) for p in unit.todo]
             unit.running = True
-            budget = None
-            if inline is not None:
-                where = inline.next_name()
-                fut = _resolved(inline_group, unit)
+            budget_t = None
+            if unit.rung == "serial":
+                where = inline.next_name() if inline is not None else "parent"
+                fut = _resolved(run_inline, unit, todo, donors)
             else:
                 where = f"lane-{lane}"
-                plan = runner.faults
-                if plan is not None and unit.submissions > 0:
-                    plan = plan.shifted(unit.submissions)
                 if deadline is not None:
-                    budget = (
-                        time.monotonic()
-                        + deadline * len(unit.variants) * max_attempts
-                        + 30.0
-                    )
+                    budget_t = time.monotonic() + deadline * len(todo) + 30.0
                 fut = lanes[lane].pool.submit(
                     _chain_worker,
                     store_handle,
                     idx_handle,
                     [v.as_tuple() for v in unit.variants],
-                    donors,
+                    todo,
+                    [(v.as_tuple(), r) for v, r in donors],
                     ctx.reuse_policy.name,
                     ctx.cost_model,
                     t0,
                     ctx.batch_size,
                     tracer.enabled,
                     policy,
-                    plan,
-                    checkpoint_root,
+                    faults,
                     ctx.kernel,
                     mailbox.handle(lane) if mailbox is not None else None,
                     unit.gid,
                 )
             if supervisor is not None:
-                supervisor.job_started(
-                    lane, group_label(unit), deadline_s=deadline
-                )
-            inflight[fut] = _Job(
-                "group", unit, lane, budget, label=group_label(unit),
-                where=where,
-            )
+                supervisor.job_started(lane, unit.label, deadline_s=deadline)
+            inflight[fut] = _Job(unit, lane, budget_t, label=unit.label, where=where)
 
         def submit_shard(pipe: _ShardPipeline, region: int, lane: int) -> None:
             assert base_plan is not None
-            if not pipe.started:
-                pipe.started = True
+            if not pipe.started_at:
                 pipe.started_at = time.perf_counter()
             label = shard_label(pipe, region)
+            attempt = attempts[pipe.variant]
             spec = None
-            if runner.faults:
-                found = runner.faults.find(pipe.variant, pipe.attempt, "start")
+            if faults:
+                found = faults.find(pipe.variant, attempt, "start")
                 if found is not None and region == found.index % pipe.n_regions:
                     spec = found
                 if spec is None:
-                    spec = runner.faults.find_task(label, pipe.attempt, "start")
+                    spec = faults.find_task(label, attempt, "start")
             pipe.inflight.add(region)
             plan = base_plan.with_eps(pipe.variant.eps)
-            budget = None
+            budget_t = None
             if inline is not None:
                 where = inline.next_name()
                 fut = _resolved(inline_shard, pipe, plan, region, spec, label)
             else:
                 where = f"lane-{lane}"
                 if deadline is not None:
-                    budget = time.monotonic() + deadline + 30.0
+                    budget_t = time.monotonic() + deadline + 30.0
                 fut = lanes[lane].pool.submit(
                     _shard_worker,
                     store_handle,
@@ -891,259 +1092,40 @@ class GraphRuntime:
             if supervisor is not None:
                 supervisor.job_started(lane, label, deadline_s=deadline)
             inflight[fut] = _Job(
-                "shard",
                 pipe,
                 lane,
-                budget,
+                budget_t,
                 region=region,
-                stamp=pipe.attempt,
+                stamp=attempt,
                 label=label,
                 where=where,
             )
 
-        def next_dispatch() -> tuple[str, object, int] | None:
-            ready = settled()
+        def next_dispatch(now: float):
+            """The first dispatchable unit in graph order, and the next wake-up."""
+            ready = resolved | failed_ids
+            wake = None
             for unit in units:
+                if unit.done or not unit.deps <= ready:
+                    continue
+                region = -1
                 if isinstance(unit, _GroupUnit):
-                    if (
-                        not unit.done
-                        and not unit.running
-                        and unit.deps <= ready
-                    ):
-                        return ("group", unit, -1)
+                    if unit.running:
+                        continue
                 else:
-                    if not unit.done and unit.deps <= ready:
-                        pending = unit.pending_regions()
-                        if pending:
-                            return ("shard", unit, pending[0])
-            return None
+                    pending = unit.pending_regions()
+                    if not pending:
+                        continue
+                    region = pending[0]
+                if unit.ready_after > now:
+                    wake = unit.ready_after if wake is None else min(wake, unit.ready_after)
+                    if inline is not None:
+                        break
+                    continue
+                return unit, region, wake
+            return None, -1, wake
 
-        def run_serial(
-            order: list[Variant],
-            consumed: int,
-            kernel: str,
-            step_label: str,
-            *,
-            donors: tuple[Variant, ...] | list[Variant] = (),
-            force_scratch: bool = False,
-            task_id: str | None = None,
-        ) -> tuple[bool, int]:
-            """The ladder's serial rung: ``order`` as units on an inline lane.
-
-            The fault plan is shifted past the ``consumed`` submissions so
-            already-fired faults do not refire; completed variants land
-            in the shared ``results``/``records`` with a ``degraded``
-            outcome.  ``donors`` (seeded at t = 0) and ``force_scratch``
-            mirror the reuse provenance the unit had on its original
-            rung, so the degraded labels stay byte-identical to a
-            fault-free run.  Returns (all completed, attempts used).
-            """
-            shifted = (
-                runner.faults.shifted(consumed)
-                if runner.faults and consumed > 0
-                else runner.faults
-            )
-            local_ctx = ctx.with_(
-                scheduler=_FixedOrderScheduler(order),
-                fault_plan=shifted,
-                retry_policy=policy,
-                supervisor=None,
-                n_threads=1,
-                kernel=kernel,
-            )
-            local_runner = ResilientRunner(local_ctx, VariantSet(order))
-            reg = CompletedRegistry()
-            for d in donors:
-                if d in results:
-                    reg.add(d, results[d], finished_at=0.0)
-            used = 0
-            try:
-                for v in order:
-                    result, record = run_variant(
-                        local_runner,
-                        PlannedVariant(v, force_scratch=force_scratch),
-                        reg,
-                        task_id or variant_task_id(v),
-                    )
-                    outcome = local_runner.report().outcomes.get(v)
-                    attempts = outcome.attempts if outcome is not None else 1
-                    used += attempts
-                    if result is None:
-                        return False, used
-                    registry.add(v, result, finished_at=record.finish)
-                    results[v] = result
-                    records.append(record)
-                    runner.mark_degraded(
-                        v,
-                        step_label,
-                        attempts=consumed + attempts,
-                        error=outcome.error if outcome is not None else None,
-                    )
-            except Exception:
-                return False, used + 1
-            return True, used
-
-        def degrade_group(unit: _GroupUnit, error: str) -> bool:
-            """Walk the substrate ladder for an exhausted group."""
-            assert supervisor is not None
-            label = group_label(unit)
-            rung = "lanes"
-            consumed = unit.submissions
-            while True:
-                rec, step = supervisor.on_exhausted(
-                    label,
-                    submissions=consumed,
-                    budget=max_submissions,
-                    blast_radius=len(unit.variants) / n_graph_tasks,
-                    breaker_key=label,
-                    axis="substrate",
-                    rung=rung,
-                )
-                if step is None:
-                    return False
-                remaining = [v for v in unit.variants if v not in results]
-                # Exactly what a fresh lane submission would see: the
-                # group's sharded donors plus its own completed chain
-                # prefix — not the whole batch (a wider donor pool could
-                # pick a different reuse source and permute cluster ids).
-                donors = [
-                    merge_variant[dep]
-                    for dep in sorted(unit.deps)
-                    if merge_variant[dep] in results
-                ] + [v for v in unit.variants if v in results]
-                ok, used = run_serial(
-                    remaining, consumed, ctx.kernel, step.label, donors=donors
-                )
-                supervisor.task_done(label, ok, step.label)
-                if ok:
-                    unit.done = True
-                    return True
-                consumed += max(used, 1)
-                rung = step.target
-
-        def degrade_pipeline(
-            pipe: _ShardPipeline, error: str, *, axis_hint: str | None = None
-        ) -> bool:
-            """Lower an exhausted pipeline: shard→variant (or cellgraph→bfs)."""
-            assert supervisor is not None
-            label = pipe.merge_id
-            if axis_hint == "kernel" and ctx.kernel == "cellgraph":
-                axis, rung = "kernel", ctx.kernel
-            else:
-                axis, rung = "lowering", "shard"
-            rec, step = supervisor.on_exhausted(
-                label,
-                submissions=pipe.attempt,
-                budget=max_submissions,
-                blast_radius=(1 + pipe.n_regions) / n_graph_tasks,
-                breaker_key=label,
-                axis=axis,
-                rung=rung,
-            )
-            if step is None:
-                return False
-            kernel = "bfs" if axis == "kernel" else ctx.kernel
-            # Shard pipelines compute from scratch; the variant-lowered
-            # re-run must too, or cluster ids permute under reuse.
-            ok, _used = run_serial(
-                [pipe.variant], pipe.attempt, kernel, step.label,
-                force_scratch=True, task_id=pipe.merge_id,
-            )
-            supervisor.task_done(label, ok, step.label)
-            for r in range(pipe.n_regions):
-                # Pending shard-level remediations (a stuck region that
-                # forced this lowering) are settled by the variant-level
-                # re-run — the shard tasks themselves never complete.
-                supervisor.task_done(shard_label(pipe, r), ok, step.label)
-            if ok:
-                pipe.done = True
-                resolved.add(pipe.merge_id)
-                return True
-            return False
-
-        def fail_pipeline(
-            pipe: _ShardPipeline, error: str, *, axis_hint: str | None = None
-        ) -> None:
-            if supervisor is not None and degrade_pipeline(
-                pipe, error, axis_hint=axis_hint
-            ):
-                return
-            runner.mark_failed_group([pipe.variant], error, attempts=pipe.attempt)
-            pipe.done = True
-            failed_ids.add(pipe.merge_id)
-            if supervisor is not None:
-                supervisor.task_done(pipe.merge_id, False, error)
-
-        def handle_group_failure(job: _Job, error: str) -> None:
-            unit = job.unit
-            assert isinstance(unit, _GroupUnit)
-            unit.running = False
-            unit.submissions += 1
-            if supervisor is not None:
-                supervisor.job_finished(job.lane)
-            exhausted = unit.submissions >= max_submissions
-            if (
-                supervisor is not None
-                and not exhausted
-                and unit.submissions >= 2
-            ):
-                # Second-and-later deaths of the same group are a crash
-                # loop: the supervisor gates each further resubmission.
-                rec = supervisor.on_crash(
-                    group_label(unit),
-                    submissions=unit.submissions,
-                    budget=max_submissions,
-                    blast_radius=len(unit.variants) / n_graph_tasks,
-                )
-                if rec.decision != "applied":
-                    exhausted = True
-            if exhausted:
-                if supervisor is not None and degrade_group(unit, error):
-                    return
-                runner.mark_failed_group(
-                    unit.variants, error, attempts=unit.submissions
-                )
-                unit.done = True
-                if supervisor is not None:
-                    supervisor.task_done(group_label(unit), False, error)
-
-        def handle_shard_failure(job: _Job, error: str) -> None:
-            pipe = job.unit
-            assert isinstance(pipe, _ShardPipeline)
-            pipe.inflight.discard(job.region)
-            if supervisor is not None:
-                supervisor.job_finished(job.lane)
-            if pipe.done or job.stamp != pipe.attempt:
-                return  # stale round: already accounted
-            pipe.attempt += 1
-            pipe.last_error = error
-            tracer.instant(
-                EVENT_RETRY,
-                variant=str(pipe.variant),
-                attempt=pipe.attempt,
-                regions=[job.region],
-                error=error,
-            )
-            exhausted = pipe.attempt >= max_submissions
-            if supervisor is not None and not exhausted and pipe.attempt >= 2:
-                rec = supervisor.on_crash(
-                    job.label or shard_label(pipe, job.region),
-                    submissions=pipe.attempt,
-                    budget=max_submissions,
-                    blast_radius=1.0 / n_graph_tasks,
-                )
-                if rec.decision != "applied":
-                    exhausted = True
-            if exhausted:
-                fail_pipeline(pipe, error)
-
-        def handle_failure(job: _Job, error: str) -> None:
-            """Account a lost job; ``error`` is prefixed with its kind."""
-            if job.kind == "group":
-                handle_group_failure(job, f"group {error}")
-            else:
-                handle_shard_failure(job, f"shard {error}")
-
+        # -- settling jobs ---------------------------------------------------
         def merge_pipeline(pipe: _ShardPipeline) -> None:
             assert base_plan is not None
             variant = pipe.variant
@@ -1165,53 +1147,27 @@ class GraphRuntime:
                 counters=merged,
                 elapsed=time.perf_counter() - pipe.started_at,
             )
+            attempt = attempts[variant]
             try:
-                if runner.faults:
-                    spec = runner.faults.find(variant, pipe.attempt, "finish")
-                    if spec is None:
-                        spec = runner.faults.find_task(
-                            pipe.merge_id, pipe.attempt, "finish"
-                        )
-                    if spec is not None:
-                        if spec.kind == "corrupt":
-                            corrupt_result(result)
-                        else:
-                            runner.faults.fire(
-                                spec,
-                                deadline_s=deadline,
-                                started_at=pipe.started_at,
-                            )
-                if runner.enabled:
-                    verify_result(result, ctx.store.n_points)
-            except Exception as exc:
-                if not runner.enabled:
-                    raise
-                pipe.attempt += 1
-                pipe.last_error = f"{type(exc).__name__}: {exc}"
-                tracer.instant(
-                    EVENT_RETRY,
-                    variant=str(variant),
-                    attempt=pipe.attempt,
-                    error=pipe.last_error,
-                )
-                retry_ok = pipe.attempt < max_submissions
-                if supervisor is not None and retry_ok:
-                    # Corruption retries are supervised decisions: the
-                    # risk gate must admit the resubmission.
-                    rec = supervisor.on_corruption(
-                        pipe.merge_id,
-                        pipe.last_error,
-                        blast_radius=(1 + pipe.n_regions) / n_graph_tasks,
+                finish_attempt(
+                    result,
+                    (
+                        faults.find(variant, attempt, "finish")
+                        or faults.find_task(pipe.merge_id, attempt, "finish")
                     )
-                    retry_ok = rec.decision == "applied"
-                if not retry_ok:
-                    fail_pipeline(pipe, pipe.last_error, axis_hint="kernel")
-                else:
-                    # A finish-phase fault damaged the merged result:
-                    # retry the whole variant (serial attempt
-                    # semantics), unlike worker deaths which only
-                    # resubmit their own region.
-                    pipe.pieces = {}
+                    if faults
+                    else None,
+                    policy,
+                    ctx.store.n_points,
+                    pipe.started_at,
+                )
+            except Exception as exc:
+                if policy is None:
+                    raise
+                # A damaged merged result re-runs the whole variant,
+                # unlike a worker death, which resubmits its own region.
+                pipe.pieces = {}
+                fail(pipe, [variant], exc, pipe.merge_id)
                 return
             if inline is not None:
                 m_start = inline.start(pipe.shard_ids)
@@ -1235,12 +1191,8 @@ class GraphRuntime:
                 counters=merged,
             )
             registry.add(variant, result, finished_at=finish)
-            results[variant] = result
-            records.append(record)
-            pipe.done = True
-            resolved.add(pipe.merge_id)
-            if supervisor is not None:
-                supervisor.task_done(pipe.merge_id, True, "merge verified")
+            complete(variant, result, record)
+            close(pipe, True, "merge verified")
             if tracer.enabled:
                 task_spans.append(
                     SpanRecord(
@@ -1249,40 +1201,22 @@ class GraphRuntime:
                          "deps": list(pipe.shard_ids)},
                     )
                 )
-            if runner.checkpoint is not None:
-                runner.checkpoint.save(result)
-            if runner.enabled:
-                status = (
-                    VariantStatus.RETRIED
-                    if pipe.attempt > 0
-                    else VariantStatus.OK
-                )
-                runner.merge_outcomes(
-                    BatchReport(
-                        outcomes={
-                            variant: VariantOutcome(
-                                variant,
-                                status,
-                                attempts=pipe.attempt + 1,
-                                error=pipe.last_error,
-                            )
-                        }
-                    )
-                )
 
-        def handle_group_success(job: _Job, payload) -> None:
+        def on_group(job: _Job, payload) -> None:
             unit = job.unit
             assert isinstance(unit, _GroupUnit)
-            batch, spans = payload
-            for rec in batch.record.records:
-                records.append(rec)
-                if tracer.enabled:
-                    task = task_of[rec.variant]
+            pairs, failed, spans = payload
+            for result, record in pairs:
+                v = record.variant
+                unit.todo = [p for p in unit.todo if p.variant != v]
+                complete(v, result, record, unit.degraded)
+                task = task_of.get(v)
+                if tracer.enabled and task is not None:
                     task_spans.append(
                         SpanRecord(
                             SPAN_TASK,
-                            rec.start,
-                            rec.finish - rec.start,
+                            record.start,
+                            record.finish - record.start,
                             job.where,
                             {"kind": "variant", "id": task.task_id,
                              "deps": list(task.deps),
@@ -1291,32 +1225,16 @@ class GraphRuntime:
                     )
             if spans:
                 tracer.add_records(spans, thread=f"worker-{unit.gid}")
-            results.update(batch.results)
-            if batch.report is not None:
-                if unit.submissions > 0:
-                    # The whole group re-ran after a worker death; its
-                    # completions are retries even though the fresh
-                    # worker saw attempt 0.
-                    for o in batch.report.outcomes.values():
-                        if o.status is VariantStatus.RESUMED:
-                            continue
-                        o.attempts += unit.submissions
-                        if o.status is VariantStatus.OK:
-                            o.status = VariantStatus.RETRIED
-                runner.merge_outcomes(batch.report)
-            unit.running = False
-            unit.done = True
-            if supervisor is not None:
-                supervisor.job_finished(job.lane)
-                supervisor.task_done(group_label(unit), True)
+            if failed is not None:
+                fail(unit, [failed[0]], failed[1], unit.label)
+            elif not unit.todo:
+                close(unit, True, unit.degraded or "")
 
-        def handle_shard_success(job: _Job, payload) -> None:
+        def on_shard(job: _Job, payload) -> None:
             pipe = job.unit
             assert isinstance(pipe, _ShardPipeline)
             piece, spans, w_start, w_dur = payload
-            pipe.inflight.discard(job.region)
             if supervisor is not None:
-                supervisor.job_finished(job.lane)
                 supervisor.task_done(job.label, True)
             if pipe.done:
                 return  # stale completion after a permanent failure
@@ -1336,6 +1254,34 @@ class GraphRuntime:
             if len(pipe.pieces) == pipe.n_regions:
                 merge_pipeline(pipe)
 
+        def on_lost(job: _Job, error: str) -> None:
+            """A job raised, outlived its watchdog, or was remediated as stuck."""
+            unit = job.unit
+            if isinstance(unit, _GroupUnit):
+                # Nothing of a lost unit attempt is known to have run:
+                # every unfinished variant is charged one attempt.
+                fail(unit, [p.variant for p in unit.todo], f"group {error}", job.label)
+                return
+            assert isinstance(unit, _ShardPipeline)
+            if unit.done or job.stamp != attempts[unit.variant]:
+                return  # stale round: already accounted
+            fail(unit, [unit.variant], f"shard {error}", job.label, key=job.region)
+
+        def release(job: _Job, *, respawn: bool = False, hung: bool = False) -> None:
+            """Take ``job`` out of flight and hand its lane back.
+
+            ``respawn`` replaces the lane's pool (a lost worker).
+            """
+            if respawn and lanes:
+                lanes[job.lane].respawn(hung=hung)
+            free_lanes.append(job.lane)
+            if supervisor is not None:
+                supervisor.job_finished(job.lane)
+            if isinstance(job.unit, _GroupUnit):
+                job.unit.running = False
+            else:
+                job.unit.inflight.discard(job.region)
+
         try:
             if inline is None:
                 if groups:
@@ -1346,38 +1292,35 @@ class GraphRuntime:
                 if supervisor is not None:
                     mailbox = supervisor.open_mailbox(n_lanes)
             while True:
+                wake = None
                 while free_lanes:
-                    dispatch = next_dispatch()
-                    if dispatch is None:
+                    unit, region, wake = next_dispatch(time.monotonic())
+                    if unit is None:
                         break
-                    kind, unit, region = dispatch
                     lane = free_lanes.pop()
-                    if kind == "group":
-                        submit_group(unit, lane)  # type: ignore[arg-type]
+                    if isinstance(unit, _GroupUnit):
+                        submit_group(unit, lane)
                     else:
-                        submit_shard(unit, region, lane)  # type: ignore[arg-type]
-                if not inflight:
-                    break
-                timeout = None
+                        submit_shard(unit, region, lane)
                 now = time.monotonic()
-                for job in inflight.values():
-                    if job.deadline is not None:
-                        remaining = max(0.0, job.deadline - now)
-                        timeout = (
-                            remaining
-                            if timeout is None
-                            else min(timeout, remaining)
-                        )
+                if not inflight:
+                    if wake is None:
+                        break
+                    # Nothing runs until a backoff ends: wait it out.
+                    time.sleep(max(0.0, wake - now))
+                    continue
+                waits = [j.deadline - now for j in inflight.values() if j.deadline is not None]
+                if wake is not None:
+                    waits.append(wake - now)
                 if supervisor is not None:
-                    poll_s = supervisor.policy.poll_interval_s
-                    timeout = poll_s if timeout is None else min(timeout, poll_s)
+                    waits.append(supervisor.policy.poll_interval_s)
+                timeout = max(0.0, min(waits)) if waits else None
                 done_futs, _ = wait(
                     inflight, timeout=timeout, return_when=FIRST_COMPLETED
                 )
                 if supervisor is not None:
                     # Applied stuck-task remediations: kill the stale
-                    # lane and route the job through the normal failure
-                    # accounting (which resubmits or degrades).
+                    # lane and route the job through the failure path.
                     for rec in supervisor.poll():
                         target = rec.anomaly.subject
                         match = next(
@@ -1391,9 +1334,8 @@ class GraphRuntime:
                         if match is None:
                             continue
                         job = inflight.pop(match)
-                        lanes[job.lane].respawn(hung=True)
-                        free_lanes.append(job.lane)
-                        handle_failure(job, "stuck: heartbeat stale")
+                        release(job, respawn=True, hung=True)
+                        on_lost(job, "stuck: heartbeat stale")
                 if not done_futs:
                     # Watchdog: a truly wedged worker never joins; stop
                     # waiting, kill its lane, and account the failure.
@@ -1402,11 +1344,8 @@ class GraphRuntime:
                         job = inflight[fut]
                         if job.deadline is not None and now >= job.deadline:
                             del inflight[fut]
-                            lanes[job.lane].respawn(hung=True)
-                            free_lanes.append(job.lane)
-                            handle_failure(
-                                job, "worker exceeded the deadline budget"
-                            )
+                            release(job, respawn=True, hung=True)
+                            on_lost(job, "worker exceeded the deadline budget")
                     continue
                 for fut in done_futs:
                     job = inflight.pop(fut, None)
@@ -1415,20 +1354,16 @@ class GraphRuntime:
                     try:
                         payload = fut.result()
                     except Exception as exc:
-                        if not runner.enabled:
-                            raise  # seed semantics: plain runs propagate
-                        if lanes:
-                            lanes[job.lane].respawn()
-                        free_lanes.append(job.lane)
-                        handle_failure(
-                            job, f"worker died: {type(exc).__name__}: {exc}"
-                        )
+                        if policy is None:
+                            raise  # no resilience configured: propagate
+                        release(job, respawn=True)
+                        on_lost(job, f"worker died: {type(exc).__name__}: {exc}")
                         continue
-                    free_lanes.append(job.lane)
-                    if job.kind == "group":
-                        handle_group_success(job, payload)
+                    release(job)
+                    if isinstance(job.unit, _GroupUnit):
+                        on_group(job, payload)
                     else:
-                        handle_shard_success(job, payload)
+                        on_shard(job, payload)
         finally:
             for lane in lanes:
                 lane.close()
@@ -1437,10 +1372,9 @@ class GraphRuntime:
             if idx_shm is not None:
                 # The pack exists only for this batch; remove it even
                 # when a worker raised.  (The point segment belongs to
-                # the store's owner — the session or the compatibility
-                # run() shim.)  destroy also drops the segment from the
-                # owned-set audit, so later leak gates (Session.close,
-                # CI doctor) stay clean.
+                # the store's owner — the session.)  destroy also drops
+                # the segment from the owned-set audit, so later leak
+                # gates (Session.close, CI doctor) stay clean.
                 release_segment(idx_shm)
                 destroy_segment(idx_shm)
         if tracer.enabled and task_spans:

@@ -147,12 +147,12 @@ class MetricsRegistry:
         return out
 
     def resilience_events(self) -> dict[str, int]:
-        """Counts of the recovery loop's instant events, when any fired.
+        """Counts of the failure path's instant events, when any fired.
 
-        Keys are the event names emitted by
-        :class:`~repro.resilience.runner.ResilientRunner`
-        (``variant_retry`` / ``variant_timeout`` / ``variant_failed`` /
-        ``variant_resumed``); events that never fired are omitted.
+        Keys are the event names the runtime's failure handler in
+        :mod:`repro.exec.graph` emits (``variant_retry`` /
+        ``variant_timeout`` / ``variant_failed`` / ``variant_resumed``);
+        events that never fired are omitted.
         """
         names = (
             "variant_retry",

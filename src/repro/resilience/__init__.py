@@ -8,20 +8,19 @@ its chain.  This package makes worker failure a first-class event:
   (:class:`FaultPlan`) honored by every executor backend;
 * :mod:`~repro.resilience.policy` — per-variant deadlines and capped
   exponential-backoff retries (:class:`RetryPolicy`);
-* :mod:`~repro.resilience.runner` — the shared recovery loop
-  (:class:`ResilientRunner`) that absorbs failures, re-plans
-  dependents onto surviving donors, and accounts outcomes;
 * :mod:`~repro.resilience.report` — the partial-failure result
   contract (:class:`BatchReport` with per-variant
-  :class:`VariantStatus`);
+  :class:`VariantStatus`, and :func:`classify_replans`);
 * :mod:`~repro.resilience.checkpoint` — crash-safe spill/resume of
   completed results keyed on the database fingerprint
   (:class:`CheckpointStore`);
 * :mod:`~repro.resilience.audit` — shared-memory leak audit behind
   ``repro doctor``.
 
-See ``docs/ARCHITECTURE.md`` ("Failure model & recovery") for how the
-pieces compose per backend.
+The runtime (:class:`repro.exec.graph.GraphRuntime`) is the one
+consumer: its failure handler decides every retry, backoff,
+supervisor gate, ladder step and permanent failure.  See
+``docs/ARCHITECTURE.md`` ("Failure model & recovery").
 """
 
 from repro.resilience.checkpoint import CheckpointStore
@@ -33,8 +32,7 @@ from repro.resilience.faults import (
     verify_result,
 )
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.report import BatchReport, VariantOutcome, VariantStatus
-from repro.resilience.runner import ResilientRunner, classify_replans
+from repro.resilience.report import BatchReport, VariantOutcome, VariantStatus, classify_replans
 
 __all__ = [
     "BatchReport",
@@ -43,7 +41,6 @@ __all__ = [
     "FAULT_PHASES",
     "FaultPlan",
     "FaultSpec",
-    "ResilientRunner",
     "RetryPolicy",
     "VariantOutcome",
     "VariantStatus",

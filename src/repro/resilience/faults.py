@@ -5,11 +5,13 @@ first-class event; testing that requires *reproducible* failure.  A
 :class:`FaultPlan` is a declarative list of :class:`FaultSpec` entries,
 each keyed on the **canonical variant index** in the batch's
 :class:`~repro.core.variants.VariantSet`, the **attempt number**, and
-the **phase** of the attempt it fires in.  Variant tasks honor the plan
-through the shared resilient runner and shard/merge tasks through the
-runtime's shard pipeline, both shared by inline and process lanes, so
-one plan yields the same per-variant outcomes on every executor (only
-a process-lane worker honors ``kill``/``stall`` in full).
+the **phase** of the attempt it fires in.  The runtime ships each
+variant's own attempt number with every unit it submits, so variant
+tasks (through :func:`repro.exec._runner.attempt_variant`) and
+shard/merge tasks (through the runtime's shard pipeline) consult the
+plan the same way on inline and process lanes, and one plan yields the
+same per-variant outcomes on every executor (only a process-lane
+worker honors ``kill``/``stall`` in full).
 
 Fault kinds
 -----------
@@ -74,6 +76,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "allow_kill_faults",
+    "fire",
     "kill_faults_allowed",
     "verify_result",
 ]
@@ -250,80 +253,69 @@ class BoundFaultPlan:
         """Look up a spec keyed on a task-graph node id (shard/merge)."""
         return self.table.get((task_id, attempt, phase))
 
-    def shifted(self, offset: int) -> BoundFaultPlan:
-        """The plan as seen by a resubmitted worker group.
-
-        A group resubmitted after a worker death starts its local
-        attempt counter from 0 again; shifting re-keys every spec by
-        ``-offset`` (dropping those that already had their chance) so a
-        fault keyed on attempt 0 does not refire on every respawn —
-        which would otherwise make a single ``kill`` fault permanently
-        fatal no matter the retry budget.
-        """
-        if offset <= 0:
-            return self
-        table = {
-            (vt, attempt - offset, phase): spec
-            for (vt, attempt, phase), spec in self.table.items()
-            if attempt >= offset
-        }
-        return BoundFaultPlan(table)
-
     def __len__(self) -> int:
         return len(self.table)
 
     def __bool__(self) -> bool:
         return bool(self.table)
 
-    def fire(
-        self,
-        spec: FaultSpec,
-        *,
-        deadline_s: float | None = None,
-        started_at: float | None = None,
-    ) -> None:
-        """Execute a ``start``-phase fault (crash / hang / kill / stall / slow).
 
-        ``hang`` sleeps in small slices so an active deadline converts
-        the hang into a :class:`VariantTimeoutError` as soon as the
-        attempt budget is exhausted rather than after the full sleep.
-        ``stall`` inside an armed pool worker sleeps *without* polling
-        the deadline (the supervisor must notice the stale heartbeat);
-        elsewhere it degrades to a cooperative hang.  ``slow`` always
-        sleeps cooperatively and then lets the variant proceed.
-        """
-        if spec.kind == "kill" and kill_faults_allowed():
-            os._exit(86)  # simulated worker death; parent must recover
-        if spec.kind in ("crash", "kill"):
-            raise InjectedFaultError(
-                f"injected {spec.kind} (variant index {spec.index}, "
-                f"attempt {spec.attempt}, phase {spec.phase})"
-            )
-        if spec.kind == "slow" or (spec.kind == "stall" and kill_faults_allowed()):
-            # Delay without converting to a timeout error: a slow task
-            # still completes; an armed stall is uncooperative by design
-            # and survives only until the parent respawns the lane.
-            remaining = spec.hang_s
-            while remaining > 0.0:
-                slice_s = min(remaining, 0.01)
-                time.sleep(slice_s)
-                remaining -= slice_s
-            return
-        if spec.kind in ("hang", "stall"):
-            t0 = started_at if started_at is not None else time.perf_counter()
-            remaining = spec.hang_s
-            while remaining > 0.0:
-                slice_s = min(remaining, 0.01)
-                time.sleep(slice_s)
-                remaining -= slice_s
-                if (
-                    deadline_s is not None
-                    and time.perf_counter() - t0 > deadline_s
-                ):
-                    raise VariantTimeoutError(
-                        f"injected {spec.kind} exceeded the {deadline_s:g}s "
-                        f"deadline (variant index {spec.index})"
-                    )
+def fire(
+    spec: FaultSpec | None,
+    *,
+    deadline_s: float | None = None,
+    started_at: float | None = None,
+    result: ClusteringResult | None = None,
+) -> None:
+    """Execute ``spec`` (a no-op for ``None``).
+
+    ``corrupt`` damages ``result`` in place.  ``hang`` sleeps in small
+    slices so an active deadline converts the hang into a
+    :class:`VariantTimeoutError` as soon as the attempt budget is
+    exhausted rather than after the full sleep.  ``stall`` inside an
+    armed pool worker sleeps *without* polling the deadline (the
+    supervisor must notice the stale heartbeat); elsewhere it degrades
+    to a cooperative hang.  ``slow`` always sleeps cooperatively and
+    then lets the attempt proceed.
+    """
+    if spec is None:
+        return
+    if spec.kind == "corrupt":
+        assert result is not None
+        corrupt_result(result)
+        return
+    if spec.kind == "kill" and kill_faults_allowed():
+        os._exit(86)  # simulated worker death; parent must recover
+    if spec.kind in ("crash", "kill"):
+        raise InjectedFaultError(
+            f"injected {spec.kind} (variant index {spec.index}, "
+            f"attempt {spec.attempt}, phase {spec.phase})"
+        )
+    if spec.kind == "slow" or (spec.kind == "stall" and kill_faults_allowed()):
+        # Delay without converting to a timeout error: a slow task
+        # still completes; an armed stall is uncooperative by design
+        # and survives only until the parent respawns the lane.
+        remaining = spec.hang_s
+        while remaining > 0.0:
+            slice_s = min(remaining, 0.01)
+            time.sleep(slice_s)
+            remaining -= slice_s
+        return
+    if spec.kind in ("hang", "stall"):
+        t0 = started_at if started_at is not None else time.perf_counter()
+        remaining = spec.hang_s
+        while remaining > 0.0:
+            slice_s = min(remaining, 0.01)
+            time.sleep(slice_s)
+            remaining -= slice_s
+            if (
+                deadline_s is not None
+                and time.perf_counter() - t0 > deadline_s
+            ):
+                raise VariantTimeoutError(
+                    f"injected {spec.kind} exceeded the {deadline_s:g}s "
+                    f"deadline (variant index {spec.index})"
+                )
 
 
 def corrupt_result(result: ClusteringResult) -> ClusteringResult:

@@ -29,12 +29,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from repro.core.variants import Variant
+from repro.core.scheduling import dependency_tree
+from repro.core.variants import Variant, VariantSet
 
 if TYPE_CHECKING:  # upper layer; imported for annotations only (no cycle)
     from repro.supervise.remedy import RemediationRecord
 
-__all__ = ["BatchReport", "VariantOutcome", "VariantStatus"]
+__all__ = ["BatchReport", "VariantOutcome", "VariantStatus", "classify_replans"]
 
 
 class VariantStatus(str, Enum):
@@ -183,3 +184,37 @@ class BatchReport:
     def remediation_rows(self) -> list[dict]:
         """JSON-friendly remediation records (CLI / CI consumers)."""
         return [r.as_dict() for r in self.remediations]
+
+
+def classify_replans(report: BatchReport, vset: VariantSet) -> None:
+    """Mark completed variants whose static donor failed as ``replanned``.
+
+    The static dependency forest (Figure 3a) names each variant's
+    planned donor under global knowledge; a variant that completed
+    while its planned donor is in the failed set was necessarily
+    re-planned onto another surviving donor (the registry only offers
+    inclusion-legal completed results) or onto a from-scratch run.
+
+    Idempotent: previously-assigned ``replanned`` statuses are first
+    reset to their base status (``retried`` when attempts > 1, else
+    ``ok``) and re-derived against the forest.
+    """
+    for outcome in report.outcomes.values():
+        if outcome.status is VariantStatus.REPLANNED:
+            outcome.status = (
+                VariantStatus.RETRIED if outcome.attempts > 1 else VariantStatus.OK
+            )
+            outcome.replanned_from = None
+    failed = set(report.failed)
+    if not failed:
+        return
+    tree = dependency_tree(vset)
+    for variant, outcome in report.outcomes.items():
+        if outcome.status not in (VariantStatus.OK, VariantStatus.RETRIED):
+            continue
+        if variant not in tree:
+            continue
+        parent = next(iter(tree.predecessors(variant)), None)
+        if parent is not None and parent in failed:
+            outcome.status = VariantStatus.REPLANNED
+            outcome.replanned_from = parent

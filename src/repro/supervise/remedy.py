@@ -128,7 +128,7 @@ def _propose_crash_loop(anomaly, blast_radius, ladder_hint):
         Action(
             "resubmit-task",
             target=anomaly.subject,
-            detail="resubmit after repeated worker death",
+            detail="resubmit after repeated failed attempts",
             blast_radius=blast_radius,
         )
     ]

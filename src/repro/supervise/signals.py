@@ -325,13 +325,13 @@ class HealthMonitor:
         )
 
     @staticmethod
-    def crash_looping(task_id: str, deaths: int, budget: int) -> Signal:
-        """Repeated worker deaths for one task, budget not yet exhausted."""
+    def crash_looping(task_id: str, failures: int, budget: int) -> Signal:
+        """Repeated failed attempts for one task, budget not yet exhausted."""
         return Signal(
             "counters",
             task_id,
-            detail=f"{deaths} consecutive worker deaths (budget {budget})",
-            value=float(deaths),
+            detail=f"{failures} failed attempts (budget {budget})",
+            value=float(failures),
         )
 
     @staticmethod

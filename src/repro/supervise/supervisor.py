@@ -323,7 +323,10 @@ class Supervisor:
     def on_crash(
         self, task_id: str, *, submissions: int, budget: int, blast_radius: float
     ) -> RemediationRecord:
-        """Repeated worker deaths with budget remaining: gate the resubmit.
+        """Repeated failed attempts with budget remaining: gate the retry.
+
+        The runtime calls it on a task's second and later failures —
+        a raised attempt or a worker death alike, on every lane set.
 
         Does not count toward the breaker — the submission budget already
         bounds how long a crash loop can run; the breaker only meters

@@ -3,7 +3,7 @@
 Covers the resilience subsystem end to end:
 
 * :class:`FaultPlan` / :class:`FaultSpec` — seeded determinism,
-  validation, binding, and attempt re-keying for pool respawns;
+  validation, and binding;
 * :class:`RetryPolicy` — validation and capped exponential backoff;
 * result integrity — :func:`corrupt_result` damage is always caught by
   :func:`verify_result`;
@@ -48,8 +48,7 @@ from repro import (
 from repro.core.reuse import POLICIES
 from repro.core.scheduling import SCHEDULERS, dependency_tree
 from repro.resilience.faults import corrupt_result, verify_result
-from repro.resilience.report import VariantOutcome
-from repro.resilience.runner import classify_replans
+from repro.resilience.report import VariantOutcome, classify_replans
 from repro.util.errors import (
     CorruptResultError,
     ReproError,
@@ -149,18 +148,6 @@ class TestFaultPlan:
     def test_bind_ignores_out_of_range(self):
         plan = FaultPlan([FaultSpec("crash", 999)])
         assert not plan.bind(VSET)
-
-    def test_shifted_rekeys_attempts(self):
-        plan = FaultPlan(
-            [FaultSpec("kill", 0, attempt=0), FaultSpec("crash", 1, attempt=2)]
-        )
-        bound = plan.bind(VSET)
-        shifted = bound.shifted(1)
-        # The attempt-0 kill already had its chance; the attempt-2
-        # crash now fires on the resubmitted worker's attempt 1.
-        assert shifted.find(VSET[0], 0, "start") is None
-        assert shifted.find(VSET[1], 1, "start") is not None
-        assert bound.shifted(0) is bound
 
 
 class TestRetryPolicy:

@@ -13,7 +13,10 @@ Covers the supervision subsystem end to end:
 * knob threading — ``supervise=`` on :class:`Session`, executor
   instances, and per-run overrides, normalized by
   :func:`as_supervise_policy`;
-* seeded retry-backoff jitter (never wallclock-derived);
+* seeded retry-backoff jitter (never wallclock-derived), computed in
+  the parent with canonical variant / region keys on every substrate;
+* failure parity — one crash loop reports the same outcomes and
+  remediations on every substrate;
 * the **chaos soak grid** — injected stalls, crash loops, merge
   corruption, and forced ladder descents across the lanes-substrate
   executors, asserting byte-identical labels against fault-free runs,
@@ -427,6 +430,88 @@ class TestBackoffJitter:
         c = derive_rng(7, 4, 1).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.fixture
+    def backoff_calls(self, monkeypatch):
+        """Every ``(attempt, key)`` the parent asks ``backoff_s`` for."""
+        calls: list[tuple[int, int]] = []
+        plain = RetryPolicy.backoff_s
+
+        def recording(policy, attempt, *, key=0):
+            calls.append((attempt, key))
+            return plain(policy, attempt, key=key)
+
+        monkeypatch.setattr(RetryPolicy, "backoff_s", recording)
+        return calls
+
+    #: Tiny real backoff, so the retries wait through their ready time.
+    JITTERED = RetryPolicy(
+        max_retries=2, backoff_base_s=0.001, backoff_jitter=0.5, backoff_seed=7
+    )
+
+    @pytest.mark.parametrize("executor", ["serial", "simulated", "processes"])
+    def test_variant_backoff_keys_are_canonical_indexes(
+        self, points, backoff_calls, executor
+    ):
+        # Variant 1 fails once and variant 3 twice: the jitter key is the
+        # canonical batch index on every substrate, and the parent
+        # computes every backoff.
+        plan = FaultPlan(
+            [
+                FaultSpec("crash", 1),
+                FaultSpec("crash", 3),
+                FaultSpec("crash", 3, attempt=1),
+            ]
+        )
+        with Session(points) as s:
+            batch = s.run(
+                VSET4, executor=executor, n_threads=2,
+                fault_plan=plan, retry_policy=self.JITTERED,
+            )
+        assert batch.report.complete
+        assert sorted(backoff_calls) == [(0, 1), (0, 3), (1, 3)]
+
+    def test_shard_backoff_keys_are_region_indexes(self, points, backoff_calls):
+        v = VSET4[0]
+        plan = FaultPlan(
+            [FaultSpec("crash", -1, task=f"shard:{v.eps:g}/{v.minpts}#1")]
+        )
+        with Session(points) as s:
+            batch = s.run(
+                VSET4, executor="sharded", n_threads=2, regions=2,
+                fault_plan=plan, retry_policy=self.JITTERED,
+            )
+        assert batch.report.complete
+        assert backoff_calls == [(0, 1)]
+
+
+# ----------------------------------------------------------------------
+# failure parity across substrates
+# ----------------------------------------------------------------------
+class TestFailureParity:
+    @pytest.mark.parametrize("executor", ["serial", "simulated", "processes"])
+    def test_crash_loop_reports_alike(self, points, executor):
+        # A plain crash on attempts 0 and 1: the second failure is a
+        # crash loop the supervisor gates, and attempt 2 succeeds.
+        target = VSET4[1]
+        plan = FaultPlan(
+            [FaultSpec("crash", 1), FaultSpec("crash", 1, attempt=1)]
+        )
+        with Session(points) as s:
+            batch = s.run(
+                VSET4, executor=executor, n_threads=2,
+                fault_plan=plan, supervise=True,
+            )
+        outcomes = {
+            v: (o.status.value, o.attempts)
+            for v, o in batch.report.outcomes.items()
+        }
+        assert outcomes == {
+            v: ("retried", 3) if v == target else ("ok", 1) for v in VSET4
+        }
+        assert "crash-loop" in remediation_kinds(batch.report)
+        applied = applied_records(batch.report)
+        assert applied and all(r.verdict == "verified" for r in applied)
 
 
 # ----------------------------------------------------------------------
