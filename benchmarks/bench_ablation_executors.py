@@ -111,7 +111,7 @@ def test_bench_procpool_setup_vs_rebuild(benchmark, report):
     """
     session = bench_session(FIG9_DATASET)
     points = session.points
-    low_res_r = session.low_res_r
+    low_res_r = session.spec.reuse.low_res_r
     indexes = session.indexes()
 
     def engine_setup():

@@ -77,9 +77,12 @@ v = Variant(0.8, 4)
 scratch = dbscan(points, v.eps, v.minpts)
 print(f"quality of reused {v} vs scratch: {quality_score(scratch, batch[v]):.4f}")
 
-# Executors and knobs are pluggable per run; the indexes built above
-# are reused unless a knob (here low_res_r) forces a different pair.
+# Every run knob is a RunSpec field: the session holds the defaults
+# (session.spec) and a run overrides any of them.  The indexes built
+# above are reused unless a reuse knob (here low_res_r, a ReuseSpec
+# field) forces a different pair.
 batch2 = session.run(variants, executor="serial", low_res_r=100)
 assert len(batch2) == len(variants)
+assert session.spec.reuse.low_res_r == 70  # overrides never stick
 session.close()
 print("done.")

@@ -46,7 +46,9 @@ from repro.engine import (
     IndexFactory,
     IndexPair,
     PointStore,
+    ReuseSpec,
     RunContext,
+    RunSpec,
     Session,
 )
 from repro.exec import BatchResult
@@ -100,6 +102,8 @@ __all__ = [
     "IndexFactory",
     "IndexPair",
     "RunContext",
+    "RunSpec",
+    "ReuseSpec",
     "IncrementalDBSCAN",
     "optics",
     "extract_dbscan",

@@ -20,7 +20,7 @@ checks:
 * no argument is a live-object constructor call or a name bound to
   one (``Session``, ``Tracer``, ``Supervisor``, locks, queues...).
 
-Attribute reads like ``tracer.enabled`` or ``ctx.cost_model`` are
+Attribute reads like ``tracer.enabled`` or ``spec.cost_model`` are
 fine: the *value* crosses, not the object.
 """
 

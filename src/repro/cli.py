@@ -8,8 +8,10 @@ Commands
     Run one DBSCAN variant over a dataset (registry name or ``.npz``)
     and optionally save labels / a per-cluster CSV summary.
 ``sweep``
-    Run a whole variant grid with a chosen executor, scheduler, and
-    reuse policy; prints the per-variant reuse/time table.
+    Run a whole variant grid with a chosen executor and kernel (and,
+    under ``--kernel bfs``, scheduler and reuse policy); prints the
+    per-variant reuse/time table.  ``sweep`` and ``trace`` take the
+    same run flags.
 ``figure``
     Regenerate one of the paper's tables/figures (table1, fig1 ... fig9).
 ``optics``
@@ -126,46 +128,59 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_from_args(args: argparse.Namespace, dataset: str) -> dict:
+    """The :class:`~repro.engine.context.RunSpec` fields the run flags set.
+
+    The paper's reuse flags (``--scheduler``, ``--policy``, ``--r``) are
+    passed only when given, and only with ``--kernel bfs``.
+    """
+    spec = {
+        "dataset": dataset,
+        "executor": args.executor,
+        "n_threads": args.threads,
+        "kernel": args.kernel,
+        "regions": args.regions,
+        "part_size": args.part_size,
+        "shard_threshold": args.shard_threshold,
+        "resume": args.resume,
+    }
+    reuse = {
+        flag: value
+        for flag, value in (
+            ("scheduler", args.scheduler), ("policy", args.policy), ("low_res_r", args.r)
+        )
+        if value is not None
+    }
+    if reuse and args.kernel != "bfs":
+        raise SystemExit(
+            "repro: --scheduler, --policy and --r apply to --kernel bfs only"
+        )
+    spec.update(reuse)
+    if args.retries or args.deadline is not None:
+        from repro.resilience import RetryPolicy
+
+        spec["retry_policy"] = RetryPolicy(
+            max_retries=args.retries, deadline_s=args.deadline
+        )
+    if args.supervise:
+        from repro.supervise import SupervisePolicy
+
+        spec["supervise"] = SupervisePolicy(risk_budget=args.risk_budget)
+    return spec
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     points, name = _load_points(args.dataset, args.scale)
     variants = VariantSet.from_product(_floats(args.eps), _ints(args.minpts))
     from repro.engine import Session
 
-    retry_policy = None
-    if args.retries or args.deadline is not None:
-        from repro.resilience import RetryPolicy
-
-        retry_policy = RetryPolicy(
-            max_retries=args.retries, deadline_s=args.deadline
-        )
-    supervise = None
-    if getattr(args, "supervise", False):
-        from repro.supervise import SupervisePolicy
-
-        supervise = SupervisePolicy(risk_budget=args.risk_budget)
-    with Session(
-        points,
-        dataset=name,
-        low_res_r=args.r,
-        scheduler=SCHEDULERS[args.scheduler],
-        reuse_policy=POLICIES[args.policy],
-    ) as session:
-        batch = session.run(
-            variants,
-            executor=args.executor,
-            n_threads=args.threads,
-            kernel=args.kernel,
-            regions=args.regions,
-            part_size=args.part_size,
-            shard_threshold=args.shard_threshold,
-            retry_policy=retry_policy,
-            resume=args.resume,
-            supervise=supervise,
-        )
+    with Session(points, **_spec_from_args(args, name)) as session:
+        batch = session.run(variants)
     rec = batch.record
     status = {}
     if batch.report is not None:
         status = {o.variant: o.status.value for o in batch.report.outcomes.values()}
+    paper = f", {rec.scheduler}, {rec.reuse_policy}" if args.kernel == "bfs" else ""
     rows = [
         [
             str(r.variant),
@@ -188,7 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"{name}: |V|={len(variants)}, executor={args.executor}, "
-                f"T={args.threads}, {args.scheduler}, {args.policy}"
+                f"T={args.threads}{paper}"
             ),
         )
     )
@@ -566,21 +581,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.engine import Session
 
     tracer = Tracer()
-    with use_tracer(tracer), Session(
-        points,
-        dataset=name,
-        low_res_r=args.r,
-        scheduler=SCHEDULERS[args.scheduler],
-        reuse_policy=POLICIES[args.policy],
-    ) as session:
-        batch = session.run(
-            variants,
-            executor=args.executor,
-            n_threads=args.threads,
-            regions=args.regions,
-            part_size=args.part_size,
-            shard_threshold=args.shard_threshold,
-        )
+    with use_tracer(tracer), Session(points, **_spec_from_args(args, name)) as session:
+        batch = session.run(variants)
     registry = MetricsRegistry.from_batch(batch, tracer)
     print(registry.summary())
     coverage = registry.phase_coverage()
@@ -613,6 +615,55 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.trace_jsonl:
         print(f"trace written to {args.trace_jsonl}")
     return 0
+
+
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    """The run flags ``sweep`` and ``trace`` share (see :func:`_spec_from_args`)."""
+    p.add_argument("--executor", choices=sorted(EXECUTORS), default="serial")
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--kernel",
+        choices=list(KERNELS),
+        default="cellgraph",
+        help="clustering kernel: cellgraph (exact, one pass per eps; "
+        "the default) or bfs (the paper's reuse path)",
+    )
+    p.add_argument("--scheduler", choices=sorted(SCHEDULERS), default=None,
+                   help="variant scheduler (--kernel bfs only; "
+                        "default SCHEDGREEDY)")
+    p.add_argument("--policy", choices=sorted(POLICIES), default=None,
+                   help="cluster-reuse policy (--kernel bfs only; "
+                        "default CLUSDENSITY)")
+    p.add_argument("--r", type=int, default=None,
+                   help="points per T_low leaf MBB (--kernel bfs only; "
+                        "default 70)")
+    p.add_argument("--regions", type=int, default=None,
+                   help="spatial region count for --executor sharded "
+                        "(default: the worker count)")
+    p.add_argument("--part_size", type=int, default=None, dest="part_size",
+                   help="target points per region for --executor sharded "
+                        "(region count becomes ceil(n / part_size); "
+                        "mutually exclusive with --regions)")
+    p.add_argument("--shard-threshold", type=int, default=None,
+                   dest="shard_threshold", metavar="N",
+                   help="point count at which --executor hybrid shards a "
+                        "from-scratch variant across regions (0 shards "
+                        "every scratch variant)")
+    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--resume", default=None, metavar="DIR",
+                   help="checkpoint directory: finished variants spill "
+                        "there and a rerun over the same data skips them")
+    p.add_argument("--retries", type=int, default=0,
+                   help="per-variant retry budget (enables resilient mode)")
+    p.add_argument("--supervise", action="store_true",
+                   help="run under the self-healing supervisor "
+                        "(heartbeats + risk-gated auto-remediation)")
+    p.add_argument("--risk-budget", type=float, default=0.5,
+                   dest="risk_budget", metavar="R",
+                   help="auto-apply remediations with risk <= R; "
+                        "recommend above (default 0.5)")
+    p.add_argument("--deadline", type=float, default=None, metavar="S",
+                   help="per-variant deadline in seconds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -648,45 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("dataset", help="registry name or .npz file")
     s.add_argument("--eps", required=True, help="comma-separated eps values (A)")
     s.add_argument("--minpts", required=True, help="comma-separated minpts values (B)")
-    s.add_argument("--executor", choices=sorted(EXECUTORS), default="serial")
-    s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="SCHEDGREEDY")
-    s.add_argument("--policy", choices=sorted(POLICIES), default="CLUSDENSITY")
-    s.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="cellgraph",
-        help="clustering kernel: cellgraph (exact, one pass per eps; "
-        "the default) or bfs (the paper's reuse path)",
-    )
-    s.add_argument("--r", type=int, default=70)
-    s.add_argument("--regions", type=int, default=None,
-                   help="spatial region count for --executor sharded "
-                        "(default: the worker count)")
-    s.add_argument("--part_size", type=int, default=None, dest="part_size",
-                   help="target points per region for --executor sharded "
-                        "(region count becomes ceil(n / part_size); "
-                        "mutually exclusive with --regions)")
-    s.add_argument("--shard-threshold", type=int, default=None,
-                   dest="shard_threshold", metavar="N",
-                   help="point count at which --executor hybrid shards a "
-                        "from-scratch variant across regions (0 shards "
-                        "every scratch variant)")
-    s.add_argument("--scale", type=float, default=None)
-    s.add_argument("--resume", default=None, metavar="DIR",
-                   help="checkpoint directory: finished variants spill "
-                        "there and a rerun over the same data skips them")
-    s.add_argument("--retries", type=int, default=0,
-                   help="per-variant retry budget (enables resilient mode)")
-    s.add_argument("--supervise", action="store_true",
-                   help="run under the self-healing supervisor "
-                        "(heartbeats + risk-gated auto-remediation)")
-    s.add_argument("--risk-budget", type=float, default=0.5,
-                   dest="risk_budget", metavar="R",
-                   help="auto-apply remediations with risk <= R; "
-                        "recommend above (default 0.5)")
-    s.add_argument("--deadline", type=float, default=None, metavar="S",
-                   help="per-variant deadline in seconds")
+    _add_run_args(s)
     s.set_defaults(func=cmd_sweep)
 
     f = sub.add_parser("figure", help="regenerate a paper table/figure")
@@ -717,19 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("dataset", help="registry name or .npz file")
     t.add_argument("--eps", required=True, help="comma-separated eps values (A)")
     t.add_argument("--minpts", required=True, help="comma-separated minpts values (B)")
-    t.add_argument("--executor", choices=sorted(EXECUTORS), default="serial")
-    t.add_argument("--threads", type=int, default=1)
-    t.add_argument("--scheduler", choices=sorted(SCHEDULERS), default="SCHEDGREEDY")
-    t.add_argument("--policy", choices=sorted(POLICIES), default="CLUSDENSITY")
-    t.add_argument("--r", type=int, default=70)
-    t.add_argument("--regions", type=int, default=None,
-                   help="spatial region count for --executor sharded")
-    t.add_argument("--part_size", type=int, default=None, dest="part_size",
-                   help="target points per region for --executor sharded")
-    t.add_argument("--shard-threshold", type=int, default=None,
-                   dest="shard_threshold", metavar="N",
-                   help="hybrid fan-out threshold (see sweep)")
-    t.add_argument("--scale", type=float, default=None)
+    _add_run_args(t)
     t.add_argument("--jsonl", default=None, help="write the trace as JSONL")
     t.add_argument("--chrome", default=None,
                    help="write a chrome://tracing-loadable JSON file")

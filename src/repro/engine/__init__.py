@@ -12,7 +12,7 @@ from repro.engine.store import (  # noqa: I001  (import order is load-bearing)
     PointStoreHandle,
     fingerprint_points,
 )
-from repro.engine.context import RunContext
+from repro.engine.context import ReuseSpec, RunContext, RunSpec
 from repro.engine.factory import (
     INDEX_KINDS,
     SPAN_INDEX_BUILD,
@@ -31,7 +31,9 @@ __all__ = [
     "IndexPairHandle",
     "PointStore",
     "PointStoreHandle",
+    "ReuseSpec",
     "RunContext",
+    "RunSpec",
     "SPAN_INDEX_BUILD",
     "SPAN_SHM_ATTACH",
     "Session",

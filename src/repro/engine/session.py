@@ -1,4 +1,4 @@
-"""The session engine: one owner for dataset, indexes, run knobs, tracer.
+"""The session engine: one owner for dataset, indexes, run spec, tracer.
 
 The paper's premise (Section IV) is that one in-memory database ``D``
 and its two R-trees are built **once** and shared by every variant.
@@ -9,8 +9,10 @@ and its two R-trees are built **once** and shared by every variant.
 * it owns an :class:`~repro.engine.factory.IndexFactory`, so
   ``T_high``/``T_low`` are built once per session and reused across
   every run, benchmark iteration, and figure driver;
-* it assembles the :class:`~repro.engine.context.RunContext` each run
-  and executes it on :class:`~repro.exec.graph.GraphRuntime` under the
+* it holds the default :class:`~repro.engine.context.RunSpec`; each run
+  overrides it by keyword, pairs the result with the session's
+  resources in a :class:`~repro.engine.context.RunContext`, and
+  executes it on :class:`~repro.exec.graph.GraphRuntime` under the
   named executor's substrate and lowering — the single seam every
   layer (CLI, benchmarks, figure drivers) routes through.
 
@@ -21,6 +23,7 @@ Usage::
     with Session(points, dataset="SW1") as session:
         batch = session.run(VariantSet.from_product([0.5, 0.7], [4]))
         again = session.run(variants, executor="processes", n_threads=8)
+        paper = session.run(variants, kernel="bfs", scheduler="SCHEDMINPTS")
 
 The context-manager form guarantees that any shared-memory segments
 the session materialized (for process-pool runs) are unlinked even when
@@ -29,87 +32,27 @@ a worker raises.
 
 from __future__ import annotations
 
-from pathlib import Path
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from repro.core.dbscan import DEFAULT_BATCH_SIZE
-from repro.core.reuse import CLUS_DENSITY, POLICIES, ReusePolicy
-from repro.core.scheduling import SCHEDULERS, Scheduler
-from repro.core.variant_dbscan import DEFAULT_LOW_RES_R
 from repro.core.variants import VariantSet
-from repro.engine.context import KERNELS, RunContext
+from repro.engine.context import RunContext, RunSpec
 from repro.engine.factory import IndexFactory, IndexPair
 from repro.engine.store import PointStore
 from repro.obs.span import Tracer, resolve_tracer
 from repro.util.errors import SessionClosedError
-from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover
+    from pathlib import Path
+
     import numpy as np
 
+    from repro.core.reuse import ReusePolicy
     from repro.exec.base import BatchResult
-    from repro.exec.cost import CostModel
     from repro.index.base import SpatialIndex
     from repro.resilience.checkpoint import CheckpointStore
-    from repro.resilience.faults import FaultPlan
-    from repro.resilience.policy import RetryPolicy
-    from repro.supervise.supervisor import SupervisePolicy
 
 __all__ = ["Session"]
-
-
-def _as_scheduler(value: str | Scheduler | None) -> Scheduler | None:
-    if value is None or isinstance(value, Scheduler):
-        return value
-    try:
-        return SCHEDULERS[value]
-    except KeyError:
-        raise KeyError(
-            f"unknown scheduler {value!r}; expected one of {sorted(SCHEDULERS)}"
-        ) from None
-
-
-def _check_knobs(
-    *,
-    n_threads: int | None = None,
-    low_res_r: int | None = None,
-    batch_size: int | None = None,
-    kernel: str | None = None,
-    regions: int | None = None,
-    part_size: int | None = None,
-    shard_threshold: int | None = None,
-) -> None:
-    """Raise :class:`ValueError` on an out-of-range run knob.
-
-    The one validation point for run knobs, whether they arrive as
-    session defaults or per-run overrides; ``None`` means "not set".
-    """
-    for name, value in (
-        ("n_threads", n_threads),
-        ("low_res_r", low_res_r),
-        ("regions", regions),
-        ("part_size", part_size),
-    ):
-        if value is not None:
-            check_positive_int(value, name=name)
-    for name, value in (("batch_size", batch_size), ("shard_threshold", shard_threshold)):
-        if value is not None and int(value) < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    if kernel is not None and kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}")
-    if regions is not None and part_size is not None:
-        raise ValueError("pass at most one of regions / part_size")
-
-
-def _as_policy(value: str | ReusePolicy | None) -> ReusePolicy | None:
-    if value is None or isinstance(value, ReusePolicy):
-        return value
-    try:
-        return POLICIES[value]
-    except KeyError:
-        raise KeyError(
-            f"unknown reuse policy {value!r}; expected one of {sorted(POLICIES)}"
-        ) from None
 
 
 class Session:
@@ -121,95 +64,28 @@ class Session:
         ``(n, 2)`` array-like, or an existing
         :class:`~repro.engine.store.PointStore` to adopt (the session
         then owns its lifecycle).
-    dataset:
-        Label stamped onto batch records (overridable per run).
-    low_res_r:
-        Default points-per-MBB for ``T_low``.
-    fanout:
-        R-tree fanout for factory-built trees.
-    scheduler / reuse_policy:
-        Default strategy objects (or registry names) for runs.
-    cost_model:
-        Work-unit pricing; defaults to the library's calibrated model.
-    batch_size:
-        Default block size of the batched epsilon-search engine;
-        ``<= 1`` selects the scalar reference loops (identical results
-        and counters).
-    kernel:
-        Default clustering path, one of
-        :data:`~repro.engine.context.KERNELS`: ``cellgraph`` (one exact
-        pass per eps serves every variant) or ``bfs`` (the paper's
-        reuse path); overridable per run.
-    regions / part_size:
-        Default spatial partitioning for the sharded, hybrid and
-        simulated executors (``regions`` fixes the region count,
-        ``part_size`` derives it as ``ceil(n / part_size)``); ignored
-        by variant lowering.  At most one may be set.
-    shard_threshold:
-        Default point count at which hybrid lowering fans a
-        from-scratch variant out into shard/merge tasks (``None``
-        applies :data:`~repro.core.taskgraph.DEFAULT_SHARD_THRESHOLD`
-        under ``hybrid`` and keeps ``simulated`` off hybrid lowering;
-        ``0`` shards every scratch variant).
-    supervise:
-        Session-wide default for the self-healing supervisor
-        (:mod:`repro.supervise`): ``True`` enables the default
-        :class:`~repro.supervise.supervisor.SupervisePolicy`, a policy
-        instance tunes it, ``None``/``False`` (default) disables.  Can
-        be overridden per run.
     tracer:
         Span collector for everything the session does; ``None``
         resolves to the globally active tracer at each use.
+    **defaults:
+        The session's default :class:`~repro.engine.context.RunSpec`,
+        by field name (``dataset=``, ``kernel=``, ``executor=`` ...);
+        the :class:`~repro.engine.context.ReuseSpec` fields
+        (``scheduler=``, ``policy=``, ``low_res_r=``, ``batch_size=``)
+        are accepted flat, with ``kernel="bfs"`` only.  Held, validated,
+        as :attr:`spec`.
     """
 
     def __init__(
         self,
         points: np.ndarray | PointStore,
         *,
-        dataset: str = "",
-        low_res_r: int = DEFAULT_LOW_RES_R,
-        fanout: int = 16,
-        scheduler: str | Scheduler | None = None,
-        reuse_policy: str | ReusePolicy = CLUS_DENSITY,
-        cost_model: CostModel | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        kernel: str = "cellgraph",
-        regions: int | None = None,
-        part_size: int | None = None,
-        shard_threshold: int | None = None,
-        supervise: SupervisePolicy | bool | None = None,
         tracer: Tracer | None = None,
+        **defaults: object,
     ) -> None:
-        if cost_model is None:
-            from repro.exec.cost import DEFAULT_COST_MODEL
-
-            cost_model = DEFAULT_COST_MODEL
-        _check_knobs(
-            low_res_r=low_res_r,
-            batch_size=batch_size,
-            kernel=kernel,
-            regions=regions,
-            part_size=part_size,
-            shard_threshold=shard_threshold,
-        )
+        self.spec = RunSpec().override(**defaults)
         self.store = PointStore.from_points(points)
         self.factory = IndexFactory()
-        self.dataset = dataset
-        self.low_res_r = int(low_res_r)
-        self.fanout = check_positive_int(fanout, name="fanout")
-        self.scheduler = _as_scheduler(scheduler)
-        self.reuse_policy = _as_policy(reuse_policy)
-        self.cost_model = cost_model
-        self.batch_size = int(batch_size)
-        self.kernel = kernel
-        self.regions = int(regions) if regions is not None else None
-        self.part_size = int(part_size) if part_size is not None else None
-        self.shard_threshold = (
-            int(shard_threshold) if shard_threshold is not None else None
-        )
-        from repro.supervise.supervisor import as_supervise_policy
-
-        self.supervise = as_supervise_policy(supervise)
         self.tracer = tracer
         self._closed = False
         self._active_runs = 0
@@ -227,15 +103,17 @@ class Session:
     def closed(self) -> bool:
         return self._closed
 
-    def indexes(
-        self, low_res_r: int | None = None, *, fanout: int | None = None
-    ) -> IndexPair:
+    @property
+    def reuse_policy(self) -> ReusePolicy:
+        """The default runs' reuse policy (``CLUSDENSITY`` off ``bfs``)."""
+        return self.spec.effective_reuse.policy
+
+    def indexes(self, low_res_r: int | None = None) -> IndexPair:
         """The memoized ``(T_high, T_low)`` pair at the given resolution."""
+        if low_res_r is None:
+            low_res_r = self.spec.effective_reuse.low_res_r
         return self.factory.index_pair(
-            self.store,
-            low_res_r if low_res_r is not None else self.low_res_r,
-            fanout=fanout if fanout is not None else self.fanout,
-            tracer=resolve_tracer(self.tracer),
+            self.store, low_res_r, tracer=resolve_tracer(self.tracer)
         )
 
     def index(self, kind: str, **params: object) -> SpatialIndex:
@@ -245,166 +123,58 @@ class Session:
         )
 
     # -- execution ------------------------------------------------------
-    def context(
-        self,
-        *,
-        scheduler: str | Scheduler | None = None,
-        policy: str | ReusePolicy | None = None,
-        n_threads: int | None = None,
-        low_res_r: int | None = None,
-        batch_size: int | None = None,
-        cost_model: CostModel | None = None,
-        dataset: str | None = None,
-        kernel: str | None = None,
-        regions: int | None = None,
-        part_size: int | None = None,
-        shard_threshold: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        checkpoint: CheckpointStore | None = None,
-        supervise: SupervisePolicy | bool | None = None,
-    ) -> RunContext:
-        """Assemble the :class:`RunContext` for one run.
+    def context(self, **overrides: object) -> RunContext:
+        """The :class:`RunContext` of one run: the session spec with
+        ``overrides`` applied (see :meth:`RunSpec.override`), its
+        indexes, and the checkpoint store ``resume`` names.
 
-        Each knob is the explicit argument when given, else the session
-        default.  ``supervise=False`` switches supervision off for one
-        run regardless of the session default.
+        ``serial`` runs with one worker whatever ``n_threads`` says.
         """
         if self._closed:
             raise SessionClosedError("Session is closed")
-        _check_knobs(
-            n_threads=n_threads,
-            low_res_r=low_res_r,
-            batch_size=batch_size,
-            kernel=kernel,
-            regions=regions,
-            part_size=part_size,
-            shard_threshold=shard_threshold,
-        )
-        from repro.core.scheduling import SchedGreedy
-
-        sched = _as_scheduler(scheduler)
-        sched = sched if sched is not None else (self.scheduler or SchedGreedy())
-        pol = _as_policy(policy)
-        if regions is None and part_size is None:
-            regions = self.regions
-            part_size = self.part_size
-        from repro.supervise.supervisor import as_supervise_policy
-
-        if supervise is False:
-            sup = None
-        elif supervise is not None:
-            sup = as_supervise_policy(supervise)
-        else:
-            sup = self.supervise
+        spec = self.spec.override(**overrides)
+        if spec.executor == "serial":
+            spec = replace(spec, n_threads=1)
         return RunContext(
             store=self.store,
-            indexes=self.indexes(low_res_r),
-            scheduler=sched,
-            reuse_policy=pol if pol is not None else self.reuse_policy,
-            cost_model=cost_model if cost_model is not None else self.cost_model,
-            n_threads=int(n_threads) if n_threads is not None else 1,
-            batch_size=int(batch_size) if batch_size is not None else self.batch_size,
+            indexes=self.indexes(spec.effective_reuse.low_res_r),
+            spec=spec,
             tracer=resolve_tracer(self.tracer),
-            dataset=dataset if dataset is not None else self.dataset,
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-            kernel=kernel if kernel is not None else self.kernel,
             factory=self.factory,
-            regions=regions,
-            part_size=part_size,
-            shard_threshold=(
-                int(shard_threshold)
-                if shard_threshold is not None
-                else self.shard_threshold
-            ),
-            supervisor=sup,
+            checkpoint=self._resolve_checkpoint(spec.resume),
         )
 
-    def run(
-        self,
-        variants: VariantSet,
-        *,
-        executor: str = "serial",
-        scheduler: str | Scheduler | None = None,
-        policy: str | ReusePolicy | None = None,
-        n_threads: int | None = None,
-        low_res_r: int | None = None,
-        batch_size: int | None = None,
-        cost_model: CostModel | None = None,
-        dataset: str | None = None,
-        kernel: str | None = None,
-        regions: int | None = None,
-        part_size: int | None = None,
-        shard_threshold: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        resume: str | Path | CheckpointStore | None = None,
-        supervise: SupervisePolicy | bool | None = None,
-    ) -> BatchResult:
+    def run(self, variants: VariantSet, **overrides: object) -> BatchResult:
         """Execute every variant and return the batch result.
 
-        ``executor`` names a row of :data:`repro.exec.EXECUTORS`
-        (``serial`` / ``simulated`` / ``processes`` / ``sharded`` /
-        ``hybrid``): the runtime substrate and lowering
-        the batch runs on.  ``serial`` always runs with one worker.
-        All other knobs override the session defaults for this run
-        only; indexes come from the memoized factory, so repeated runs
-        never rebuild them.
+        ``overrides`` replace fields of the session's
+        :class:`~repro.engine.context.RunSpec` for this run only;
+        indexes come from the memoized factory, so repeated runs never
+        rebuild them.  ``executor`` names a row of
+        :data:`repro.exec.EXECUTORS` (``serial`` / ``simulated`` /
+        ``processes`` / ``sharded`` / ``hybrid``): the runtime substrate
+        and lowering the batch runs on.
 
-        Resilience knobs: ``retry_policy`` grants per-variant deadlines
-        and retries, ``fault_plan`` injects deterministic failures (a
-        plan without a policy implies a zero-retry policy so failures
-        are *captured* into ``BatchResult.report`` rather than raised),
-        and ``resume`` names a checkpoint directory — finished variants
-        spill there as they complete and a rerun over byte-identical
-        data skips them.  Any of the three makes the run resilient: a
-        permanently failed variant no longer aborts the batch, and
-        dependents re-plan onto surviving donors.
-
+        Any of ``retry_policy``, ``fault_plan`` or ``resume`` makes the
+        run resilient: a permanently failed variant no longer aborts the
+        batch, and dependents re-plan onto surviving donors.
         ``supervise`` attaches the self-healing supervisor (heartbeat
         monitoring, risk-gated remediation, graceful degradation — see
-        :mod:`repro.supervise`): ``True`` for the default policy, a
-        :class:`~repro.supervise.supervisor.SupervisePolicy` to tune
-        it, ``False`` to switch off the session default.  Supervision
-        implies a resilient run.
+        :mod:`repro.supervise`); ``supervise=False`` switches off a
+        session default.  Supervision implies a resilient run.
         """
         from repro.exec import EXECUTORS
         from repro.exec.graph import GraphRuntime
 
-        if self._closed:
-            raise SessionClosedError("Session is closed")
-        if executor not in EXECUTORS:
-            raise KeyError(
-                f"unknown executor {executor!r}; expected one of {sorted(EXECUTORS)}"
-            )
+        ctx = self.context(**overrides)
+        spec = ctx.spec
         if not isinstance(variants, VariantSet):
             variants = VariantSet(variants)
-        ctx = self.context(
-            scheduler=scheduler,
-            policy=policy,
-            n_threads=n_threads,
-            low_res_r=low_res_r,
-            batch_size=batch_size,
-            cost_model=cost_model,
-            dataset=dataset,
-            kernel=kernel,
-            regions=regions,
-            part_size=part_size,
-            shard_threshold=shard_threshold,
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
-            checkpoint=self._resolve_checkpoint(resume),
-            supervise=supervise,
-        )
-        if executor == "serial":
-            ctx = ctx.with_(n_threads=1)
-        substrate, mode = EXECUTORS[executor]
+        substrate, mode = EXECUTORS[spec.executor]
         if mode is None:
-            if ctx.shard_threshold is not None:
+            if spec.shard_threshold is not None:
                 mode = "hybrid"
-            elif ctx.regions is not None or ctx.part_size is not None:
+            elif spec.regions is not None or spec.part_size is not None:
                 mode = "shard"
             else:
                 mode = "variant"
@@ -414,11 +184,11 @@ class Session:
         finally:
             self._active_runs -= 1
         record = result.record
-        record.executor = executor
-        record.n_threads = ctx.n_threads
-        record.scheduler = ctx.scheduler.name
-        record.reuse_policy = ctx.reuse_policy.name
-        record.dataset = ctx.dataset
+        record.executor = spec.executor
+        record.n_threads = spec.n_threads
+        record.scheduler = spec.effective_reuse.scheduler.name
+        record.reuse_policy = spec.effective_reuse.policy.name
+        record.dataset = spec.dataset
         return result
 
     def _resolve_checkpoint(
@@ -477,6 +247,6 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
         return (
-            f"Session(n={self.store.n_points}, dataset={self.dataset!r}, "
+            f"Session(n={self.store.n_points}, dataset={self.spec.dataset!r}, "
             f"indexes_cached={len(self.factory)}, {state})"
         )

@@ -125,31 +125,32 @@ def execute_variant(
 ) -> tuple[ClusteringResult, VariantRunRecord]:
     """Run one planned variant and return its result and run record.
 
-    All configuration (points, indexes, scheduler, reuse policy, cost
-    model, batch knobs, tracer) comes from ``ctx``.  ``passes`` holds
+    All configuration (points, indexes, kernel, reuse knobs, cost
+    model, tracer) comes from ``ctx``.  ``passes`` holds
     the run's cell-graph passes under ``kernel="cellgraph"``; without
     one the variant builds a pass of its own.  ``before``
     restricts which completed variants are eligible as reuse sources
     (simulated time); wall-clock backends pass ``None`` ("use whatever
     has completed by now").  The record's ``response_time`` is priced by
-    the context's cost model at ``concurrency`` (default:
-    ``ctx.n_threads``); ``start`` / ``finish`` / ``thread_id`` are the
+    the run's cost model at ``concurrency`` (default:
+    ``ctx.spec.n_threads``); ``start`` / ``finish`` / ``thread_id`` are the
     caller's to fill in.
     """
     if concurrency is None:
-        concurrency = ctx.n_threads
+        concurrency = ctx.spec.n_threads
     tr = resolve_tracer(ctx.tracer)
     points = ctx.points
     indexes = ctx.indexes
     counters = WorkCounters()
     with tr.span("variant", variant=str(planned.variant)) as span:
-        if ctx.kernel == "cellgraph":
+        if ctx.spec.kernel == "cellgraph":
             # Exact from the eps's pass: a reuse source has nothing to add.
             if passes is None:
                 passes = PassMemo(VariantSet([planned.variant]))
             result = passes.cluster(ctx, planned.variant, counters, tr)
         else:
-            source = ctx.scheduler.select_source(
+            reuse = ctx.spec.reuse
+            source = reuse.scheduler.select_source(
                 planned, vset, registry, before=before
             )
             result = variant_dbscan(
@@ -158,9 +159,9 @@ def execute_variant(
                 source[1] if source is not None else None,
                 t_high=indexes.t_high,
                 t_low=indexes.t_low,
-                reuse_policy=ctx.reuse_policy,
+                reuse_policy=reuse.policy,
                 counters=counters,
-                batch_size=ctx.batch_size,
+                batch_size=reuse.batch_size,
                 tracer=tr,
             )
         span.set(
@@ -172,7 +173,7 @@ def execute_variant(
         reused_from=result.reused_from,
         points_reused=result.points_reused,
         reuse_fraction=result.reuse_fraction,
-        response_time=ctx.cost_model.duration(counters, concurrency),
+        response_time=ctx.spec.cost_model.duration(counters, concurrency),
         wall_time=result.elapsed,
         n_clusters=result.n_clusters,
         n_noise=result.n_noise,

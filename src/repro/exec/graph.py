@@ -50,14 +50,12 @@ from __future__ import annotations
 import heapq
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.result import ClusteringResult
-from repro.core.reuse import POLICIES
 from repro.core.scheduling import (
     CompletedRegistry,
     PlannedVariant,
-    SchedGreedy,
     dependency_tree,
 )
 from repro.core.shard import (
@@ -75,7 +73,7 @@ from repro.core.taskgraph import (
     variant_task_id,
 )
 from repro.core.variants import Variant, VariantSet, sort_key
-from repro.engine.context import RunContext
+from repro.engine.context import ReuseSpec, RunContext, RunSpec
 from repro.engine.factory import (
     IndexFactory,
     IndexPairHandle,
@@ -183,14 +181,13 @@ def _chain_worker(
     chain: list[tuple[float, int]],
     todo: list[tuple[PlannedVariant, int]],
     donors: list[tuple[tuple[float, int], ClusteringResult]],
-    reuse_policy_name: str,
+    kernel: str,
+    reuse: ReuseSpec | None,
     cost_model: CostModel,
     t0: float,
-    batch_size: int,
     trace: bool,
     policy: RetryPolicy | None = None,
     faults: BoundFaultPlan | None = None,
-    kernel: str = "bfs",
     pulse: PulseHandle | None = None,
     thread_id: int = 0,
 ):
@@ -204,6 +201,9 @@ def _chain_worker(
     registry at t = 0 (the registry accepts out-of-set donors —
     inclusion checks are pure variant arithmetic), so a resubmitted
     suffix sees exactly the sources it would have seen in one pass.
+    ``kernel``, ``reuse`` and ``cost_model`` are the run's own: the
+    worker picks sources with the caller's scheduler and seeds clusters
+    with the caller's reuse policy.
 
     The worker attaches the parent's shared point segment and index
     pack (zero-copy views; spans ``shm_attach``) instead of receiving
@@ -254,12 +254,7 @@ def _chain_worker(
         ctx = RunContext(
             store=store,
             indexes=indexes,
-            scheduler=SchedGreedy(),
-            reuse_policy=POLICIES[reuse_policy_name],
-            cost_model=cost_model,
-            n_threads=1,
-            batch_size=batch_size,
-            kernel=kernel,
+            spec=RunSpec(kernel=kernel, reuse=reuse, cost_model=cost_model),
             factory=IndexFactory(),
             **({"tracer": tracer} if tracer is not None else {}),
         )
@@ -538,10 +533,10 @@ class GraphRuntime:
     def run(
         self, ctx: RunContext, variants: VariantSet, *, mode: str = "variant"
     ) -> BatchResult:
-        tracer = ctx.tracer
-        faults = ctx.fault_plan.bind(variants) if ctx.fault_plan else None
-        policy = ctx.retry_policy
-        if policy is None and ctx.supervisor is not None:
+        tracer, spec = ctx.tracer, ctx.spec
+        faults = spec.fault_plan.bind(variants) if spec.fault_plan else None
+        policy = spec.retry_policy
+        if policy is None and spec.supervise is not None:
             # Supervision without an explicit policy: self-healing needs
             # a retry budget for its respawn/resubmit remediations.
             policy = RetryPolicy()
@@ -577,14 +572,14 @@ class GraphRuntime:
                 _settle(outcomes, variant, VariantStatus.RESUMED, 0)
                 tracer.instant(EVENT_RESUMED, variant=str(variant))
         plan = [
-            p for p in ctx.scheduler.plan(variants) if p.variant not in results
+            p for p in spec.effective_reuse.scheduler.plan(variants) if p.variant not in results
         ]
         base_plan: ShardPlan | None = None
         n_regions = 1
         if mode in ("shard", "hybrid") and plan:
             n_regions = resolve_n_regions(
-                ctx.store.n_points, ctx.regions, ctx.part_size,
-                default=ctx.n_threads,
+                ctx.store.n_points, spec.regions, spec.part_size,
+                default=spec.n_threads,
             )
             # Cut geometry is eps-independent; plan once, re-halo per
             # variant with ShardPlan.with_eps.  plan_shards may clamp a
@@ -598,7 +593,7 @@ class GraphRuntime:
             mode=mode,
             n_regions=n_regions,
             n_points=ctx.store.n_points,
-            shard_threshold=ctx.shard_threshold,
+            shard_threshold=spec.shard_threshold,
         )
         if graph.merge_tasks() and base_plan is not None:
             tracer.instant(
@@ -608,9 +603,9 @@ class GraphRuntime:
                 n=ctx.store.n_points,
             )
         supervisor = None
-        if ctx.supervisor is not None:
+        if spec.supervise is not None:
             supervisor = Supervisor(
-                ctx.supervisor, tracer=tracer, n_tasks=max(len(graph), 1)
+                spec.supervise, tracer=tracer, n_tasks=max(len(graph), 1)
             )
         if len(graph):
             self._dispatch(
@@ -620,7 +615,7 @@ class GraphRuntime:
             )
         makespan = max((r.finish for r in records), default=0.0)
         batch_record = BatchRunRecord(
-            records=records, n_threads=ctx.n_threads, makespan=makespan
+            records=records, n_threads=spec.n_threads, makespan=makespan
         )
         report = None
         if policy is not None:  # else errors propagated: no report
@@ -673,12 +668,12 @@ class GraphRuntime:
         Every decision is traced and lands in
         ``BatchReport.remediations``.
         """
-        tracer = ctx.tracer
+        tracer, spec = ctx.tracer, ctx.spec
         max_attempts = policy.max_attempts if policy is not None else 1
         kills = sum(s.kind == "kill" for s in faults.table.values()) if faults else 0
         budget = max_attempts + kills
         deadline = policy.deadline_s if policy is not None else None
-        inline = _InlineLanes(ctx.n_threads) if self.substrate == "sim" else None
+        inline = _InlineLanes(spec.n_threads) if self.substrate == "sim" else None
         # Failed attempts per variant, and the last error of each.
         attempts = dict.fromkeys(variants, 0)
         last_error: dict[Variant, str] = {}
@@ -709,7 +704,7 @@ class GraphRuntime:
             # (so a sharded root's subtree stays one chain), then drop
             # the sharded variants — their results arrive as donors.
             all_vs = [t.variant for t in variant_tasks] + list(sharded_set)
-            raw = partition_reuse_chains(VariantSet(all_vs), ctx.n_threads)
+            raw = partition_reuse_chains(VariantSet(all_vs), spec.n_threads)
             for chain in raw:
                 kept = [v for v in chain if v not in sharded_set]
                 if not kept:
@@ -753,11 +748,11 @@ class GraphRuntime:
         if inline is not None:
             n_lanes = 1  # dispatch slots: inline units finish at submission
         elif graph.mode == "shard":
-            n_lanes = max(1, min(ctx.n_threads, merge_tasks[0].n_regions))
+            n_lanes = max(1, min(spec.n_threads, merge_tasks[0].n_regions))
         elif graph.mode == "variant":
             n_lanes = max(1, len(groups))
         else:
-            n_lanes = max(1, ctx.n_threads)
+            n_lanes = max(1, spec.n_threads)
 
         store_handle = (
             ctx.store.ensure_shared(tracer=tracer) if inline is None else None
@@ -829,8 +824,8 @@ class GraphRuntime:
             assert supervisor is not None
             if isinstance(unit, _GroupUnit):
                 axis, rung = "substrate", unit.rung
-            elif corrupt and ctx.kernel == "cellgraph":
-                axis, rung = "kernel", ctx.kernel
+            elif corrupt and spec.kernel == "cellgraph":
+                axis, rung = "kernel", spec.kernel
             else:
                 axis, rung = "lowering", "shard"
             _, step = supervisor.on_exhausted(
@@ -972,26 +967,27 @@ class GraphRuntime:
                     return finish
 
             failed = run_chain(
-                ctx if unit.kernel is None else ctx.with_(kernel=unit.kernel),
+                ctx if unit.kernel is None
+                else replace(ctx, spec=spec.override(kernel=unit.kernel)),
                 vset, todo, reg, done,
                 faults=faults, policy=policy,
-                concurrency=ctx.n_threads, before=before, passes=memo,
+                concurrency=spec.n_threads, before=before, passes=memo,
             )
             return pairs, failed, None
 
-        def inline_shard(pipe: _ShardPipeline, plan, region, spec, task_id):
+        def inline_shard(pipe: _ShardPipeline, plan, region, fault, task_id):
             start = inline.start(pipe.deps)
-            fire(spec, deadline_s=deadline, started_at=time.perf_counter())
+            fire(fault, deadline_s=deadline, started_at=time.perf_counter())
             piece = cluster_shard(
                 ctx.points,
                 plan,
                 region,
                 pipe.variant.minpts,
-                kernel=ctx.kernel,
-                batch_size=ctx.batch_size,
+                kernel=spec.kernel,
+                batch_size=spec.effective_reuse.batch_size,
                 tracer=tracer,
             )
-            dur = ctx.cost_model.duration(piece.counters, ctx.n_threads)
+            dur = spec.cost_model.duration(piece.counters, spec.n_threads)
             inline.occupy(task_id, start, dur)
             return piece, None, start, dur
 
@@ -1036,14 +1032,13 @@ class GraphRuntime:
                     [v.as_tuple() for v in unit.variants],
                     todo,
                     [(v.as_tuple(), r) for v, r in donors],
-                    ctx.reuse_policy.name,
-                    ctx.cost_model,
+                    spec.kernel,
+                    spec.reuse,
+                    spec.cost_model,
                     t0,
-                    ctx.batch_size,
                     tracer.enabled,
                     policy,
                     faults,
-                    ctx.kernel,
                     mailbox.handle(lane) if mailbox is not None else None,
                     unit.gid,
                 )
@@ -1057,19 +1052,19 @@ class GraphRuntime:
                 pipe.started_at = time.perf_counter()
             label = shard_label(pipe, region)
             attempt = attempts[pipe.variant]
-            spec = None
+            fault = None
             if faults:
                 found = faults.find(pipe.variant, attempt, "start")
                 if found is not None and region == found.index % pipe.n_regions:
-                    spec = found
-                if spec is None:
-                    spec = faults.find_task(label, attempt, "start")
+                    fault = found
+                if fault is None:
+                    fault = faults.find_task(label, attempt, "start")
             pipe.inflight.add(region)
             plan = base_plan.with_eps(pipe.variant.eps)
             budget_t = None
             if inline is not None:
                 where = inline.next_name()
-                fut = _resolved(inline_shard, pipe, plan, region, spec, label)
+                fut = _resolved(inline_shard, pipe, plan, region, fault, label)
             else:
                 where = f"lane-{lane}"
                 if deadline is not None:
@@ -1080,11 +1075,11 @@ class GraphRuntime:
                     plan,
                     region,
                     pipe.variant.minpts,
-                    ctx.kernel,
-                    ctx.batch_size,
+                    spec.kernel,
+                    spec.effective_reuse.batch_size,
                     t0,
                     tracer.enabled,
-                    spec,
+                    fault,
                     deadline,
                     mailbox.handle(lane) if mailbox is not None else None,
                     label,
@@ -1172,7 +1167,7 @@ class GraphRuntime:
             if inline is not None:
                 m_start = inline.start(pipe.shard_ids)
                 where = inline.next_name()
-                dur = ctx.cost_model.duration(merge_delta, ctx.n_threads)
+                dur = spec.cost_model.duration(merge_delta, spec.n_threads)
                 tid, finish = inline.occupy(pipe.merge_id, m_start, dur)
             else:
                 m_start = merge_t0 - t0

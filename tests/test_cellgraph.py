@@ -363,25 +363,25 @@ WIRING_VARIANTS = VariantSet.from_product([0.45, 0.6], [4, 8])
 @pytest.fixture(scope="module")
 def wiring_reference(two_blobs):
     """Canonical per-variant labels from the serial BFS batch engine."""
-    with Session(two_blobs) as session:
+    with Session(two_blobs, kernel="bfs") as session:
         batch = session.run(WIRING_VARIANTS)
     return {v: canonical(batch.results[v].labels) for v in WIRING_VARIANTS}
 
 
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
+#: The cell-graph kernel with its (only) settings, then the reuse path
+#: under every scheduler x policy.
+WIRING_CELLS = [pytest.param({}, id="cellgraph")] + [
+    pytest.param({"kernel": "bfs", "scheduler": s, "policy": p}, id=f"{s}-{p}")
+    for s in sorted(SCHEDULERS)
+    for p in sorted(POLICIES)
+]
+
+
+@pytest.mark.parametrize("knobs", WIRING_CELLS)
 @pytest.mark.parametrize("executor", ["serial", "processes", "simulated"])
-def test_kernel_matches_bfs_reference(
-    two_blobs, wiring_reference, executor, scheduler_name, policy_name
-):
-    with Session(two_blobs, kernel="cellgraph") as session:
-        batch = session.run(
-            WIRING_VARIANTS,
-            executor=executor,
-            n_threads=2,
-            scheduler=scheduler_name,
-            policy=policy_name,
-        )
+def test_kernel_matches_bfs_reference(two_blobs, wiring_reference, executor, knobs):
+    with Session(two_blobs) as session:
+        batch = session.run(WIRING_VARIANTS, executor=executor, n_threads=2, **knobs)
     for v in WIRING_VARIANTS:
         np.testing.assert_array_equal(
             canonical(batch.results[v].labels), wiring_reference[v]

@@ -161,7 +161,7 @@ class TestBatchEngine:
         points, _ = small_synthetic
         ref = {v: bfs(points, v.eps, v.minpts) for v in self.VSET}
         with Session(points) as session:
-            assert session.kernel == "cellgraph"
+            assert session.spec.kernel == "cellgraph"
             runs = {
                 "serial": session.run(self.VSET),
                 "simulated": session.run(self.VSET, executor="simulated", n_threads=3),

@@ -105,6 +105,8 @@ class TestSweep:
                 "simulated",
                 "--threads",
                 "4",
+                "--kernel",
+                "bfs",
                 "--scheduler",
                 "SCHEDMINPTS",
                 "--policy",
@@ -171,7 +173,7 @@ class TestSweep:
             "sweep", "cF_10k_5N", "--scale", "0.06",
             "--eps", "2.0,3.0", "--minpts", "4,8",
         ]
-        assert main(args) == 0
+        assert main([*args, "--kernel", "bfs"]) == 0
         bfs_out = capsys.readouterr().out
         assert main([*args, "--kernel", "cellgraph"]) == 0
         cg_out = capsys.readouterr().out
@@ -184,6 +186,29 @@ class TestSweep:
             ]
 
         assert pick(cg_out) == pick(bfs_out)
+
+
+class TestRunFlags:
+    ARGS = ["SW1", "--scale", "0.001", "--eps", "0.4,0.5", "--minpts", "4,8"]
+
+    def test_trace_bfs_takes_the_scheduler(self, capsys):
+        rc = main(["trace", *self.ARGS, "--kernel", "bfs", "--scheduler", "SCHEDMINPTS"])
+        assert rc == 0
+        assert "scheduler=SCHEDMINPTS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    @pytest.mark.parametrize(
+        "flag", [["--scheduler", "SCHEDMINPTS"], ["--policy", "CLUSSIZE"], ["--r", "50"]]
+    )
+    def test_reuse_flags_need_bfs(self, command, flag):
+        with pytest.raises(SystemExit, match="--kernel bfs"):
+            main([command, *self.ARGS, *flag])
+
+    def test_sweep_title_names_reuse_knobs_only_under_bfs(self, capsys):
+        assert main(["sweep", *self.ARGS]) == 0
+        assert "SCHEDGREEDY" not in capsys.readouterr().out
+        assert main(["sweep", *self.ARGS, "--kernel", "bfs", "--policy", "CLUSSIZE"]) == 0
+        assert "SCHEDGREEDY, CLUSSIZE" in capsys.readouterr().out
 
 
 class TestFigure:

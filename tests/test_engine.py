@@ -17,6 +17,7 @@ Covers the engine layer's contracts end to end:
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 
 import numpy as np
@@ -29,7 +30,9 @@ from repro.engine import (
     IndexFactory,
     IndexPair,
     PointStore,
+    ReuseSpec,
     RunContext,
+    RunSpec,
     Session,
     attach_index_pair,
     fingerprint_points,
@@ -232,12 +235,51 @@ class TestSharedIndexPair:
 # ----------------------------------------------------------------------
 class TestRunContext:
     def test_frozen_and_with(self, points):
-        with Session(points) as session:
+        with Session(points, executor="processes") as session:
             ctx = session.context()
+            assert isinstance(ctx, RunContext)
             with pytest.raises(AttributeError):
-                ctx.n_threads = 5
-            assert ctx.with_(n_threads=5).n_threads == 5
+                ctx.spec = RunSpec()
+            with pytest.raises(AttributeError):
+                ctx.spec.n_threads = 5
+            assert session.context(n_threads=5).spec.n_threads == 5
+            assert session.spec.n_threads == 1  # overrides never stick
             assert ctx.points is session.store.points
+
+
+# ----------------------------------------------------------------------
+# RunSpec
+# ----------------------------------------------------------------------
+#: A non-default value for every ReuseSpec field.
+REUSE_KNOBS = {"scheduler": "SCHEDMINPTS", "policy": "CLUSSIZE", "low_res_r": 50, "batch_size": 1}
+
+
+class TestRunSpec:
+    def test_reuse_knobs_cover_every_field(self):
+        assert set(REUSE_KNOBS) == {f.name for f in dataclasses.fields(ReuseSpec)}
+
+    @pytest.mark.parametrize("knob", sorted(REUSE_KNOBS))
+    def test_reuse_knob_needs_bfs(self, points, knob):
+        change = {knob: REUSE_KNOBS[knob]}
+        with pytest.raises(ValueError, match="kernel='bfs'"):
+            Session(points, **change)
+        with Session(points) as session, pytest.raises(ValueError, match="kernel='bfs'"):
+            session.run(VSET, **change)
+        with pytest.raises(ValueError, match="kernel='bfs'"):
+            RunSpec(reuse=ReuseSpec(**change))
+        assert RunSpec(kernel="bfs", reuse=ReuseSpec(**change)).reuse == ReuseSpec(**change)
+
+    def test_bfs_defaults_to_the_default_reuse_spec(self):
+        assert RunSpec(kernel="bfs").reuse == ReuseSpec()
+        assert RunSpec().reuse is None
+        spec = RunSpec().override(kernel="bfs", scheduler="SCHEDMINPTS")
+        assert spec.reuse.scheduler.name == "SCHEDMINPTS"
+        assert spec.override(kernel="cellgraph").reuse is None
+
+    def test_one_of_regions_part_size_replaces_the_pair(self):
+        spec = RunSpec(part_size=100)
+        assert (spec.override(regions=3).regions, spec.override(regions=3).part_size) == (3, None)
+        assert spec.override(n_threads=2).part_size == 100
 
 
 # ----------------------------------------------------------------------
@@ -266,29 +308,43 @@ class TestSession:
         with Session(points) as session:
             for name in EXECUTORS:
                 rec = session.run(
-                    VSET, executor=name, n_threads=2, scheduler=SchedMinpts(),
-                    regions=2,
+                    VSET, executor=name, n_threads=2, kernel="bfs",
+                    scheduler=SchedMinpts(), regions=2,
                 ).record
                 assert rec.executor == name
                 assert rec.n_threads == (1 if name == "serial" else 2)
                 assert rec.scheduler == "SCHEDMINPTS"
+                # The cell-graph kernel plans with the default scheduler.
+                rec = session.run(VSET, executor=name, n_threads=2, regions=2).record
+                assert rec.executor == name
+                assert rec.scheduler == "SCHEDGREEDY"
 
     def test_unknown_names_raise(self, points):
         with Session(points) as session:
             with pytest.raises(KeyError, match="unknown executor"):
                 session.run(VSET, executor="gpu")
             with pytest.raises(KeyError, match="unknown scheduler"):
-                session.run(VSET, scheduler="SCHEDRANDOM")
+                session.run(VSET, kernel="bfs", scheduler="SCHEDRANDOM")
             with pytest.raises(KeyError, match="unknown reuse policy"):
-                session.run(VSET, policy="CLUSWRONG")
+                session.run(VSET, kernel="bfs", policy="CLUSWRONG")
             with pytest.raises(KeyError, match="unknown executor"):
                 session.run(VSET, executor=42)
 
     def test_session_defaults_apply(self, points):
-        with Session(points, scheduler="SCHEDMINPTS", reuse_policy="CLUSSIZE") as s:
+        with Session(
+            points, kernel="bfs", scheduler="SCHEDMINPTS", policy="CLUSSIZE"
+        ) as s:
             rec = s.run(VSET).record
+            assert s.reuse_policy.name == "CLUSSIZE"
+            # A cellgraph run drops the session's reuse knobs.
+            cg = s.run(VSET, kernel="cellgraph").record
         assert rec.scheduler == "SCHEDMINPTS"
         assert rec.reuse_policy == "CLUSSIZE"
+        with Session(points) as s:
+            rec = s.run(VSET).record
+            assert s.reuse_policy.name == "CLUSDENSITY"
+        for r in (rec, cg):
+            assert (r.scheduler, r.reuse_policy) == ("SCHEDGREEDY", "CLUSDENSITY")
 
     @pytest.mark.parametrize(
         "knob, value",

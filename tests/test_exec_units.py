@@ -90,7 +90,7 @@ class TestExecuteVariant:
 
     def test_force_scratch_ignores_registry(self, session):
         vset = VariantSet([Variant(0.4, 4), Variant(0.5, 4)])
-        ctx = session.context()
+        ctx = session.context(kernel="bfs")
         registry = CompletedRegistry()
         donor_result, _ = execute_variant(
             ctx, PlannedVariant(Variant(0.4, 4)), vset, registry
@@ -112,7 +112,7 @@ class TestExecuteVariant:
             concurrency=1,
         )
         assert rec.response_time == pytest.approx(
-            ctx.cost_model.duration(rec.counters, 1)
+            ctx.spec.cost_model.duration(rec.counters, 1)
         )
 
 

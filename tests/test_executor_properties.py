@@ -48,7 +48,9 @@ class TestSimulatedInvariants:
         g = resolve_rng(17)
         cloud = np.vstack([g.normal(0, 0.5, (80, 2)), g.uniform(-2, 2, (40, 2))])
         sched = SchedMinpts() if use_minpts_sched else SchedGreedy()
-        batch = run_batch(cloud, vset, "simulated", n_threads=n_threads, scheduler=sched)
+        batch = run_batch(
+            cloud, vset, "simulated", n_threads=n_threads, kernel="bfs", scheduler=sched
+        )
         rec = batch.record
 
         # every variant ran exactly once

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.dbscan import dbscan
-from repro.core.reuse import CLUS_DENSITY
+from repro.core.reuse import CLUS_DENSITY, CLUS_SIZE
 from repro.core.scheduling import SchedGreedy, SchedMinpts
 from repro.core.variants import Variant, VariantSet
 from repro.engine import Session
@@ -117,7 +117,9 @@ class TestSimulatedExecutor:
         assert m2 <= m1 * 1.01
 
     def test_schedminpts_head_runs_scratch(self, blobs):
-        batch = run_batch(blobs, VSET, "simulated", n_threads=1, scheduler=SchedMinpts())
+        batch = run_batch(
+            blobs, VSET, "simulated", n_threads=1, kernel="bfs", scheduler=SchedMinpts()
+        )
         heads = {(0.5, 12), (0.7, 12)}
         for r in batch.record.records:
             if r.variant.as_tuple() in heads:
@@ -155,6 +157,45 @@ class TestProcessPool:
             assert quality_score(reference_results[v], batch.results[v]) >= 0.99
 
 
+class _SchedNoReuse(SchedGreedy):
+    """SCHEDGREEDY's order, but every variant clusters from scratch."""
+
+    name = "SCHEDNOREUSE"
+
+    def select_source(self, planned, vset, registry, before=None):
+        return None
+
+
+#: CLUSDENSITY tuned so that no cluster is big enough to seed from.
+NO_SEED_POLICY = type(CLUS_DENSITY)(min_cluster_size=10**6)
+
+#: Executors whose variants run in lane worker processes, plus the
+#: in-process reference.
+LANE_CASES = {"serial": {}, "processes": {}, "hybrid": {"regions": 2}}
+
+
+@pytest.mark.parametrize("executor", sorted(LANE_CASES))
+class TestLanesRunTheCallersReuseSpec:
+    """Lane workers use the run's own scheduler and reuse-policy objects."""
+
+    def _run(self, blobs, executor, **knobs):
+        return run_batch(
+            blobs, VSET, executor, n_threads=2, kernel="bfs", **LANE_CASES[executor], **knobs
+        ).record
+
+    def test_custom_scheduler(self, blobs, executor):
+        assert self._run(blobs, executor).n_from_scratch < len(VSET)
+        rec = self._run(blobs, executor, scheduler=_SchedNoReuse())
+        assert rec.scheduler == "SCHEDNOREUSE"
+        assert [r.reused_from for r in rec.records] == [None] * len(VSET)
+
+    def test_tuned_policy_instance(self, blobs, executor):
+        assert sum(r.points_reused for r in self._run(blobs, executor).records) > 0
+        rec = self._run(blobs, executor, policy=NO_SEED_POLICY)
+        assert rec.reuse_policy == "CLUSDENSITY"
+        assert sum(r.points_reused for r in rec.records) == 0
+
+
 class TestRegistry:
     def test_executor_registry(self):
         assert set(EXECUTORS) == {
@@ -162,16 +203,22 @@ class TestRegistry:
         }
 
     def test_record_carries_config(self, blobs):
-        batch = run_batch(
-            blobs, VSET, "simulated",
-            n_threads=2, scheduler=SchedGreedy(), policy=CLUS_DENSITY, dataset="blobs",
-        )
-        rec = batch.record
-        assert rec.scheduler == "SCHEDGREEDY"
-        assert rec.reuse_policy == "CLUSDENSITY"
-        assert rec.dataset == "blobs"
-        assert rec.executor == "simulated"
-        assert rec.n_threads == 2
+        cells = [
+            ({}, "SCHEDGREEDY", "CLUSDENSITY"),
+            ({"scheduler": SchedGreedy(), "policy": CLUS_DENSITY}, "SCHEDGREEDY", "CLUSDENSITY"),
+            ({"scheduler": SchedMinpts(), "policy": CLUS_SIZE}, "SCHEDMINPTS", "CLUSSIZE"),
+        ]
+        for knobs, scheduler, policy in cells:
+            kernel = "bfs" if knobs else "cellgraph"
+            batch = run_batch(
+                blobs, VSET, "simulated", n_threads=2, dataset="blobs", kernel=kernel, **knobs
+            )
+            rec = batch.record
+            assert rec.scheduler == scheduler
+            assert rec.reuse_policy == policy
+            assert rec.dataset == "blobs"
+            assert rec.executor == "simulated"
+            assert rec.n_threads == 2
 
     def test_shared_indexes_accepted(self, blobs):
         with Session(blobs) as session:

@@ -109,14 +109,22 @@ class TestLoweringMatrix:
     ):
         assert policy in POLICIES
         executor, kw = LOWERING_CASES[case]
+        knobs = {"scheduler": scheduler, "policy": policy}
         with Session(points) as s:
+            if kernel == "cellgraph":
+                # The cell-graph kernel takes no reuse knobs: its one
+                # running cell is the default one.
+                with pytest.raises(ValueError, match="kernel='bfs'"):
+                    s.run(VSET, executor=executor, kernel=kernel, **knobs, **kw)
+                if (scheduler, policy) != ("SCHEDGREEDY", "CLUSDENSITY"):
+                    return
+                knobs = {}
             batch = s.run(
                 VSET,
                 executor=executor,
                 n_threads=2,
-                scheduler=scheduler,
-                policy=policy,
                 kernel=kernel,
+                **knobs,
                 **kw,
             )
         assert set(batch.results) == set(VSET)

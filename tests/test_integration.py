@@ -76,7 +76,7 @@ class TestScaleStability:
         ds = load_dataset("SW1", scale)
         vs = VariantSet.from_product([0.3, 0.5], [4, 8, 12])
         ref = reference_run(ds.points, vs)
-        batch = run_batch(ds.points, vs, policy=CLUS_DENSITY)
+        batch = run_batch(ds.points, vs, kernel="bfs", policy=CLUS_DENSITY)
         assert ref.total_units / batch.record.makespan > 1.0
 
     @pytest.mark.parametrize("scale", [0.001, 0.003])

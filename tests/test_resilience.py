@@ -216,6 +216,7 @@ class TestRecoveryEquality:
                 VSET,
                 executor=executor,
                 n_threads=3,
+                kernel="bfs",
                 scheduler=scheduler,
                 policy=policy,
                 fault_plan=RECOVERY_PLAN,
@@ -227,6 +228,25 @@ class TestRecoveryEquality:
         assert len(report) == len(VSET)
         assert report.retried, "injected faults should surface as retries"
         assert_canonical_equal(batch, baseline)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_cellgraph_faulted_run_matches_fault_free(points, baseline, executor):
+    """The recovery matrix's cell on the default (cell-graph) kernel."""
+    with Session(points) as s:
+        batch = s.run(
+            VSET,
+            executor=executor,
+            n_threads=3,
+            fault_plan=RECOVERY_PLAN,
+            retry_policy=RECOVERY_POLICY,
+        )
+    report = batch.report
+    assert report is not None and report.complete
+    assert set(batch.results) == set(VSET)
+    assert len(report) == len(VSET)
+    assert report.retried, "injected faults should surface as retries"
+    assert_canonical_equal(batch, baseline)
 
 
 # ----------------------------------------------------------------------

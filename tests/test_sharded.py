@@ -343,8 +343,9 @@ class TestShardedExecutor:
         """Ordering knobs must never change sharded output."""
         with Session(
             exec_cloud,
+            kernel="bfs",
             scheduler=SCHEDULERS[scheduler_name],
-            reuse_policy=POLICIES[policy_name],
+            policy=POLICIES[policy_name],
         ) as s:
             batch = s.run(EXEC_VSET, executor="sharded", n_threads=2, regions=2)
         for v in EXEC_VSET:

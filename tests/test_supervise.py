@@ -392,15 +392,15 @@ class TestSuperviseKnob:
 
     def test_session_default_threads_to_context(self, points):
         with Session(points, supervise=True) as s:
-            assert s.context().supervisor == SupervisePolicy()
+            assert s.context().spec.supervise == SupervisePolicy()
             # Per-run False overrides the session default.
-            assert s.context(supervise=False).supervisor is None
+            assert s.context(supervise=False).spec.supervise is None
 
     def test_run_override_beats_session_default(self, points):
         pol = SupervisePolicy(risk_budget=0.9)
         with Session(points) as s:
-            assert s.context().supervisor is None
-            assert s.context(supervise=pol).supervisor is pol
+            assert s.context().spec.supervise is None
+            assert s.context(supervise=pol).spec.supervise is pol
 
 
 # ----------------------------------------------------------------------
