@@ -28,7 +28,8 @@ from repro.bench.reporting import format_table
 from repro.core.reuse import POLICIES
 from repro.core.scheduling import SCHEDULERS
 from repro.core.variants import VariantSet
-from repro.engine import IndexPair, PointStore, attach_index_pair, share_index_pair
+from repro.engine import IndexFactory, IndexPair, PointStore, attach_indexes, share_indexes
+from repro.engine.factory import pair_params
 
 from conftest import bench_scale, bench_session
 
@@ -112,20 +113,23 @@ def test_bench_procpool_setup_vs_rebuild(benchmark, report):
     session = bench_session(FIG9_DATASET)
     points = session.points
     low_res_r = session.spec.reuse.low_res_r
-    indexes = session.indexes()
+    session.indexes()
 
     def engine_setup():
         store = PointStore.from_points(points)
         with store:
             store.ensure_shared()
-            shm, handle = share_index_pair(indexes)
+            shm, handle = share_indexes(
+                session.factory, store, pair_params(low_res_r)
+            )
             try:
                 attach_cost = 0.0
                 for _ in range(WORKERS):
                     t0 = time.perf_counter()
-                    seg, pair = attach_index_pair(handle, store.points)
+                    factory = IndexFactory()
+                    seg = attach_indexes(handle, store, factory)
                     attach_cost += time.perf_counter() - t0
-                    del pair
+                    del factory
                     seg.close()
             finally:
                 shm.close()

@@ -54,8 +54,8 @@ _ACQUIRERS = frozenset(
         "attach_shm",
         "pack_arrays",
         "attach_arrays",
-        "share_index_pair",
-        "attach_index_pair",
+        "share_indexes",
+        "attach_indexes",
         "open_mailbox",
         "SharedMemory",
     }

@@ -30,14 +30,21 @@ Three lowering modes cover every executor backend:
     executor's one-variant-at-a-time schedule.
 ``hybrid``
     From-scratch variants (donor-forest roots and ``force_scratch``
-    heads) at or above ``shard_threshold`` points fan out into
-    shard/merge tasks; every other variant stays a
-    :class:`VariantTask`.  A donor edge *onto a sharded donor* becomes
-    **hard** — the dependent waits for the merge so reuse is possible
-    and schedules stay deterministic — while donor edges between plain
-    variant tasks stay soft.  Nothing sequences unrelated chains, so a
-    large scratch variant's shards run concurrently with other
-    variants' reuse chains: the two axes interleave on one pool.
+    heads) may fan out into shard/merge tasks; every other variant
+    stays a :class:`VariantTask`.  At the default threshold the
+    lowering is *variant-first*, the paper's outer ``parallel for``:
+    scratch roots of :data:`DEFAULT_SHARD_THRESHOLD` or more points fan
+    out only when the batch has fewer scratch roots (independent
+    chains) than lanes, so whole variants fill the lanes whenever there
+    are enough of them.  An explicit ``shard_threshold`` fans out every
+    scratch root of at least that many points.  Both rules read only
+    the plan and the sizes, so the graph is deterministic.  A donor
+    edge *onto a sharded donor* becomes **hard** — the dependent waits
+    for the merge so reuse is possible and schedules stay deterministic
+    — while donor edges between plain variant tasks stay soft.  Nothing
+    sequences unrelated chains, so a large scratch variant's shards run
+    concurrently with other variants' reuse chains: the two axes
+    interleave on one pool.
 
 Dependency-edge discipline: ``deps`` are **hard** (a task must not
 start before every hard dep is resolved); ``soft_deps`` are advisory
@@ -71,9 +78,11 @@ __all__ = [
     "variant_task_id",
 ]
 
-#: Point count at which hybrid lowering shards a from-scratch variant.
-#: Below this, the fan-out/merge overhead outweighs the region
-#: parallelism (the shard ablation's crossover regime).
+#: Point count at which hybrid lowering may shard a from-scratch
+#: variant when no explicit threshold is given (and then only while
+#: scratch roots are fewer than lanes).  Below this, the fan-out/merge
+#: overhead outweighs the region parallelism (the shard ablation's
+#: crossover regime).
 DEFAULT_SHARD_THRESHOLD = 50_000
 
 #: Recognized lowering modes (see module docstring).
@@ -282,15 +291,19 @@ def lower_variants(
     n_regions: int = 1,
     n_points: int = 0,
     shard_threshold: int | None = None,
+    n_lanes: int | None = None,
 ) -> TaskGraph:
     """Lower a scheduler's planned queue into a :class:`TaskGraph`.
 
     ``plan`` is the (possibly resume-filtered) queue from
     ``scheduler.plan``; ``n_regions`` the resolved region count for
     shard fan-outs; ``n_points`` the database size the hybrid
-    threshold gates on.  ``shard_threshold`` defaults to
-    :data:`DEFAULT_SHARD_THRESHOLD` in hybrid mode and is ignored by
-    the other modes.
+    threshold gates on.  In hybrid mode, ``shard_threshold=None`` is
+    variant-first: scratch roots of :data:`DEFAULT_SHARD_THRESHOLD` or
+    more points fan out only when they are fewer than ``n_lanes``, the
+    lane count the graph will run on (default ``n_regions``).  An
+    explicit ``shard_threshold`` fans out every scratch root at that
+    size.  The other modes ignore both.
     """
     if mode not in LOWERING_MODES:
         raise ValueError(
@@ -313,11 +326,15 @@ def lower_variants(
             previous = (fan[-1].task_id,)
         return TaskGraph(tuple(tasks), mode=mode)
     # hybrid
-    threshold = (
-        DEFAULT_SHARD_THRESHOLD if shard_threshold is None else shard_threshold
-    )
-    shard_scratch = n_regions > 1 and n_points >= threshold
-    scratch = _scratch_planned(plan, vset) if shard_scratch else set()
+    scratch: set[Variant] = set()
+    if n_regions > 1:
+        roots = _scratch_planned(plan, vset)
+        if shard_threshold is None:
+            lanes = n_regions if n_lanes is None else n_lanes
+            if n_points >= DEFAULT_SHARD_THRESHOLD and len(roots) < lanes:
+                scratch = roots
+        elif n_points >= shard_threshold:
+            scratch = roots
     donors = _donor_edges(plan, vset)
     for p in plan:
         if p.variant in scratch:

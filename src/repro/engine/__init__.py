@@ -17,18 +17,18 @@ from repro.engine.factory import (
     INDEX_KINDS,
     SPAN_INDEX_BUILD,
     IndexFactory,
+    IndexPackHandle,
     IndexPair,
-    IndexPairHandle,
-    attach_index_pair,
-    share_index_pair,
+    attach_indexes,
+    share_indexes,
 )
 from repro.engine.session import Session
 
 __all__ = [
     "INDEX_KINDS",
     "IndexFactory",
+    "IndexPackHandle",
     "IndexPair",
-    "IndexPairHandle",
     "PointStore",
     "PointStoreHandle",
     "ReuseSpec",
@@ -37,7 +37,7 @@ __all__ = [
     "SPAN_INDEX_BUILD",
     "SPAN_SHM_ATTACH",
     "Session",
-    "attach_index_pair",
+    "attach_indexes",
     "fingerprint_points",
-    "share_index_pair",
+    "share_indexes",
 ]

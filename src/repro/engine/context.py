@@ -15,6 +15,7 @@ concrete resource types are only imported for type checking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -135,10 +136,14 @@ class RunSpec:
     shard_threshold:
         Point count at which hybrid lowering fans a *from-scratch*
         variant out into shard/merge tasks (see
-        :mod:`repro.core.taskgraph`).  ``None`` applies
-        :data:`~repro.core.taskgraph.DEFAULT_SHARD_THRESHOLD` under
-        ``hybrid`` and keeps ``simulated`` off hybrid lowering; ``0``
-        shards every scratch variant.
+        :mod:`repro.core.taskgraph`).  ``None`` is variant-first under
+        ``hybrid``: scratch variants of
+        :data:`~repro.core.taskgraph.DEFAULT_SHARD_THRESHOLD` or more
+        points fan out only while the batch has fewer scratch roots
+        than ``n_threads`` lanes, else every variant runs whole; it
+        also keeps ``simulated`` off hybrid lowering.  An explicit
+        value shards every scratch variant of at least that many
+        points (``0``: all of them).
     cost_model:
         Work-unit pricing; ``None`` means the library's calibrated
         model.
@@ -250,24 +255,21 @@ class RunContext:
     ----------
     store:
         The immutable point database (shared-memory capable).
-    indexes:
-        The built ``(T_high, T_low)`` pair for Algorithm 3.
     spec:
         The run's knobs.
     tracer:
         Resolved span collector for the run (never ``None``; disabled
         tracing is the null tracer).
     factory:
-        Index factory used to memoize kernel-specific indexes (the
-        cell-graph grid is per-eps) across the run; ``None`` builds
-        them transiently.
+        Index factory that memoizes the run's indexes (the R-tree pair,
+        the per-eps cell-graph grids) across runs; ``None`` builds them
+        transiently.
     checkpoint:
         The checkpoint store ``spec.resume`` resolves to for this
         database; ``None`` disables checkpointing.
     """
 
     store: PointStore
-    indexes: IndexPair
     spec: RunSpec
     tracer: Tracer = field(repr=False, default_factory=_null_tracer)
     factory: IndexFactory | None = field(repr=False, default=None)
@@ -277,3 +279,18 @@ class RunContext:
     def points(self) -> np.ndarray:
         """The read-only point array (convenience for ``store.points``)."""
         return self.store.points
+
+    @cached_property
+    def indexes(self) -> IndexPair:
+        """The ``(T_high, T_low)`` pair for Algorithm 3, built on first read.
+
+        Only the ``bfs`` kernel reads it, so a ``cellgraph`` run never
+        builds the trees.  The pair comes from :attr:`factory` at the
+        spec's ``low_res_r``.
+        """
+        from repro.engine.factory import IndexPair
+
+        low_res_r = self.spec.effective_reuse.low_res_r
+        if self.factory is None:
+            return IndexPair.build(self.points, low_res_r)
+        return self.factory.index_pair(self.store, low_res_r, tracer=self.tracer)

@@ -11,10 +11,11 @@ Also here:
 
 * :class:`IndexPair` — the two shared R-trees of Algorithm 3 (moved
   from ``repro.exec.base``, which re-exports it for compatibility).
-* :func:`share_index_pair` / :func:`attach_index_pair` — the shared-
-  memory transport that lets process-pool workers *reattach* the
-  parent's already-built trees (flat arrays, zero-copy views) instead
-  of rebuilding both indexes per worker.
+* :func:`share_indexes` / :func:`attach_indexes` — the shared-memory
+  transport that lets lane workers *reattach* the parent's already-built
+  indexes (flat arrays, zero-copy views; the R-tree pair or the per-eps
+  cell grids, whichever the batch's kernel reads) instead of rebuilding
+  them per worker.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "INDEX_KINDS",
     "IndexFactory",
+    "IndexPackHandle",
     "IndexPair",
-    "IndexPairHandle",
     "SPAN_INDEX_BUILD",
-    "attach_index_pair",
-    "share_index_pair",
+    "attach_indexes",
+    "pair_params",
+    "share_indexes",
 ]
 
 #: Span name emitted around every cache-miss index construction.
@@ -86,6 +88,11 @@ class IndexPair:
             t_high=RTree(points, r=1, fanout=fanout),
             t_low=RTree(points, r=low_res_r, fanout=fanout),
         )
+
+
+def pair_params(low_res_r: int = DEFAULT_LOW_RES_R) -> list[tuple[str, dict]]:
+    """The factory ``(kind, params)`` of ``T_high`` and ``T_low``."""
+    return [("rtree", {"r": 1, "fanout": 16}), ("rtree", {"r": int(low_res_r), "fanout": 16})]
 
 
 class IndexFactory:
@@ -151,98 +158,114 @@ class IndexFactory:
         store: PointStore,
         low_res_r: int = DEFAULT_LOW_RES_R,
         *,
-        fanout: int = 16,
         tracer: Tracer | None = None,
     ) -> IndexPair:
         """Memoized ``(T_high, T_low)`` pair for Algorithm 3."""
-        return IndexPair(
-            t_high=self.get(store, "rtree", r=1, fanout=fanout, tracer=tracer),
-            t_low=self.get(
-                store, "rtree", r=int(low_res_r), fanout=fanout, tracer=tracer
-            ),
+        high, low = (
+            self.get(store, kind, tracer=tracer, **params)
+            for kind, params in pair_params(low_res_r)
         )
+        return IndexPair(t_high=high, t_low=low)
+
+    def seed(
+        self, store: PointStore, kind: str, index: SpatialIndex, **params
+    ) -> None:
+        """Memoize an index built elsewhere as ``kind`` with ``params``."""
+        self._cache[self._key(store, kind, params)] = index
 
     def clear(self) -> None:
         self._cache.clear()
 
 
 # ----------------------------------------------------------------------
-# shared-memory transport for a built IndexPair
+# shared-memory transport for built indexes
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class IndexPairHandle:
-    """Picklable description of a shared, already-built index pair.
+def _shell_params(index: SpatialIndex) -> dict:
+    """The scalars ``from_arrays`` needs besides the flat arrays."""
+    if isinstance(index, RTree):
+        return {"r": index.r, "fanout": index.fanout, "bin_width": index.bin_width}
+    if isinstance(index, CellGraphIndex):
+        return {"eps": index.eps}
+    raise TypeError(f"{type(index).__name__} has no shared-memory form")
 
-    Carries the scalar tree parameters plus one
-    :class:`~repro.engine.shm.ArrayPackHandle` naming every flat array
-    of both trees inside a single shared segment.
+
+@dataclass(frozen=True)
+class IndexPackHandle:
+    """Picklable description of built indexes packed into one segment.
+
+    ``entries`` holds one ``(kind, factory params, shell params)``
+    triple per index, in pack order: the factory params are the
+    index's memoization key, the shell params the scalars its
+    ``from_arrays`` takes.  ``pack`` names every flat array, under the
+    prefix ``"<entry number>/"``.
     """
 
     pack: ArrayPackHandle
-    high_r: int
-    low_r: int
-    fanout: int
-    bin_width: float
+    entries: tuple[tuple[str, tuple, tuple], ...]
 
 
-def share_index_pair(
-    indexes: IndexPair, *, tracer: Tracer | None = None
-) -> tuple[shared_memory.SharedMemory, IndexPairHandle]:
-    """Pack a built pair's flat arrays into one owned shared segment.
+def share_indexes(
+    factory: IndexFactory,
+    store: PointStore,
+    wanted: list[tuple[str, dict]],
+    *,
+    tracer: Tracer | None = None,
+) -> tuple[shared_memory.SharedMemory, IndexPackHandle]:
+    """Pack the ``wanted`` ``(kind, params)`` indexes into one owned segment.
 
-    The two trees' bin-sort permutations are usually the same object
-    (factory-built trees share the store's memoized order), in which
-    case the pack stores the permutation once.  The caller owns the
+    Each index comes from ``factory`` (built there on a miss), so a
+    session's memoized indexes ship as they are.  Arrays several
+    indexes hold as one object (the bin-sort permutation that
+    factory-built R-trees share) are stored once.  The caller owns the
     returned segment and must ``close()`` + ``unlink()`` it after the
     workers are done.
     """
     arrays: dict[str, np.ndarray] = {}
-    for prefix, tree in (("high", indexes.t_high), ("low", indexes.t_low)):
-        for key, arr in tree.shareable_arrays.items():
-            arrays[f"{prefix}/{key}"] = arr
+    entries = []
+    for i, (kind, params) in enumerate(wanted):
+        index = factory.get(store, kind, tracer=tracer, **params)
+        for key, arr in index.shareable_arrays.items():
+            arrays[f"{i}/{key}"] = arr
+        entries.append(
+            (kind, tuple(sorted(params.items())), tuple(_shell_params(index).items()))
+        )
+    described = tuple(entries)
     tr = resolve_tracer(tracer)
-    with tr.span(SPAN_SHM_ATTACH, what="indexes-create"):
+    kinds = ",".join(sorted({kind for kind, _ in wanted}))
+    with tr.span(SPAN_SHM_ATTACH, what="indexes-create", kinds=kinds):
         shm, pack = pack_arrays(arrays, "idx")
-    return shm, IndexPairHandle(
-        pack=pack,
-        high_r=indexes.t_high.r,
-        low_r=indexes.t_low.r,
-        fanout=indexes.t_low.fanout,
-        bin_width=indexes.t_low.bin_width,
-    )
+    return shm, IndexPackHandle(pack=pack, entries=described)
 
 
-def attach_index_pair(
-    handle: IndexPairHandle,
-    points: np.ndarray,
+def attach_indexes(
+    handle: IndexPackHandle,
+    store: PointStore,
+    factory: IndexFactory,
     *,
     tracer: Tracer | None = None,
-) -> tuple[shared_memory.SharedMemory, IndexPair]:
-    """Reattach a shared pair as zero-copy tree shells in this process.
+) -> shared_memory.SharedMemory:
+    """Reattach a pack as zero-copy index shells seeded into ``factory``.
 
-    ``points`` is the (typically also shared) database the trees were
-    built over.  The caller must ``close()`` the returned segment when
-    the trees are discarded — never ``unlink`` it.
+    ``store`` is the (typically also shared) database the indexes were
+    built over; afterwards ``factory.get`` answers every packed
+    ``(kind, params)`` without building.  The caller must ``close()``
+    the returned segment when the indexes are discarded — never
+    ``unlink`` it.
     """
     tr = resolve_tracer(tracer)
     with tr.span(SPAN_SHM_ATTACH, segment=handle.pack.name, what="indexes"):
         shm, arrays = attach_arrays(handle.pack)
     try:
-        trees = {}
-        for prefix, r in (("high", handle.high_r), ("low", handle.low_r)):
+        for i, (kind, params, shell) in enumerate(handle.entries):
+            prefix = f"{i}/"
             sub = {
-                key[len(prefix) + 1:]: arr
+                key[len(prefix):]: arr
                 for key, arr in arrays.items()
-                if key.startswith(prefix + "/")
+                if key.startswith(prefix)
             }
-            trees[prefix] = RTree.from_arrays(
-                points,
-                r,
-                fanout=handle.fanout,
-                bin_width=handle.bin_width,
-                arrays=sub,
-            )
-        return shm, IndexPair(t_high=trees["high"], t_low=trees["low"])
+            index = INDEX_KINDS[kind].from_arrays(store.points, arrays=sub, **dict(shell))
+            factory.seed(store, kind, index, **dict(params))
+        return shm
     except Exception:
         # A malformed pack must not leak this process's mapping of the
         # (caller-owned) segment.

@@ -125,8 +125,10 @@ class Session:
     # -- execution ------------------------------------------------------
     def context(self, **overrides: object) -> RunContext:
         """The :class:`RunContext` of one run: the session spec with
-        ``overrides`` applied (see :meth:`RunSpec.override`), its
-        indexes, and the checkpoint store ``resume`` names.
+        ``overrides`` applied (see :meth:`RunSpec.override`), the
+        session's store and index factory, and the checkpoint store
+        ``resume`` names.  Indexes are built on first use, so a run
+        builds only what its kernel reads.
 
         ``serial`` runs with one worker whatever ``n_threads`` says.
         """
@@ -137,7 +139,6 @@ class Session:
             spec = replace(spec, n_threads=1)
         return RunContext(
             store=self.store,
-            indexes=self.indexes(spec.effective_reuse.low_res_r),
             spec=spec,
             tracer=resolve_tracer(self.tracer),
             factory=self.factory,
@@ -150,7 +151,9 @@ class Session:
         ``overrides`` replace fields of the session's
         :class:`~repro.engine.context.RunSpec` for this run only;
         indexes come from the memoized factory, so repeated runs never
-        rebuild them.  ``executor`` names a row of
+        rebuild them, and a run builds only the indexes its kernel
+        reads (the ``(T_high, T_low)`` pair under ``kernel="bfs"``, one
+        cell grid per eps under ``cellgraph``).  ``executor`` names a row of
         :data:`repro.exec.EXECUTORS` (``serial`` / ``simulated`` /
         ``processes`` / ``sharded`` / ``hybrid``): the runtime substrate
         and lowering the batch runs on.

@@ -18,12 +18,17 @@ inline lanes (``sim``) and process lanes (``lanes``).
   else ``regions`` / ``part_size`` set lowers shard, else variant.
 * ``processes`` — one process lane per statically partitioned reuse
   chain (:func:`~repro.exec.graph.partition_reuse_chains`); workers
-  attach the session's shared-memory store and index pack.
+  attach the session's shared-memory store and the batch's index pack
+  (the R-tree pair under ``bfs``, the per-eps cell grids under
+  ``cellgraph``), so they build no index.
 * ``sharded`` — process lanes over spatial regions with eps halos
   inside each variant, merged back into byte-identical labels.
-* ``hybrid`` — both axes on one pool: scratch variants at or above
-  ``shard_threshold`` points fan out into shard/merge tasks while
-  other variants' reuse chains run concurrently.
+* ``hybrid`` — both axes on one pool, variant-first: whole variants
+  fill the lanes as under ``processes``, and scratch variants of
+  ``DEFAULT_SHARD_THRESHOLD`` or more points fan out into shard/merge
+  tasks only while the batch has fewer scratch roots than lanes.  An
+  explicit ``shard_threshold`` shards every scratch variant at that
+  size while other variants' reuse chains run concurrently.
 """
 
 from __future__ import annotations

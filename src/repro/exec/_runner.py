@@ -139,8 +139,6 @@ def execute_variant(
     if concurrency is None:
         concurrency = ctx.spec.n_threads
     tr = resolve_tracer(ctx.tracer)
-    points = ctx.points
-    indexes = ctx.indexes
     counters = WorkCounters()
     with tr.span("variant", variant=str(planned.variant)) as span:
         if ctx.spec.kernel == "cellgraph":
@@ -153,8 +151,9 @@ def execute_variant(
             source = reuse.scheduler.select_source(
                 planned, vset, registry, before=before
             )
+            indexes = ctx.indexes
             result = variant_dbscan(
-                points,
+                ctx.points,
                 planned.variant,
                 source[1] if source is not None else None,
                 t_high=indexes.t_high,

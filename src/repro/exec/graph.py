@@ -41,8 +41,13 @@ groups at submission time, which is exactly the hard edge hybrid
 lowering records.
 
 Shared-memory economics: the parent materializes the point database
-and the built index pack once; every lane worker attaches (zero-copy)
-instead of pickling points or rebuilding trees.
+once per session and packs, once per batch, the built indexes the
+batch's kernel reads — the ``(T_high, T_low)`` R-tree pair under
+``bfs``, the session's per-eps cell grids under ``cellgraph`` (order,
+offsets and cell keys only; workers derive the rest).  Every lane
+worker attaches both (zero-copy) instead of pickling points or
+rebuilding indexes, so a cellgraph worker builds no grid and maps no
+R-tree.
 """
 
 from __future__ import annotations
@@ -76,9 +81,10 @@ from repro.core.variants import Variant, VariantSet, sort_key
 from repro.engine.context import ReuseSpec, RunContext, RunSpec
 from repro.engine.factory import (
     IndexFactory,
-    IndexPairHandle,
-    attach_index_pair,
-    share_index_pair,
+    IndexPackHandle,
+    attach_indexes,
+    pair_params,
+    share_indexes,
 )
 from repro.engine.shm import destroy_segment, release_segment
 from repro.engine.store import PointStore, PointStoreHandle
@@ -177,7 +183,7 @@ def partition_reuse_chains(
 
 def _chain_worker(
     store_handle: PointStoreHandle,
-    idx_handle: IndexPairHandle,
+    idx_handle: IndexPackHandle,
     chain: list[tuple[float, int]],
     todo: list[tuple[PlannedVariant, int]],
     donors: list[tuple[tuple[float, int], ClusteringResult]],
@@ -207,7 +213,11 @@ def _chain_worker(
 
     The worker attaches the parent's shared point segment and index
     pack (zero-copy views; spans ``shm_attach``) instead of receiving
-    pickled points and rebuilding both trees.  The tracer cannot cross
+    pickled points, and seeds its :class:`IndexFactory` with the packed
+    indexes — the R-tree pair under ``bfs``, the chain's per-eps cell
+    grids under ``cellgraph`` — so its kernel never builds an index
+    (:class:`PassMemo` finds every grid in the factory).  The mapping is
+    released in the ``finally``, whatever happened.  The tracer cannot cross
     the process boundary, so each worker builds its own; spans are
     rebased onto the batch wall window and shipped back as plain
     records.  ``kill`` faults are armed here, and only in workers, so
@@ -233,7 +243,7 @@ def _chain_worker(
     # must still release the pulse slot and any mapping already opened.
     store: PointStore | None = None
     idx_shm = None
-    ctx = indexes = None
+    ctx = factory = None
     pairs: list[tuple[ClusteringResult, VariantRunRecord]] = []
     clock = 0.0
 
@@ -248,14 +258,12 @@ def _chain_worker(
 
     try:
         store = PointStore.attach(store_handle, tracer=tracer)
-        idx_shm, indexes = attach_index_pair(
-            idx_handle, store.points, tracer=tracer
-        )
+        factory = IndexFactory()
+        idx_shm = attach_indexes(idx_handle, store, factory, tracer=tracer)
         ctx = RunContext(
             store=store,
-            indexes=indexes,
             spec=RunSpec(kernel=kernel, reuse=reuse, cost_model=cost_model),
-            factory=IndexFactory(),
+            factory=factory,
             **({"tracer": tracer} if tracer is not None else {}),
         )
         registry = CompletedRegistry()
@@ -276,7 +284,7 @@ def _chain_worker(
     finally:
         # Drop every view into the segments before unmapping; both
         # closes tolerate lingering exports (OS reclaims at exit).
-        del ctx, indexes
+        del ctx, factory
         if idx_shm is not None:
             release_segment(idx_shm)
         if store is not None:
@@ -512,6 +520,18 @@ def _settle(
     )
 
 
+def _lane_indexes(spec: RunSpec, groups: list[_GroupUnit]) -> list[tuple[str, dict]]:
+    """The factory ``(kind, params)`` of every index the chain workers read.
+
+    ``bfs`` reads the ``(T_high, T_low)`` pair; ``cellgraph`` one grid
+    per eps of the groups' variants, and no R-tree.
+    """
+    if spec.kernel == "bfs":
+        return pair_params(spec.effective_reuse.low_res_r)
+    eps = sorted({v.eps for g in groups for v in g.variants})
+    return [("cellgraph", {"eps": e}) for e in eps]
+
+
 class GraphRuntime:
     """Execute a lowered :class:`TaskGraph` on one lane set.
 
@@ -574,19 +594,14 @@ class GraphRuntime:
         plan = [
             p for p in spec.effective_reuse.scheduler.plan(variants) if p.variant not in results
         ]
-        base_plan: ShardPlan | None = None
         n_regions = 1
-        if mode in ("shard", "hybrid") and plan:
+        if mode in ("shard", "hybrid") and ctx.store.n_points:
+            # plan_shards plans an empty database as one region, so the
+            # graph is lowered with the count the geometry will have.
             n_regions = resolve_n_regions(
                 ctx.store.n_points, spec.regions, spec.part_size,
                 default=spec.n_threads,
             )
-            # Cut geometry is eps-independent; plan once, re-halo per
-            # variant with ShardPlan.with_eps.  plan_shards may clamp a
-            # degenerate (empty) database to one region — lower with
-            # the *planned* count so graph and geometry always agree.
-            base_plan = plan_shards(ctx.points, plan[0].variant.eps, n_regions)
-            n_regions = base_plan.n_regions
         graph = lower_variants(
             plan,
             variants,
@@ -594,8 +609,13 @@ class GraphRuntime:
             n_regions=n_regions,
             n_points=ctx.store.n_points,
             shard_threshold=spec.shard_threshold,
+            n_lanes=spec.n_threads,
         )
-        if graph.merge_tasks() and base_plan is not None:
+        base_plan: ShardPlan | None = None
+        if graph.merge_tasks():
+            # Cut geometry is eps-independent; plan once, re-halo per
+            # variant with ShardPlan.with_eps.
+            base_plan = plan_shards(ctx.points, plan[0].variant.eps, n_regions)
             tracer.instant(
                 EVENT_SHARD_PLAN,
                 regions=base_plan.n_regions,
@@ -1280,8 +1300,11 @@ class GraphRuntime:
         try:
             if inline is None:
                 if groups:
-                    idx_shm, idx_handle = share_index_pair(
-                        ctx.indexes, tracer=tracer
+                    idx_shm, idx_handle = share_indexes(
+                        ctx.factory if ctx.factory is not None else IndexFactory(),
+                        ctx.store,
+                        _lane_indexes(spec, groups),
+                        tracer=tracer,
                     )
                 lanes.extend(_Lane() for _ in range(n_lanes))
                 if supervisor is not None:

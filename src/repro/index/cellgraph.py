@@ -22,11 +22,13 @@ every generic search path.
 
 from __future__ import annotations
 
+from functools import cached_property
 
 import numpy as np
 
 from repro.index._ranges import ranges_to_indices
 from repro.index.grid import UniformGridIndex
+from repro.util.validation import as_points_array
 
 __all__ = ["CellGraphIndex", "NEIGHBOR_OFFSETS", "POSITIVE_OFFSETS"]
 
@@ -34,6 +36,11 @@ __all__ = ["CellGraphIndex", "NEIGHBOR_OFFSETS", "POSITIVE_OFFSETS"]
 #: all-core guarantee against the one-ulp case where two points at
 #: opposite cell corners round to a distance marginally above ``eps``.
 _WIDTH_SAFETY = 1.0 - 1e-12
+
+
+def _cell_width(eps: float) -> float:
+    """The grid's cell side at radius ``eps``."""
+    return eps * (0.5**0.5) * _WIDTH_SAFETY
 
 
 def _neighborhood_offsets() -> np.ndarray:
@@ -79,26 +86,61 @@ class CellGraphIndex(UniformGridIndex):
         if not np.isfinite(eps) or eps <= 0.0:
             raise ValueError(f"eps must be finite and > 0, got {eps!r}")
         self.eps = eps
-        super().__init__(points, eps * (0.5**0.5) * _WIDTH_SAFETY)
-        n = self.points.shape[0]
-        self._counts = np.diff(self._offsets)
-        cell_of = np.empty(n, dtype=np.int64)
-        if n:
-            cell_of[self._order] = np.repeat(
-                np.arange(self.n_cells, dtype=np.int64), self._counts
-            )
-        self._cell_of_point = cell_of
+        super().__init__(points, _cell_width(eps))
+
+    @classmethod
+    def from_arrays(
+        cls, points: np.ndarray, eps: float, *, arrays: dict[str, np.ndarray]
+    ) -> CellGraphIndex:
+        """Rebuild a grid *shell* from already-built flat arrays.
+
+        ``arrays`` is what :attr:`shareable_arrays` returned for a grid
+        over the same ``points`` at the same ``eps`` (possibly as
+        read-only shared-memory views in another process).  The arrays
+        are adopted as-is, so nothing is sorted; the packed key
+        encoding is derived here, and the per-cell counts and
+        ``cell_of_point`` on first read, as for a built grid.
+        """
+        index = cls.__new__(cls)
+        index.points = as_points_array(points)
+        index.eps = float(eps)
+        index.cell_width = _cell_width(index.eps)
+        index._order = arrays["order"]
+        index._offsets = arrays["offsets"]
+        index._cell_keys = arrays["cell_keys"]
+        index._build_encoded_keys()
+        return index
+
+    @property
+    def shareable_arrays(self) -> dict[str, np.ndarray]:
+        """The flat arrays the grid's sort produced.
+
+        Feeding them back through :meth:`from_arrays` with the same
+        points and ``eps`` yields an identical grid; everything else is
+        derived from them.  Used by the engine's shared-memory index
+        transport.
+        """
+        return {
+            "order": self._order,
+            "offsets": self._offsets,
+            "cell_keys": self._cell_keys,
+        }
 
     # -- cell-graph state ------------------------------------------------
-    @property
+    @cached_property
     def cell_counts(self) -> np.ndarray:
         """Point count per non-empty cell slot."""
-        return self._counts
+        return np.diff(self._offsets)
 
-    @property
+    @cached_property
     def cell_of_point(self) -> np.ndarray:
         """Cell slot of every point (aligned with ``points``)."""
-        return self._cell_of_point
+        cell_of = np.empty(self.points.shape[0], dtype=np.int64)
+        if cell_of.size:
+            cell_of[self._order] = np.repeat(
+                np.arange(self.n_cells, dtype=np.int64), self.cell_counts
+            )
+        return cell_of
 
     @property
     def cell_keys(self) -> np.ndarray:

@@ -48,6 +48,7 @@ class UniformGridIndex(SpatialIndex):
             self._cell_keys = np.empty((0, 2), dtype=np.int64)
             self._offsets = np.zeros(1, dtype=np.int64)
             self._order = np.empty(0, dtype=np.int64)
+            self._build_encoded_keys()
             return
         cx = np.floor(self.points[:, 0] / self.cell_width).astype(np.int64)
         cy = np.floor(self.points[:, 1] / self.cell_width).astype(np.int64)

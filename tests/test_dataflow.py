@@ -433,6 +433,28 @@ class TestShmPaths:
         assert report.findings[0].line == 2
         assert report.findings[0].qualname == "grab"
 
+    @pytest.mark.parametrize(
+        "acquire",
+        [
+            "shm, handle = share_indexes(factory, store, wanted)",
+            "shm = attach_indexes(handle, store, factory)",
+        ],
+    )
+    def test_leaked_index_pack_is_reported(self, acquire):
+        report = check(
+            {
+                ENGINE_MOD: (
+                    "def ship(factory, store, wanted, handle):\n"
+                    f"    {acquire}\n"
+                    "    fallible()\n"
+                    "    release_segment(shm)\n"
+                )
+            },
+            [ShmPathsRule],
+        )
+        assert rule_ids(report) == ["shm-paths"]
+        assert report.findings[0].line == 2
+
     def test_try_finally_release_is_clean(self):
         # Also the end-to-end regression for the finally resume edge:
         # the close in the finally must count on the exceptional path.

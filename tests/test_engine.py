@@ -34,10 +34,11 @@ from repro.engine import (
     RunContext,
     RunSpec,
     Session,
-    attach_index_pair,
+    attach_indexes,
     fingerprint_points,
-    share_index_pair,
+    share_indexes,
 )
+from repro.engine.factory import pair_params
 from repro.engine.shm import attach_arrays, pack_arrays
 from repro.exec import EXECUTORS
 from repro.exec.cost import CostModel
@@ -208,10 +209,14 @@ class TestIndexFactory:
 class TestSharedIndexPair:
     def test_attach_matches_built_queries(self, points):
         store = PointStore.from_points(points)
-        pair = IndexFactory().index_pair(store, 16)
-        shm, handle = share_index_pair(pair)
+        factory = IndexFactory()
+        pair = factory.index_pair(store, 16)
+        shm, handle = share_indexes(factory, store, pair_params(16))
         try:
-            shm2, attached = attach_index_pair(handle, store.points)
+            seeded = IndexFactory()
+            shm2 = attach_indexes(handle, store, seeded)
+            attached = seeded.index_pair(store, 16)
+            assert len(seeded) == 2  # both trees came from the pack
             try:
                 for eps in (0.3, 0.8):
                     mbb = np.array([0.1 - eps, 0.2 - eps, 0.1 + eps, 0.2 + eps])
@@ -223,7 +228,7 @@ class TestSharedIndexPair:
                         want = tree.query_candidates(mbb)
                         np.testing.assert_array_equal(np.sort(got), np.sort(want))
             finally:
-                del attached
+                del attached, seeded
                 shm2.close()
         finally:
             shm.close()
@@ -303,6 +308,17 @@ class TestSession:
             assert cached == 2  # T_high + T_low, built once
             session.run(VSET, executor="simulated", n_threads=4)
             assert len(session.factory) == cached
+
+    def test_rtree_pair_is_built_only_for_bfs(self, points):
+        def kinds(session):
+            return sorted((key[1], dict(key[2]).get("r")) for key in session.factory._cache)
+
+        with Session(points) as session:
+            session.run(VSET)
+            assert all(kind == "cellgraph" for kind, _ in kinds(session))
+            session.run(VSET, kernel="bfs")
+            rtrees = [r for kind, r in kinds(session) if kind == "rtree"]
+            assert rtrees == sorted([1, session.spec.effective_reuse.low_res_r])
 
     def test_executor_resolution_forms(self, points):
         with Session(points) as session:

@@ -22,7 +22,7 @@ import pytest
 from repro import FaultPlan, FaultSpec, RetryPolicy, Session, Variant, VariantSet
 from repro.core.reuse import POLICIES
 from repro.core.scheduling import SCHEDULERS
-from repro.core.taskgraph import lower_variants
+from repro.core.taskgraph import DEFAULT_SHARD_THRESHOLD, lower_variants
 from repro.engine.context import KERNELS
 from repro.exec.graph import EVENT_SHARD_PLAN
 from repro.obs.span import SPAN_TASK, Tracer
@@ -310,3 +310,80 @@ class TestSimulatedModeSelection:
             )
         assert self._shard_plan_events(tracer) == []
         assert_canonical_equal(batch, baseline)
+
+
+# ----------------------------------------------------------------------
+# Variant-first hybrid: lanes run whole variants on shared indexes
+# ----------------------------------------------------------------------
+#: Three variants no variant can reuse: three scratch roots, more than
+#: the two lanes, so default-threshold hybrid keeps them whole.
+ROOTS = VariantSet([Variant(0.3, 8), Variant(0.4, 16), Variant(0.5, 24)])
+
+
+@pytest.fixture(scope="module")
+def large_points():
+    """Just enough points for the default shard threshold to apply."""
+    g = resolve_rng(19)
+    return np.ascontiguousarray(g.uniform(0.0, 40.0, (DEFAULT_SHARD_THRESHOLD, 2)))
+
+
+@pytest.fixture(scope="module")
+def large_serial(large_points):
+    with Session(large_points) as s:
+        return s.run(ROOTS).results
+
+
+def _index_spans(tracer):
+    """(worker-side index builds, kinds of every index pack created)."""
+    records = tracer.records()
+    built = [
+        r for r in records
+        if r.name == "index_build" and r.thread.startswith("worker")
+    ]
+    packs = [
+        r.args["kinds"] for r in records
+        if r.name == "shm_attach" and r.args.get("what") == "indexes-create"
+    ]
+    return built, packs
+
+
+class TestVariantFirst:
+    @pytest.mark.parametrize(
+        "executor,knobs", [("processes", {}), ("hybrid", {"regions": 2})]
+    )
+    def test_cellgraph_lanes_attach_grids_and_no_rtree(
+        self, large_points, large_serial, executor, knobs
+    ):
+        tracer = Tracer()
+        with Session(large_points, tracer=tracer) as s:
+            batch = s.run(ROOTS, executor=executor, n_threads=2, **knobs)
+        built, packs = _index_spans(tracer)
+        assert built == [], "lane workers must not build an index"
+        assert packs == ["cellgraph"], "one grid pack per batch, no R-tree"
+        kinds = {r.args["kind"] for r in tracer.records() if r.name == SPAN_TASK}
+        assert kinds == {"variant"}, "more roots than lanes: nothing shards"
+        for v in ROOTS:
+            assert batch[v].labels.tobytes() == large_serial[v].labels.tobytes()
+            assert batch[v].core_mask.tobytes() == large_serial[v].core_mask.tobytes()
+
+    def test_bfs_lanes_get_the_rtree_pair_once(self, points):
+        tracer = Tracer()
+        with Session(points, tracer=tracer) as s:
+            s.run(VSET, kernel="bfs", executor="processes", n_threads=2)
+        built, packs = _index_spans(tracer)
+        assert built == []
+        assert packs == ["rtree"]
+
+    def test_killed_chain_worker_leaks_no_segment(self, large_points, large_serial):
+        before = _repro_segments()
+        with Session(large_points) as s:
+            batch = s.run(
+                ROOTS, executor="hybrid", n_threads=2, regions=2,
+                fault_plan=FaultPlan([FaultSpec("kill", 0)]),
+                retry_policy=RetryPolicy(max_retries=2),
+            )
+        assert batch.report is not None and batch.report.complete
+        assert batch.report.retried
+        for v in ROOTS:
+            assert batch[v].labels.tobytes() == large_serial[v].labels.tobytes()
+        assert _repro_segments() == before, "leaked shared-memory segments"

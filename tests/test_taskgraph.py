@@ -182,6 +182,35 @@ class TestHybridLowering:
             seen.add(t.task_id)
 
 
+class TestVariantFirstHybrid:
+    """The default threshold shards only while scratch roots < lanes."""
+
+    #: Six variants no variant can reuse: six scratch roots.
+    ROOTS = VariantSet([Variant(round(0.3 + 0.1 * i, 1), 4 + 4 * i) for i in range(6)])
+
+    def lower(self, vset, **knobs):
+        plan = SchedGreedy().plan(vset)
+        return lower_variants(
+            plan, vset, mode="hybrid", n_regions=2, n_points=10**6, **knobs
+        )
+
+    def test_independent_roots_fill_the_lanes_whole(self):
+        graph = self.lower(self.ROOTS, n_lanes=2)
+        assert graph.shard_tasks() == [] and graph.merge_tasks() == []
+        assert len(graph.variant_tasks()) == len(self.ROOTS)
+
+    def test_a_single_root_still_fans_out(self):
+        vset = VariantSet([Variant(0.5, 4)])
+        graph = self.lower(vset, n_lanes=2)
+        assert len(graph.shard_tasks()) == 2
+        assert graph.sharded_variants() == [Variant(0.5, 4)]
+
+    def test_explicit_threshold_fans_out_every_root(self):
+        graph = self.lower(self.ROOTS, n_lanes=2, shard_threshold=0)
+        assert len(graph.shard_tasks()) == 2 * len(self.ROOTS)
+        assert set(graph.sharded_variants()) == set(self.ROOTS)
+
+
 class TestValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="lowering mode"):
