@@ -24,10 +24,15 @@ answers each ``m <= top`` with a threshold and a union-find:
    therefore carries a *strength*: the max over its eps-close pairs of
    ``min(count_p, count_q)``, the largest ``m`` at which it survives.
    Pairs with a sparse endpoint come straight from the step-2 CSR rows.
-   Pairs of two dense cells (all counts ``top``) take a representative
-   quick-accept (the directional extreme points of each cell) and a
-   chunked full product for the survivors, skipped once the cells are
-   already joined by links of strength ``top`` (alive at every m).
+   Pairs of two dense cells (all counts ``top``) go through three
+   filters.  A pair whose cell bounding boxes lie more than ``eps``
+   apart is rejected: no pair of their points can be closer than their
+   boxes.  A representative quick-accept (the directional extreme
+   points of each cell) links most of the rest.  For the pairs still
+   open, each cell keeps only its facing strip, the points within
+   ``eps`` of the other cell's box (de Berg et al.), and a chunked
+   product runs over the two strips.  A pair whose cells are already
+   joined by links of strength ``top`` (alive at every m) is skipped.
 4. **Merge**, per ``m``: a vectorized union-find — a path-halving
    ``np.ndarray`` parent forest hooked by edge-list passes
    (``np.minimum.at``) — over the edges of strength ``>= m``, with no
@@ -49,16 +54,22 @@ i.e. the minimum id among clusters owning a core neighbor.  Numbering
 components by the rank of their minimum core index and taking the
 minimum id over core neighbors therefore reproduces the BFS labels and
 core mask exactly (the closed predicate ``d^2 <= eps^2`` is shared with
-:class:`~repro.core.neighbors.NeighborSearcher`).
+:class:`~repro.core.neighbors.NeighborSearcher`).  The box and strip
+filters of step 3 drop only pairs of points whose computed ``d^2``
+exceeds ``eps^2`` (see :func:`_gap2`), so they link the same cells as
+the full product.
 
 Work accounting: dense-cell core marking is free by construction; the
 sparse count pass charges through :class:`NeighborSearcher` as usual;
-cell probes charge ``index_nodes_visited`` and every dense cell-pair
-distance test charges ``candidates_examined`` /
-``distance_computations``.  All of it is charged once, when the pass is
-built; serving one ``m`` from the pass charges only the cells its
-union-find touches (``index_nodes_visited``), and the one-``minpts``
-call charges the build alone.
+cell probes charge ``index_nodes_visited``.  Each dense cell-pair box
+test and each strip point test charges ``candidates_examined``; each
+point-pair distance (the quick-accept pair and every pair of the strip
+product) charges both ``candidates_examined`` and
+``distance_computations``, so a pair its boxes reject computes no
+distance.  All of it is charged once, when the pass is built; serving
+one ``m`` from the pass charges only the cells its union-find touches
+(``index_nodes_visited``), and the one-``minpts`` call charges the
+build alone.
 """
 
 from __future__ import annotations
@@ -82,9 +93,10 @@ __all__ = [
     "SEARCH_BLOCK",
 ]
 
-#: Element budget per chunk of the full core-product fallback: big
-#: enough to amortize the expansion overhead, small enough that one
-#: chunk's scratch arrays stay far below cache-hostile sizes.
+#: Element budget per chunk of the dense cell-pair tests (strip points,
+#: then strip-product pairs): big enough to amortize the expansion
+#: overhead, small enough that one chunk's scratch arrays stay far
+#: below cache-hostile sizes.
 CELL_PRODUCT_CHUNK = 1 << 22
 
 #: Queries per block of the step-2 count search.  One unblocked batch
@@ -156,8 +168,8 @@ def _segmented_arg_extreme(
     )
     at_best = np.flatnonzero(values == best[seg_of])
     # seg_of[at_best] is sorted; the first hit per segment is the argmax.
-    _, first = np.unique(seg_of[at_best], return_index=True)
-    return at_best[first]
+    s = seg_of[at_best]
+    return at_best[np.r_[True, s[1:] != s[:-1]]]
 
 
 def _strongest(
@@ -171,6 +183,42 @@ def _strongest(
     key = key[order]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     return a[order[first]], b[order[first]], np.maximum.reduceat(s[order], first)
+
+
+def _gap2(u, v) -> np.ndarray:
+    """Squared gap between boxes ``u`` and ``v``, elementwise.
+
+    A box is a 4-sequence of arrays ``(lo_x, hi_x, lo_y, hi_y)``; a
+    point is the box ``(x, x, y, y)``.  Floating-point subtraction,
+    squaring and addition are monotone, so for any point ``p`` in ``u``
+    and ``q`` in ``v`` the gap never exceeds the ``d^2`` the product
+    computes for ``(p, q)``: a gap ``> eps^2`` rules out every pair.
+    """
+    gx = np.maximum(np.maximum(v[0] - u[1], u[0] - v[1]), 0.0)
+    gy = np.maximum(np.maximum(v[2] - u[3], u[2] - v[3]), 0.0)
+    return gx * gx + gy * gy
+
+
+def _strip(
+    index: CellGraphIndex,
+    x: np.ndarray,
+    y: np.ndarray,
+    cells: np.ndarray,
+    boxes: np.ndarray,
+    eps2: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points of each ``cells[i]`` within eps of the box ``boxes[:, i]``.
+
+    Returns the survivors grouped cell by cell, with each group's start
+    and size.
+    """
+    size = index.cell_counts[cells]
+    pts = index.points_in_cells(cells)
+    pid = np.repeat(np.arange(cells.size, dtype=np.int64), size)
+    px, py = x[pts], y[pts]
+    keep = _gap2((px, px, py, py), boxes[:, pid]) <= eps2
+    size = np.bincount(pid[keep], minlength=cells.size)
+    return pts[keep], np.cumsum(size) - size, size
 
 
 def _link_cells(
@@ -187,10 +235,13 @@ def _link_cells(
     cell slots, already joined by whatever links are known, and gains
     every pair found.  A candidate pair whose cells are already joined
     is never tested, so the returned pairs together with ``parent``'s
-    prior links span the linked-cell graph over ``slots``.  Stage 1
-    tests one representative pair per candidate cell pair (the
-    directional extreme points facing each other); stage 2 runs a
-    chunked full product for the pairs stage 1 could not accept.
+    prior links span the linked-cell graph over ``slots``.  A candidate
+    pair whose cell bounding boxes lie more than eps apart is rejected
+    outright (:func:`_gap2`).  Stage 1 tests one representative pair
+    per remaining cell pair (the directional extreme points facing each
+    other); stage 2 takes the pairs stage 1 could not accept, keeps
+    each cell's facing strip (its points within eps of the other cell's
+    box) and runs a chunked product over the two strips.
     """
     found_a: list[np.ndarray] = []
     found_b: list[np.ndarray] = []
@@ -235,6 +286,18 @@ def _link_cells(
                 float(ux) * mx + float(uy) * my, ptr, maximum=True
             )
             reps[k] = members[pos]
+        # The axis extremes bound each cell: (lo_x, hi_x, lo_y, hi_y) by rank.
+        box = np.stack(
+            [
+                x[reps[_DIR_INDEX[(-1, 0)]]],
+                x[reps[_DIR_INDEX[(1, 0)]]],
+                y[reps[_DIR_INDEX[(0, -1)]]],
+                y[reps[_DIR_INDEX[(0, 1)]]],
+            ]
+        )
+        near = _gap2(box[:, rank[a]], box[:, rank[b]]) <= eps2
+        counters.candidates_examined += int(a.size)
+        a, b, d = a[near], b[near], d[near]
         # Stage 1: one representative pair per candidate cell pair.
         rep_a = reps[d, rank[a]]
         rep_b = reps[_OPPOSITE[d], rank[b]]
@@ -243,48 +306,62 @@ def _link_cells(
         counters.distance_computations += int(a.size)
         accept = d2 <= eps2
         link(a[accept], b[accept])
-        # Stage 2: chunked full product for the survivors, skipping any
-        # pair whose cells have already merged.
+        # Stage 2, a group of pairs at a time: the strip tests of one
+        # group stay within one chunk's budget of points.
         rem_a, rem_b = a[~accept], b[~accept]
         while rem_a.size:
             alive = parent[rem_a] != parent[rem_b]
             rem_a, rem_b = rem_a[alive], rem_b[alive]
             if not rem_a.size:
                 break
-            sa = counts[rank[rem_a]]
-            sb = counts[rank[rem_b]]
-            prod = sa * sb
-            if int(prod[0]) > CELL_PRODUCT_CHUNK:
-                # A single pair of huge cells: stream its product in
-                # blocks and stop at the first hit, so adversarial
-                # two-cell databases never materialize n^2 scratch.
-                ia = members[ptr[rank[rem_a[0]]] : ptr[rank[rem_a[0]] + 1]]
-                ib = members[ptr[rank[rem_b[0]]] : ptr[rank[rem_b[0]] + 1]]
-                step = max(1, CELL_PRODUCT_CHUNK // ib.size)
-                for s in range(0, ia.size, step):
-                    blk = ia[s : s + step]
-                    bd2 = (x[blk, None] - x[ib][None, :]) ** 2 + (
-                        y[blk, None] - y[ib][None, :]
-                    ) ** 2
-                    counters.candidates_examined += int(bd2.size)
-                    counters.distance_computations += int(bd2.size)
-                    if bool((bd2 <= eps2).any()):
-                        link(rem_a[:1], rem_b[:1])
-                        break
-                rem_a, rem_b = rem_a[1:], rem_b[1:]
-                continue
-            ends = np.cumsum(prod)
-            k = max(1, int(np.searchsorted(ends, CELL_PRODUCT_CHUNK, "right")))
-            pid = np.repeat(np.arange(k, dtype=np.int64), prod[:k])
-            t = np.arange(int(ends[k - 1]), dtype=np.int64) - (ends[:k] - prod[:k])[pid]
-            pa = members[ptr[rank[rem_a[:k]]][pid] + t // sb[pid]]
-            pb = members[ptr[rank[rem_b[:k]]][pid] + t % sb[pid]]
-            d2 = (x[pa] - x[pb]) ** 2 + (y[pa] - y[pb]) ** 2
-            counters.candidates_examined += int(pid.size)
-            counters.distance_computations += int(pid.size)
-            hit = np.unique(pid[d2 <= eps2])
-            link(rem_a[hit], rem_b[hit])
-            rem_a, rem_b = rem_a[k:], rem_b[k:]
+            ra, rb = rank[rem_a], rank[rem_b]
+            span = np.cumsum(counts[ra] + counts[rb])
+            g = max(1, int(np.searchsorted(span, CELL_PRODUCT_CHUNK, "right")))
+            counters.candidates_examined += int(span[g - 1])
+            ia, a0, sa = _strip(index, x, y, rem_a[:g], box[:, rb[:g]], eps2)
+            ib, b0, sb = _strip(index, x, y, rem_b[:g], box[:, ra[:g]], eps2)
+            group = np.stack([rem_a[:g], rem_b[:g], a0, sa, b0, sb])
+            group = group[:, (sa > 0) & (sb > 0)]
+            rem_a, rem_b = rem_a[g:], rem_b[g:]
+            # Chunked product over the strips, skipping any pair whose
+            # cells have merged meanwhile.
+            while group.shape[1]:
+                group = group[:, parent[group[0]] != parent[group[1]]]
+                if not group.shape[1]:
+                    break
+                ga, gb, a0, sa, b0, sb = group
+                prod = sa * sb
+                if int(prod[0]) > CELL_PRODUCT_CHUNK:
+                    # A single pair of huge strips: stream its product in
+                    # blocks and stop at the first hit, so adversarial
+                    # two-cell databases never materialize n^2 scratch.
+                    pa = ia[a0[0] : a0[0] + sa[0]]
+                    pb = ib[b0[0] : b0[0] + sb[0]]
+                    step = max(1, CELL_PRODUCT_CHUNK // pb.size)
+                    for s in range(0, pa.size, step):
+                        blk = pa[s : s + step]
+                        bd2 = (x[blk, None] - x[pb][None, :]) ** 2 + (
+                            y[blk, None] - y[pb][None, :]
+                        ) ** 2
+                        counters.candidates_examined += int(bd2.size)
+                        counters.distance_computations += int(bd2.size)
+                        if bool((bd2 <= eps2).any()):
+                            link(ga[:1], gb[:1])
+                            break
+                    group = group[:, 1:]
+                    continue
+                ends = np.cumsum(prod)
+                k = max(1, int(np.searchsorted(ends, CELL_PRODUCT_CHUNK, "right")))
+                pid = np.repeat(np.arange(k, dtype=np.int64), prod[:k])
+                t = np.arange(int(ends[k - 1]), dtype=np.int64) - (ends[:k] - prod[:k])[pid]
+                pa = ia[a0[pid] + t // sb[pid]]
+                pb = ib[b0[pid] + t % sb[pid]]
+                d2 = (x[pa] - x[pb]) ** 2 + (y[pa] - y[pb]) ** 2
+                counters.candidates_examined += int(pid.size)
+                counters.distance_computations += int(pid.size)
+                hit = np.unique(pid[d2 <= eps2])
+                link(ga[hit], gb[hit])
+                group = group[:, k:]
     if not found_a:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(found_a), np.concatenate(found_b)

@@ -75,11 +75,13 @@ class ClusteringResult:
             raise ValidationError("labels may not be below -1")
         n_clusters = int(labels.max()) + 1 if labels.size and labels.max() >= 0 else 0
         if n_clusters:
-            present = np.unique(labels[labels >= 0])
-            if present.size != n_clusters:
+            present = np.count_nonzero(
+                np.bincount(labels[labels >= 0], minlength=n_clusters)
+            )
+            if present != n_clusters:
                 raise ValidationError(
                     f"cluster ids must be dense 0..{n_clusters - 1}; "
-                    f"found {present.size} distinct ids"
+                    f"found {present} distinct ids"
                 )
         self.labels = labels
         self.core_mask = core_mask

@@ -218,10 +218,11 @@ def _chain_worker(
     grids under ``cellgraph`` — so its kernel never builds an index
     (:class:`PassMemo` finds every grid in the factory).  The mapping is
     released in the ``finally``, whatever happened.  The tracer cannot cross
-    the process boundary, so each worker builds its own; spans are
-    rebased onto the batch wall window and shipped back as plain
-    records.  ``kill`` faults are armed here, and only in workers, so
-    they terminate a worker process and never an in-process caller.
+    the process boundary, so each worker builds its own and ships its
+    spans back as plain records; they need no rebasing, because every
+    tracer stamps :func:`time.perf_counter`, which is system-wide.
+    ``kill`` faults are armed here, and only in workers, so they
+    terminate a worker process and never an in-process caller.
 
     Returns the completed ``(result, record)`` pairs, the first failure
     as ``(variant, error)`` (``None`` when the whole suffix ran) and the
@@ -234,7 +235,6 @@ def _chain_worker(
     # is directly comparable here (unlike time.time, which can step
     # under NTP between the parent's stamp and ours).
     start = time.perf_counter() - t0
-    perf_start = time.perf_counter()
     # The pulse is the last acquisition before the try so no fallible
     # setup sits between it and the finally that closes it.
     hb = worker_pulse(pulse)
@@ -303,8 +303,6 @@ def _chain_worker(
     spans = None
     if tracer is not None:
         spans = tracer.drain()
-        for s in spans:
-            s.t0 = s.t0 - perf_start + start
         set_tracer(None)
     return pairs, failed, spans
 
@@ -336,9 +334,8 @@ def _shard_worker(
     terminate the worker process.
 
     Tracing mirrors the chain worker: a worker-local tracer records the
-    shard spans, which are rebased onto the batch wall window (``t0``
-    is from the parent's monotonic clock, which is system-wide) and
-    shipped back as plain records.
+    shard spans on the system-wide :func:`time.perf_counter` clock the
+    parent's tracer uses, and ships them back as plain records.
     """
     allow_kill_faults(True)
     tracer = Tracer() if trace else None
@@ -376,8 +373,6 @@ def _shard_worker(
     spans = None
     if tracer is not None:
         spans = tracer.drain()
-        for s in spans:
-            s.t0 = s.t0 - perf_start + start
         set_tracer(None)
     return piece, spans, start, finish - start
 
@@ -1396,4 +1391,7 @@ class GraphRuntime:
                 release_segment(idx_shm)
                 destroy_segment(idx_shm)
         if tracer.enabled and task_spans:
-            tracer.add_records(task_spans)
+            # Task spans are stamped on the batch's clock: the work-unit
+            # clock inline, else seconds since t0, which this offset puts
+            # on the tracer's own clock beside every other span.
+            tracer.add_records(task_spans, offset=0.0 if inline is not None else t0)

@@ -44,6 +44,8 @@ __all__ = [
 #: Span name carrying task identity in the task-graph runtime: every
 #: record has ``args = {"kind": ..., "id": ..., "deps": [...]}`` naming
 #: the :mod:`repro.core.taskgraph` node it executed (``kind`` one of
-#: ``variant`` / ``shard`` / ``merge``).  Simulated substrates emit
-#: these on the work-unit clock, wall substrates on the batch window.
+#: ``variant`` / ``shard`` / ``merge``).  Inline lanes (``serial``,
+#: ``simulated``) emit these on the work-unit clock; process lanes on
+#: the tracer's own :func:`time.perf_counter` clock, like every other
+#: span of the batch.
 SPAN_TASK = "task"

@@ -312,6 +312,233 @@ class TestExactEquality:
 
 
 # ---------------------------------------------------------------------------
+# dense cell-pair prefilter: box gap and facing strips
+# ---------------------------------------------------------------------------
+
+#: Radius of the hand-built cell pairs below; its cells are ~0.354 wide,
+#: so cell (0, 0) spans [0, 0.354) on both axes and cell (2, 0) starts
+#: at x = 0.707.
+HALF = 0.5
+_W = CellGraphIndex(np.zeros((1, 2)), HALF).cell_width
+
+
+def _block(x0, x1, y0, y1, k=4):
+    """A ``k x k`` lattice filling the rectangle: one dense cell's bulk."""
+    gx, gy = np.meshgrid(np.linspace(x0, x1, k), np.linspace(y0, y1, k))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _partner(p, qx, *, outward=False):
+    """A ``q`` whose computed ``d^2`` to ``p`` is exactly eps^2.
+
+    Walks ``q``'s coordinates one ulp at a time around the real root;
+    ``outward`` then keeps walking ``q.x`` away from ``p`` until the
+    pair is just outside the closed ball.
+    """
+    e2 = HALF * HALF
+    for _ in range(64):
+        qy = p[1] + np.sqrt(e2 - (qx - p[0]) ** 2)
+        for y in (np.nextafter(qy, -np.inf), qy, np.nextafter(qy, np.inf)):
+            if (qx - p[0]) ** 2 + (y - p[1]) ** 2 == e2:
+                while outward and (qx - p[0]) ** 2 + (y - p[1]) ** 2 <= e2:
+                    qx = np.nextafter(qx, np.inf)
+                return np.array([qx, y])
+        qx = np.nextafter(qx, np.inf)
+    raise AssertionError("no exact-eps partner found")
+
+
+def _min_cross_d2(points, index):
+    """Smallest computed ``d^2`` between points of different cells."""
+    x, y = points[:, 0], points[:, 1]
+    d2 = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
+    cell = index.cell_of_point
+    return d2[cell[:, None] != cell[None, :]].min()
+
+
+def _assert_matches_oracle(points, eps, minpts_grid):
+    for minpts in minpts_grid:
+        ref = bfs_oracle(points, eps, minpts)
+        got = cellgraph_dbscan(points, eps, minpts)
+        np.testing.assert_array_equal(got.labels, ref.labels)
+        np.testing.assert_array_equal(got.core_mask, ref.core_mask)
+
+
+#: Two dense cells at each offset, each with one point of the pair
+#: ``p``-``q`` that is exactly eps apart.  ``decoys`` are the cells'
+#: stage-1 representatives toward each other, placed more than eps
+#: from every point of the other cell, so the pair is found by stage 2
+#: (a (2, 2) pair at exactly eps sits at the facing corners, which are
+#: the representatives themselves).
+EXACT_PAIRS = {
+    (2, 0): ((0.25, 0.2), 0.75, [(0.26, 0.01), (0.74, 0.34)]),
+    (2, 1): ((0.3, 0.3), 0.75, [(0.26, 0.35), (0.9, 0.36)]),
+    (2, 2): ((_W - 5e-14, _W - 5e-14), 2 * _W + 5e-14, []),
+}
+
+
+def _exact_pair_db(offset, *, outward=False):
+    p, qx, decoys = EXACT_PAIRS[offset]
+    # The second cell's bulk sits in its far corner, in row offset[1].
+    far_y = {0: (0.01, 0.1), 1: (0.6, 0.7), 2: (0.97, 1.05)}[offset[1]]
+    pts = np.vstack(
+        [
+            _block(0.01, 0.1, 0.01, 0.1),
+            _block(0.97, 1.05, *far_y),
+            [p, _partner(np.array(p), qx, outward=outward)],
+            np.reshape(decoys, (-1, 2)),
+        ]
+    )
+    return np.ascontiguousarray(pts)
+
+
+class TestCellPairPrefilter:
+    """Pruned dense cell pairs link exactly as the full product would."""
+
+    @pytest.mark.parametrize("offset", sorted(EXACT_PAIRS))
+    @pytest.mark.parametrize("outward", [False, True])
+    def test_pair_at_exactly_eps(self, offset, outward):
+        pts = _exact_pair_db(offset, outward=outward)
+        index = CellGraphIndex(pts, HALF)
+        keys = {tuple(k) for k in index.cell_keys.tolist()}
+        assert keys == {(0, 0), offset}
+        # The p-q pair is the closest cross pair, on the closed ball's
+        # edge or one step outside it.
+        d2 = _min_cross_d2(pts, index)
+        assert (d2 > HALF * HALF) if outward else (d2 == HALF * HALF)
+        _assert_matches_oracle(pts, HALF, [1, 2, 8, 16, 17, 30])
+        c = WorkCounters()
+        res = cellgraph_dbscan(pts, HALF, 16, counters=c)
+        assert res.n_clusters == (2 if outward else 1)
+        if EXACT_PAIRS[offset][2]:
+            # Stage 1 rejected the pair: the strips' product ran.
+            assert c.distance_computations > 1
+
+    def test_points_on_box_edges(self):
+        # Each cell's facing edge is a column of points, and the columns
+        # are the cells' strips.  They are exactly eps apart, and only
+        # the rows at y = 0.2 line up: third in one strip, first in the
+        # other.  The stage-1 pair (the first point of each column) is
+        # off by a row, and every edge point lies on its own cell's box.
+        a_col = [(0.25, y) for y in (0.02, 0.1, 0.2, 0.28)]
+        b_col = [(0.75, y) for y in (0.2, 0.05, 0.13, 0.25)]
+        pts = np.ascontiguousarray(
+            np.vstack(
+                [a_col, b_col, _block(0.01, 0.1, 0.01, 0.3),
+                 _block(0.97, 1.05, 0.01, 0.3)]
+            )
+        )
+        assert _min_cross_d2(pts, CellGraphIndex(pts, HALF)) == HALF * HALF
+        _assert_matches_oracle(pts, HALF, [1, 4, 16, 20, 21])
+        c = WorkCounters()
+        assert cellgraph_dbscan(pts, HALF, 20, counters=c).n_clusters == 1
+        assert c.distance_computations > 1
+
+    def test_boxes_within_eps_points_not(self):
+        # Two parallel segments 0.502 apart: the cells' boxes are 0.38
+        # apart, so the pair passes the box test and no point pair links.
+        t = np.linspace(0.01, 0.34, 40)
+        pts = np.ascontiguousarray(
+            np.vstack(
+                [np.column_stack([t, 0.35 - t]), np.column_stack([t + 0.71, 0.35 - t])]
+            )
+        )
+        index = CellGraphIndex(pts, HALF)
+        assert index.n_cells == 2
+        assert _min_cross_d2(pts, index) > HALF * HALF
+        _assert_matches_oracle(pts, HALF, [1, 8, 40])
+        c = WorkCounters()
+        assert cellgraph_dbscan(pts, HALF, 40, counters=c).n_clusters == 2
+        assert c.distance_computations > 1
+
+    def test_lattice_at_half_eps(self):
+        # Lattice spacing 1/8 divides eps = 0.5, so many cross pairs sit
+        # exactly on the closed ball's edge.
+        g = resolve_rng(2024)
+        gx, gy = np.meshgrid(np.arange(24) / 8.0, np.arange(24) / 8.0)
+        lattice = np.column_stack([gx.ravel(), gy.ravel()])
+        pts = np.ascontiguousarray(lattice[g.random(lattice.shape[0]) < 0.6])
+        _assert_matches_oracle(pts, HALF, [1, 2, 3, 5, 8, 12])
+
+    def test_two_huge_cells_stream(self, monkeypatch):
+        import repro.core.cellgraph as cellgraph
+
+        monkeypatch.setattr(cellgraph, "CELL_PRODUCT_CHUNK", 64)
+        t = np.linspace(0.01, 0.34, 400)
+        a = np.column_stack([t, 0.35 - t])
+        b = np.column_stack([t + 0.71, 0.35 - t])
+        # Strips by brute force: points within eps of the other box.
+        sa = int(np.count_nonzero(t + 0.5 >= 0.72))
+        sb = int(np.count_nonzero(t + 0.71 - 0.5 <= 0.34))
+        assert sa * sb > 64
+        far = np.ascontiguousarray(np.vstack([a, b]))
+        c = WorkCounters()
+        res = cellgraph_dbscan(far, HALF, 400, counters=c)
+        assert res.n_clusters == 2
+        # One stage-1 test, then the whole streamed product: no hit.
+        assert c.distance_computations == 1 + sa * sb
+        # One b point moved next to a's strip: the stream stops early.
+        near = far.copy()
+        near[400 + 200] = near[399] + [0.45, 0.0]
+        c = WorkCounters()
+        res = cellgraph_dbscan(near, HALF, 400, counters=c)
+        assert res.n_clusters == 1
+        assert c.distance_computations < 1 + sa * sb
+        for pts in (far, near):
+            _assert_matches_oracle(pts, HALF, [1, 400])
+
+    @pytest.mark.parametrize("chunk", [None, 8])
+    @pytest.mark.parametrize("seed", [3, 17, 101])
+    def test_components_match_unfiltered_product(self, monkeypatch, seed, chunk):
+        import repro.core.cellgraph as cellgraph
+
+        if chunk is not None:
+            # Small chunks: strip groups of one pair, products split
+            # across chunks, and streamed pairs.
+            monkeypatch.setattr(cellgraph, "CELL_PRODUCT_CHUNK", chunk)
+        # Isolated scenes of two cells each, at every neighbor offset,
+        # with 3-16 points spread over each cell: many pairs fail the
+        # quick-accept, and no link elsewhere joins a scene's cells.
+        eps = 0.3
+        g = resolve_rng(seed)
+        w = CellGraphIndex(np.zeros((1, 2)), eps).cell_width
+        offsets = POSITIVE_OFFSETS[g.integers(0, len(POSITIVE_OFFSETS), 150)]
+        parts = []
+        for i, off in enumerate(offsets):
+            origin = np.array([10 * (i % 15), 10 * (i // 15)], dtype=float)
+            for cell in (origin, origin + off):
+                parts.append((cell + g.random((g.integers(3, 17), 2))) * w)
+        pts = np.ascontiguousarray(np.vstack(parts))
+        x, y = pts[:, 0], pts[:, 1]
+        index = CellGraphIndex(pts, eps)
+        slots = np.flatnonzero(index.cell_counts >= 3)
+        parent = np.arange(index.n_cells, dtype=np.int64)
+        cellgraph._link_cells(index, x, y, slots, parent, WorkCounters())
+        flatten_parents(parent)
+        # The unfiltered product over all points (every cell holds at
+        # least 3, so all are dense): each eps-close pair links its cells.
+        cell = index.cell_of_point
+        d2 = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
+        i, j = np.nonzero(d2 <= eps * eps)
+        ref = np.arange(index.n_cells, dtype=np.int64)
+        union_edges(ref, cell[i], cell[j])
+        np.testing.assert_array_equal(parent[slots], ref[slots])
+        assert 0 < np.unique(ref).size < index.n_cells
+        _assert_matches_oracle(pts, eps, [3])
+
+    def test_gap_separated_pair_charges_no_distance(self):
+        # Two dense cells at offset (2, 0) whose boxes are 0.87 apart:
+        # one box test, no point pair.
+        pts = np.ascontiguousarray(
+            np.vstack([_block(0.01, 0.1, 0.01, 0.1), _block(0.97, 1.05, 0.01, 0.1)])
+        )
+        c = WorkCounters()
+        res = cellgraph_dbscan(pts, HALF, 16, counters=c)
+        assert res.n_clusters == 2
+        assert c.distance_computations == 0
+        assert c.candidates_examined == 1
+
+
+# ---------------------------------------------------------------------------
 # differential oracle (paper Section V-D bar)
 # ---------------------------------------------------------------------------
 

@@ -15,6 +15,7 @@ Pins the tentpole claims of the graph-runtime refactor:
 from __future__ import annotations
 
 import glob
+import time
 
 import numpy as np
 import pytest
@@ -263,6 +264,27 @@ class TestTaskSpans:
             r.args["kind"] for r in tracer.records() if r.name == SPAN_TASK
         }
         assert kinds == {"variant", "shard", "merge"}
+
+    @pytest.mark.parametrize("shard_threshold", [None, 0])
+    def test_every_span_starts_in_the_batch_wall_window(
+        self, points, shard_threshold
+    ):
+        """Task, worker and parent-side spans share the tracer's clock."""
+        tracer = Tracer()
+        with Session(points, tracer=tracer) as s:
+            before = time.perf_counter()
+            s.run(
+                VSET, executor="hybrid", n_threads=2,
+                regions=2, shard_threshold=shard_threshold,
+            )
+            after = time.perf_counter()
+            records = tracer.records()
+        names = {r.name for r in records}
+        assert {SPAN_TASK, "shm_attach", "index_build"} <= names
+        outside = sorted(
+            {r.name for r in records if not before <= r.t0 <= after}
+        )
+        assert outside == []
 
 
 # ----------------------------------------------------------------------
