@@ -7,9 +7,16 @@ differ only in timing model and parallel substrate.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.dbscan import dbscan
 from repro.core.reuse import CLUS_DENSITY, CLUS_SIZE
 from repro.core.scheduling import SchedGreedy, SchedMinpts
@@ -22,6 +29,13 @@ from repro.util.rng import resolve_rng
 from tests.helpers import run_batch
 
 VSET = VariantSet.from_product([0.5, 0.7], [4, 8, 12])
+
+
+def _on_glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (AttributeError, OSError, ValueError):
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +169,47 @@ class TestProcessPool:
         assert set(batch.results) == set(VSET)
         for v in VSET:
             assert quality_score(reference_results[v], batch.results[v]) >= 0.99
+
+    @pytest.mark.skipif(not _on_glibc(), reason="malloc arenas are a glibc notion")
+    def test_lane_threads_share_the_main_arena(self, tmp_path):
+        """After process-lane batches the parent has one malloc heap.
+
+        Each batch's lane pools receive results on new threads; without
+        the arena cap glibc gives them arenas of their own (five heaps
+        after two two-lane batches), whose retained pages made the
+        parent's peak RSS vary from run to run.  A fresh interpreter
+        keeps other tests' threads out of the count.
+        """
+        script = textwrap.dedent(
+            """
+            import ctypes, sys
+            import numpy as np
+            import repro
+            pts = np.random.default_rng(0).random((2000, 2))
+            vset = repro.VariantSet.from_product([0.05, 0.1], [4, 8])
+            with repro.Session(pts) as session:
+                for _ in range(2):
+                    session.run(vset, executor="processes", n_threads=2)
+            libc = ctypes.CDLL(None)
+            libc.fopen.restype = ctypes.c_void_p
+            libc.fopen.argtypes = [ctypes.c_char_p, ctypes.c_char_p]
+            libc.malloc_info.argtypes = [ctypes.c_int, ctypes.c_void_p]
+            libc.fclose.argtypes = [ctypes.c_void_p]
+            fp = libc.fopen(sys.argv[1].encode(), b"w")
+            libc.malloc_info(0, fp)
+            libc.fclose(fp)
+            """
+        )
+        report = tmp_path / "malloc_info.xml"
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        subprocess.run(
+            [sys.executable, "-c", script, str(report)],
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+            timeout=120,
+        )
+        assert report.read_text().count("<heap nr=") == 1
 
 
 class _SchedNoReuse(SchedGreedy):
