@@ -13,17 +13,29 @@ answers each ``m <= top`` with a threshold and a union-find:
    (:class:`~repro.index.cellgraph.CellGraphIndex`).  A cell's diameter
    is at most ``eps``, so any cell holding ``top`` or more points is
    **all core at every m <= top without a single distance computation**.
-2. **Count** every other point's neighbors with one batched epsilon
-   search, issued in blocks of :data:`SEARCH_BLOCK` queries so the
-   search's candidate scratch stays one block's worth.  Counts are capped at
-   ``top``: a point is core at ``m`` iff its capped count is ``>= m``.
+2. **Count** every other (*sparse*) point's neighbors by whole-cell
+   tests over the 5x5 block of cells around it, from one per-pass cell
+   summary: each cell's point bounding box and each dense cell's 8
+   directional extreme points.  A cell whose box lies more than ``eps``
+   from the point is skipped; one whose box lies wholly within ``eps``
+   adds its size without a distance.  The rest are expanded point by
+   point, except that a *saturated* point (one whose covered cells
+   already hold ``top`` points, so its count is ``top`` whatever the
+   rest hold) needs only a yes/no per partially covered dense cell,
+   which the cell's extreme point facing it answers first.  Counts are
+   capped at ``top``: a point is core at ``m`` iff its capped count is
+   ``>= m``.  Rows go in blocks of :data:`SEARCH_BLOCK` points so the
+   expansion scratch stays one block's worth.
 3. **Edge** core cells.  Every point of a cell is within ``eps`` of
    every other, so the core points of one cell always share a cluster,
    and two cells are linked at ``m`` iff some pair of points across them
    is eps-close with both counts ``>= m``.  Each cell-pair edge
    therefore carries a *strength*: the max over its eps-close pairs of
    ``min(count_p, count_q)``, the largest ``m`` at which it survives.
-   Pairs with a sparse endpoint come straight from the step-2 CSR rows.
+   Pairs with a sparse endpoint come straight from the step-2 scan:
+   each sparse pair once, from the row of its later point, and one
+   pair per (sparse point, dense cell) that holds a neighbor of it,
+   standing for the whole cell (all core, one cell, one label).
    Pairs of two dense cells (all counts ``top``) go through three
    filters.  A pair whose cell bounding boxes lie more than ``eps``
    apart is rejected: no pair of their points can be closer than their
@@ -37,7 +49,7 @@ answers each ``m <= top`` with a threshold and a union-find:
    ``np.ndarray`` parent forest hooked by edge-list passes
    (``np.minimum.at``) — over the edges of strength ``>= m``, with no
    per-point Python loops.
-5. **Assign** border points, per ``m``, from the step-2 rows kept for
+5. **Assign** border points, per ``m``, from the step-2 pairs kept for
    points that can be border points: the minimum cluster id among a
    point's core neighbors.
 
@@ -55,19 +67,25 @@ components by the rank of their minimum core index and taking the
 minimum id over core neighbors therefore reproduces the BFS labels and
 core mask exactly (the closed predicate ``d^2 <= eps^2`` is shared with
 :class:`~repro.core.neighbors.NeighborSearcher`).  The box and strip
-filters of step 3 drop only pairs of points whose computed ``d^2``
-exceeds ``eps^2`` (see :func:`_gap2`), so they link the same cells as
-the full product.
+filters drop only pairs of points whose computed ``d^2`` exceeds
+``eps^2`` (see :func:`_gap2`), and a cell is covered only when the
+``d^2`` computed to its farthest box corner is ``<= eps^2``, which
+bounds the ``d^2`` of every point inside it; so steps 2 and 3 count and
+link exactly as full products would.
 
-Work accounting: dense-cell core marking is free by construction; the
-sparse count pass charges through :class:`NeighborSearcher` as usual;
-cell probes charge ``index_nodes_visited``.  Each dense cell-pair box
-test and each strip point test charges ``candidates_examined``; each
-point-pair distance (the quick-accept pair and every pair of the strip
-product) charges both ``candidates_examined`` and
-``distance_computations``, so a pair its boxes reject computes no
-distance.  All of it is charged once, when the pass is built; serving
-one ``m`` from the pass charges only the cells its union-find touches
+Work accounting: dense-cell core marking is free by construction.
+Cell probes charge ``index_nodes_visited`` (the sparse scan probes each
+sparse cell's 24 neighbors once per pass).  The scan charges one
+``neighbor_searches`` per sparse point.  Every point-box test (a sparse
+point against a cell of its block) and every dense cell-pair box test
+and strip point test charges ``candidates_examined``.  Only real
+point-pair distances (the scan's representative tests and expanded
+cells, the quick-accept pairs and the strip products) charge
+``distance_computations``, and each also charges
+``candidates_examined``; ``neighbors_found`` counts the ones within
+``eps``.  So a cell a box test skips or covers computes no distance.
+All of it is charged once, when the pass is built; serving one ``m``
+from the pass charges only the cells its union-find touches
 (``index_nodes_visited``), and the one-``minpts`` call charges the
 build alone.
 """
@@ -76,10 +94,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.neighbors import NeighborSearcher
 from repro.core.result import NOISE, ClusteringResult
 from repro.core.variants import Variant
-from repro.index.cellgraph import POSITIVE_OFFSETS, CellGraphIndex
+from repro.index._ranges import ranges_to_indices
+from repro.index.cellgraph import NEIGHBOR_OFFSETS, POSITIVE_OFFSETS, CellGraphIndex
 from repro.metrics.counters import WorkCounters
 from repro.util.tracing import Tracer, resolve_tracer
 from repro.util.validation import as_points_array, check_eps, check_minpts
@@ -99,9 +117,9 @@ __all__ = [
 #: below cache-hostile sizes.
 CELL_PRODUCT_CHUNK = 1 << 22
 
-#: Queries per block of the step-2 count search.  One unblocked batch
-#: over every sparse point holds all candidate lists at once, several
-#: times the size of the neighbor lists it returns.
+#: Sparse points per block of the step-2 scan.  One unblocked scan over
+#: every sparse point would hold all of their expanded cells' points at
+#: once, several times the size of the pairs it keeps.
 SEARCH_BLOCK = 512
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -153,25 +171,6 @@ def union_edges(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         flatten_parents(parent)
 
 
-def _segmented_arg_extreme(
-    values: np.ndarray, seg_ptr: np.ndarray, *, maximum: bool
-) -> np.ndarray:
-    """Index (into ``values``) of each segment's max (or min) element.
-
-    Segments are ``values[seg_ptr[i]:seg_ptr[i + 1]]`` and must all be
-    non-empty.  Ties resolve to the first position, deterministically.
-    """
-    reducer = np.maximum if maximum else np.minimum
-    best = reducer.reduceat(values, seg_ptr[:-1])
-    seg_of = np.repeat(
-        np.arange(seg_ptr.size - 1, dtype=np.int64), np.diff(seg_ptr)
-    )
-    at_best = np.flatnonzero(values == best[seg_of])
-    # seg_of[at_best] is sorted; the first hit per segment is the argmax.
-    s = seg_of[at_best]
-    return at_best[np.r_[True, s[1:] != s[:-1]]]
-
-
 def _strongest(
     a: np.ndarray, b: np.ndarray, s: np.ndarray, n_cells: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,23 +198,85 @@ def _gap2(u, v) -> np.ndarray:
     return gx * gx + gy * gy
 
 
+class _CellSummary:
+    """One pass's per-cell data, shared by the sparse scan and dense linking.
+
+    ``xs``/``ys`` are the coordinates in the grid's point order, so a
+    cell's members are the contiguous run ``starts[c]:starts[c] +
+    counts[c]`` and every point is named by its *grid position*
+    (``index.point_order[g]`` is its point index).  ``box`` holds each
+    cell's point bounding box, ``(lo_x, hi_x, lo_y, hi_y)`` by slot.
+    ``reps[k, rank[c]]`` is the grid position of dense cell ``c``'s
+    extreme point toward ``_DIRECTIONS[k]`` (the first one in grid
+    order on ties); ``rank`` is -1 for sparse cells.
+    """
+
+    __slots__ = ("xs", "ys", "starts", "counts", "box", "dense", "rank", "reps")
+
+    def __init__(
+        self, index: CellGraphIndex, points: np.ndarray, dense_cell: np.ndarray
+    ) -> None:
+        order = index.point_order
+        self.counts = counts = index.cell_counts
+        self.starts = starts = np.cumsum(counts) - counts
+        self.xs = xs = points[:, 0][order]
+        self.ys = ys = points[:, 1][order]
+        self.box = np.empty((4, index.n_cells), dtype=np.float64)
+        if index.n_cells:
+            for row, (reducer, axis) in enumerate(
+                [(np.minimum, xs), (np.maximum, xs), (np.minimum, ys), (np.maximum, ys)]
+            ):
+                reducer.reduceat(axis, starts, out=self.box[row])
+        self.dense = dense = np.flatnonzero(dense_cell)
+        self.rank = np.full(index.n_cells, -1, dtype=np.int64)
+        self.rank[dense] = np.arange(dense.size, dtype=np.int64)
+        self.reps = np.empty((_DIRECTIONS.shape[0], dense.size), dtype=np.int64)
+        if not dense.size:
+            return
+        # The dense cells' members, still grouped cell by cell; a member's
+        # grid position is its position here plus its cell's shift.
+        size = counts[dense]
+        ptr = np.cumsum(size) - size
+        shift = starts[dense] - ptr
+        member = np.repeat(dense_cell, counts)
+        mx, my = xs[member], ys[member]
+        box = self.box[:, dense]
+        # One projection u . p per pair of opposite directions: its max
+        # serves u and its min -u (-x - y is -(x + y) and -x + y is
+        # -(x - y) exactly, so these are the extremes of every u . p).
+        # The axis extremes are the boxes.
+        for ux, uy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+            if uy == 0:
+                values, hi, lo = mx, box[1], box[0]
+            elif ux == 0:
+                values, hi, lo = my, box[3], box[2]
+            else:
+                values = mx + my if uy > 0 else mx - my
+                hi = np.maximum.reduceat(values, ptr)
+                lo = np.minimum.reduceat(values, ptr)
+            for best, k in ((hi, (ux, uy)), (lo, (-ux, -uy))):
+                at = np.flatnonzero(values == np.repeat(best, size))
+                # Every cell holds at least one hit; keep each one's first.
+                seg = np.searchsorted(ptr, at, side="right") - 1
+                first = np.r_[True, seg[1:] != seg[:-1]]
+                self.reps[_DIR_INDEX[k]] = at[first] + shift
+
+    def members(self, cells: np.ndarray) -> np.ndarray:
+        """Grid positions of the given cells' points, grouped cell by cell."""
+        return ranges_to_indices(self.starts[cells], self.counts[cells])
+
+
 def _strip(
-    index: CellGraphIndex,
-    x: np.ndarray,
-    y: np.ndarray,
-    cells: np.ndarray,
-    boxes: np.ndarray,
-    eps2: float,
+    summary: _CellSummary, cells: np.ndarray, boxes: np.ndarray, eps2: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Points of each ``cells[i]`` within eps of the box ``boxes[:, i]``.
 
-    Returns the survivors grouped cell by cell, with each group's start
-    and size.
+    Returns the survivors' grid positions grouped cell by cell, with
+    each group's start and size.
     """
-    size = index.cell_counts[cells]
-    pts = index.points_in_cells(cells)
-    pid = np.repeat(np.arange(cells.size, dtype=np.int64), size)
-    px, py = x[pts], y[pts]
+    pts = summary.members(cells)
+    pid = np.repeat(np.arange(cells.size, dtype=np.int64), summary.counts[cells])
+    px, py = summary.xs[pts], summary.ys[pts]
     keep = _gap2((px, px, py, py), boxes[:, pid]) <= eps2
     size = np.bincount(pid[keep], minlength=cells.size)
     return pts[keep], np.cumsum(size) - size, size
@@ -223,22 +284,20 @@ def _strip(
 
 def _link_cells(
     index: CellGraphIndex,
-    x: np.ndarray,
-    y: np.ndarray,
-    slots: np.ndarray,
+    summary: _CellSummary,
     parent: np.ndarray,
     counters: WorkCounters,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs of ``slots`` cells holding an eps-close pair of points.
+    """Pairs of dense cells holding an eps-close pair of points.
 
-    ``slots`` is ascending; ``parent`` is a union-find forest over all
-    cell slots, already joined by whatever links are known, and gains
-    every pair found.  A candidate pair whose cells are already joined
-    is never tested, so the returned pairs together with ``parent``'s
-    prior links span the linked-cell graph over ``slots``.  A candidate
-    pair whose cell bounding boxes lie more than eps apart is rejected
-    outright (:func:`_gap2`).  Stage 1 tests one representative pair
-    per remaining cell pair (the directional extreme points facing each
+    ``parent`` is a union-find forest over all cell slots, already
+    joined by whatever links are known, and gains every pair found.  A
+    candidate pair whose cells are already joined is never tested, so
+    the returned pairs together with ``parent``'s prior links span the
+    linked-cell graph over ``summary.dense``.  A candidate pair whose
+    cell bounding boxes lie more than eps apart is rejected outright
+    (:func:`_gap2`).  Stage 1 tests one representative pair per
+    remaining cell pair (the directional extreme points facing each
     other); stage 2 takes the pairs stage 1 could not accept, keeps
     each cell's facing strip (its points within eps of the other cell's
     box) and runs a chunked product over the two strips.
@@ -246,12 +305,9 @@ def _link_cells(
     found_a: list[np.ndarray] = []
     found_b: list[np.ndarray] = []
     eps2 = index.eps * index.eps
-    counts = index.cell_counts[slots]
-    ptr = np.zeros(slots.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    members = index.points_in_cells(slots)  # grouped slot by slot
-    rank = np.full(index.n_cells, -1, dtype=np.int64)
-    rank[slots] = np.arange(slots.size, dtype=np.int64)
+    slots, rank, box = summary.dense, summary.rank, summary.box
+    x, y = summary.xs, summary.ys
+    counts = summary.counts
 
     def link(a: np.ndarray, b: np.ndarray) -> None:
         union_edges(parent, a, b)
@@ -276,31 +332,12 @@ def _link_cells(
         a = np.concatenate(pair_a)
         b = np.concatenate(pair_b)
         d = np.concatenate(pair_dir)
-        # Directional extreme point per cell: the stage-1 representative
-        # toward each compass direction.
-        reps = np.empty((_DIRECTIONS.shape[0], slots.size), dtype=np.int64)
-        mx = x[members]
-        my = y[members]
-        for k, (ux, uy) in enumerate(_DIRECTIONS):
-            pos = _segmented_arg_extreme(
-                float(ux) * mx + float(uy) * my, ptr, maximum=True
-            )
-            reps[k] = members[pos]
-        # The axis extremes bound each cell: (lo_x, hi_x, lo_y, hi_y) by rank.
-        box = np.stack(
-            [
-                x[reps[_DIR_INDEX[(-1, 0)]]],
-                x[reps[_DIR_INDEX[(1, 0)]]],
-                y[reps[_DIR_INDEX[(0, -1)]]],
-                y[reps[_DIR_INDEX[(0, 1)]]],
-            ]
-        )
-        near = _gap2(box[:, rank[a]], box[:, rank[b]]) <= eps2
+        near = _gap2(box[:, a], box[:, b]) <= eps2
         counters.candidates_examined += int(a.size)
         a, b, d = a[near], b[near], d[near]
         # Stage 1: one representative pair per candidate cell pair.
-        rep_a = reps[d, rank[a]]
-        rep_b = reps[_OPPOSITE[d], rank[b]]
+        rep_a = summary.reps[d, rank[a]]
+        rep_b = summary.reps[_OPPOSITE[d], rank[b]]
         d2 = (x[rep_a] - x[rep_b]) ** 2 + (y[rep_a] - y[rep_b]) ** 2
         counters.candidates_examined += int(a.size)
         counters.distance_computations += int(a.size)
@@ -314,12 +351,11 @@ def _link_cells(
             rem_a, rem_b = rem_a[alive], rem_b[alive]
             if not rem_a.size:
                 break
-            ra, rb = rank[rem_a], rank[rem_b]
-            span = np.cumsum(counts[ra] + counts[rb])
+            span = np.cumsum(counts[rem_a] + counts[rem_b])
             g = max(1, int(np.searchsorted(span, CELL_PRODUCT_CHUNK, "right")))
             counters.candidates_examined += int(span[g - 1])
-            ia, a0, sa = _strip(index, x, y, rem_a[:g], box[:, rb[:g]], eps2)
-            ib, b0, sb = _strip(index, x, y, rem_b[:g], box[:, ra[:g]], eps2)
+            ia, a0, sa = _strip(summary, rem_a[:g], box[:, rem_b[:g]], eps2)
+            ib, b0, sb = _strip(summary, rem_b[:g], box[:, rem_a[:g]], eps2)
             group = np.stack([rem_a[:g], rem_b[:g], a0, sa, b0, sb])
             group = group[:, (sa > 0) & (sb > 0)]
             rem_a, rem_b = rem_a[g:], rem_b[g:]
@@ -365,6 +401,146 @@ def _link_cells(
     if not found_a:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     return np.concatenate(found_a), np.concatenate(found_b)
+
+
+#: The 5x5 block as scan columns: the own cell first, then every offset
+#: of :data:`NEIGHBOR_OFFSETS`.
+_SCAN_OFFSETS = np.vstack([np.zeros((1, 2), dtype=np.int64), NEIGHBOR_OFFSETS])
+#: Row of ``_DIRECTIONS`` pointing from each scan column's cell back at
+#: the scanning point's cell (unused for the own cell).
+_SCAN_FACING = np.array(
+    [0] + [_DIR_INDEX[(-int(np.sign(dx)), -int(np.sign(dy)))] for dx, dy in NEIGHBOR_OFFSETS],
+    dtype=np.int64,
+)
+
+
+def _scan_sparse(
+    index: CellGraphIndex,
+    summary: _CellSummary,
+    dense_cell: np.ndarray,
+    count: np.ndarray,
+    top: int,
+    counters: WorkCounters,
+) -> tuple[np.ndarray, ...]:
+    """Step 2: count every sparse point's neighbors and collect its pairs.
+
+    Fills ``count`` for the sparse points (capped at ``top``, every
+    dense point's count) and returns the border candidate pairs
+    ``(p, q)`` (``q`` may be core where ``p`` is not) and the strongest
+    edge ``(a, b, s)`` of every cell pair with a sparse point in it.
+    See the module docstring, step 2, for the scan's cell tests.
+    """
+    eps2 = index.eps * index.eps
+    order = index.point_order
+    xs, ys = summary.xs, summary.ys
+    counts, starts = summary.counts, summary.starts
+    sparse_cells = np.flatnonzero(~dense_cell)
+    width = _SCAN_OFFSETS.shape[0]
+    # The 5x5 block of every sparse cell, probed once per pass; column j
+    # holds the cell at _SCAN_OFFSETS[j], -1 where there is none.
+    block = np.empty((sparse_cells.size, width), dtype=np.int64)
+    for j, off in enumerate(_SCAN_OFFSETS):
+        block[:, j] = index.neighbor_slots(sparse_cells, off) if j else sparse_cells
+    counters.index_nodes_visited += int(sparse_cells.size) * (width - 1)
+    # Strongest edge from each sparse cell to each block column.
+    strength = np.zeros(block.size, dtype=np.int64)
+    # Sparse points by grid position (ascending, so a smaller position
+    # is an earlier row) and the rank of each one's cell.
+    sparse = summary.members(sparse_cells)
+    row_cell = np.repeat(
+        np.arange(sparse_cells.size, dtype=np.int64), counts[sparse_cells]
+    )
+    counters.neighbor_searches += int(sparse.size)
+    border_p: list[np.ndarray] = []
+    border_q: list[np.ndarray] = []
+    for s in range(0, sparse.size, SEARCH_BLOCK):
+        rows = sparse[s : s + SEARCH_BLOCK]
+        key = row_cell[s : s + SEARCH_BLOCK, None] * width + np.arange(width)
+        cand = block.ravel()[key]
+        valid = cand >= 0
+        rx, ry = xs[rows], ys[rows]
+        px, py = rx[:, None], ry[:, None]
+        # cand -1 reads the last cell's box, masked by valid.
+        lo_x, hi_x, lo_y, hi_y = (side[cand] for side in summary.box)
+        counters.candidates_examined += int(np.count_nonzero(valid))
+        near = valid & (_gap2((px, px, py, py), (lo_x, hi_x, lo_y, hi_y)) <= eps2)
+        # A cell whose farthest box corner is within eps holds only
+        # neighbors: its size counts without a distance.
+        fx = np.maximum(px - lo_x, hi_x - px)
+        fy = np.maximum(py - lo_y, hi_y - py)
+        cover = near & (fx * fx + fy * fy <= eps2)
+        dense = near & dense_cell[cand]
+        low = np.where(cover, counts[cand], 0).sum(axis=1)
+        # A saturated row (count top whatever the rest holds) needs one
+        # yes/no per partially covered dense cell: the cell's
+        # representative facing the row's cell answers most of them.
+        known = dense & cover
+        ri, ci = np.nonzero(dense & ~cover & (low >= top)[:, None])
+        q = summary.reps[_SCAN_FACING[ci], summary.rank[cand[ri, ci]]]
+        hit = (xs[q] - rx[ri]) ** 2 + (ys[q] - ry[ri]) ** 2 <= eps2
+        known[ri[hit], ci[hit]] = True
+        n_dist, n_hit = ri.size, int(np.count_nonzero(hit))
+        # Every other near cell but a covered sparse one is expanded
+        # with distances: the dense ones for a count and a yes/no, the
+        # sparse ones for their pairs as well.
+        grow = near & ~cover & ~known
+        extra = np.zeros(rows.size, dtype=np.int64)
+        pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for sel, in_dense in ((grow & dense, True), (grow & ~dense, False)):
+            ti, tj = np.nonzero(sel)
+            size = counts[cand[ti, tj]]
+            pos = ranges_to_indices(starts[cand[ti, tj]], size)
+            hit = (xs[pos] - np.repeat(rx[ti], size)) ** 2 + (
+                ys[pos] - np.repeat(ry[ti], size)
+            ) ** 2 <= eps2
+            n_dist += pos.size
+            n_hit += int(np.count_nonzero(hit))
+            er = np.repeat(ti, size)
+            extra += np.bincount(er[hit], minlength=rows.size)
+            if in_dense:
+                if ti.size:
+                    some = np.logical_or.reduceat(hit, np.cumsum(size) - size)
+                    known[ti[some], tj[some]] = True
+                continue
+            # Each sparse pair once, from the row of its later point.
+            keep = hit & (pos < np.repeat(rows[ti], size))
+            pairs.append((er[keep], pos[keep], np.repeat(key[ti, tj], size)[keep]))
+        counters.candidates_examined += int(n_dist)
+        counters.distance_computations += int(n_dist)
+        counters.neighbors_found += n_hit
+        kp_row = np.minimum(low + extra, top)
+        count[order[rows]] = kp_row
+        # Every point of a covered sparse cell is a neighbor.
+        ki, kj = np.nonzero(cover & ~dense)
+        size = counts[cand[ki, kj]]
+        pos = ranges_to_indices(starts[cand[ki, kj]], size)
+        keep = pos < np.repeat(rows[ki], size)
+        pairs.append(
+            (np.repeat(ki, size)[keep], pos[keep], np.repeat(key[ki, kj], size)[keep])
+        )
+        # A dense cell stands for all its points (all core, one cell, one
+        # label): one pair per (row, dense cell) with a neighbor in it.
+        di, dj = np.nonzero(known)
+        pairs.append((di, starts[cand[di, dj]], key[di, dj]))
+        pr, pq, pk = (np.concatenate(part) for part in zip(*pairs))
+        p, q = order[rows[pr]], order[pq]
+        kp, kq = kp_row[pr], count[q]
+        # p is non-core at m while q is core only if count_q > count_p
+        # (and the other way round).
+        up = kq > kp
+        down = kp > kq
+        border_p.append(np.concatenate([p[up], q[down]]))
+        border_q.append(np.concatenate([q[up], p[down]]))
+        cross = pk % width > 0
+        np.maximum.at(strength, pk[cross], np.minimum(kp[cross], kq[cross]))
+    edge = np.flatnonzero(strength)
+    a = sparse_cells[edge // width]
+    b = block.ravel()[edge]
+    return (
+        np.concatenate(border_p) if border_p else _EMPTY,
+        np.concatenate(border_q) if border_q else _EMPTY,
+        *_strongest(np.minimum(a, b), np.maximum(a, b), strength[edge], index.n_cells),
+    )
 
 
 class MinptsPass:
@@ -418,77 +594,27 @@ class MinptsPass:
         n = points.shape[0]
         self.n = n
         self._n_cells = index.n_cells
-        self._cell_of = cell_of = index.cell_of_point
+        self._cell_of = index.cell_of_point
         dense_cell = index.cell_counts >= top
         self._count = count = np.full(n, top, dtype=np.int64)
 
-        # -- 2. sparse points: blocked count search, pairs from the rows --
-        # Rows are consumed block by block and never kept whole.  A pair
-        # of sparse points is taken from the row of whichever of the two
-        # is searched later, when both counts are known.  The points of a
-        # dense cell share count top and (all core, one cell) a label, so
-        # one entry per run of a row's neighbors in a dense cell stands
-        # for the whole run.
+        # -- 2. sparse points: cell tests over the 5x5 block -------------
+        # One summary of the cells serves this scan and step 3.
+        phases.switch("cell_summary")
+        summary = _CellSummary(index, points, dense_cell)
         phases.switch("sparse_scan")
-        sparse = index.points_in_cells(np.flatnonzero(~dense_cell))
-        seq = np.full(n, -1, dtype=np.int64)  # search order; -1 if dense
-        seq[sparse] = np.arange(sparse.size, dtype=np.int64)
-        searcher = NeighborSearcher(index, self.eps, counters)
-        pieces: list[tuple[np.ndarray, ...]] = []
-        border: list[tuple[np.ndarray, np.ndarray]] = []
-        for s in range(0, sparse.size, SEARCH_BLOCK):
-            rows = sparse[s : s + SEARCH_BLOCK]
-            ptr, q = searcher.search_batch(rows)
-            count[rows] = np.minimum(np.diff(ptr), top)
-            p = np.repeat(rows, np.diff(ptr))
-            cq = cell_of[q]
-            in_dense = dense_cell[cq]
-            run = in_dense.copy()
-            run[1:] &= (cq[1:] != cq[:-1]) | (p[1:] != p[:-1])
-            pair = ~in_dense & (seq[q] < seq[p])
-            p = np.concatenate([p[run], p[pair]])
-            q = np.concatenate([q[run], q[pair]])
-            cp, cq, kp, kq = cell_of[p], cell_of[q], count[p], count[q]
-            # p is non-core at m while q is core only if count_q > count_p
-            # (and the other way round).
-            up = kq > kp
-            down = kp > kq
-            border.append(
-                (np.concatenate([p[up], q[down]]), np.concatenate([q[up], p[down]]))
-            )
-            cross = cp != cq
-            pieces.append(
-                _strongest(
-                    np.minimum(cp[cross], cq[cross]),
-                    np.maximum(cp[cross], cq[cross]),
-                    np.minimum(kp[cross], kq[cross]),
-                    index.n_cells,
-                )
-            )
-        self._border_p = (
-            np.concatenate([bp for bp, _ in border]) if border else _EMPTY
-        )
-        self._border_q = (
-            np.concatenate([bq for _, bq in border]) if border else _EMPTY
+        self._border_p, self._border_q, sparse_a, sparse_b, sparse_s = _scan_sparse(
+            index, summary, dense_cell, count, top, counters
         )
 
         # -- 3. strength-labelled cell-pair edges -----------------------
         phases.switch("cell_edges")
-        if pieces:
-            sparse_a, sparse_b, sparse_s = _strongest(
-                *(np.concatenate(part) for part in zip(*pieces)), index.n_cells
-            )
-        else:
-            sparse_a = sparse_b = sparse_s = _EMPTY
         # Edges of strength top hold at every m <= top, so dense pairs
         # they already join need no test.
         parent = np.arange(index.n_cells, dtype=np.int64)
         union_edges(parent, sparse_a[sparse_s == top], sparse_b[sparse_s == top])
-        x = np.ascontiguousarray(points[:, 0])
-        y = np.ascontiguousarray(points[:, 1])
-        dense_a, dense_b = _link_cells(
-            index, x, y, np.flatnonzero(dense_cell), parent, counters
-        )
+        dense_a, dense_b = _link_cells(index, summary, parent, counters)
+        del summary  # the coordinate gathers are a pass's largest scratch
         a = np.concatenate([dense_a, sparse_a])
         b = np.concatenate([dense_b, sparse_b])
         s = np.concatenate([np.full(dense_a.size, top, dtype=np.int64), sparse_s])

@@ -18,10 +18,14 @@ order of agreement.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.result import ClusteringResult
 from repro.util.errors import ValidationError
+
+if TYPE_CHECKING:  # annotations only: repro.core.result imports this package
+    from repro.core.result import ClusteringResult
 
 __all__ = ["per_point_quality", "quality_score"]
 

@@ -510,9 +510,11 @@ class TestCellPairPrefilter:
         pts = np.ascontiguousarray(np.vstack(parts))
         x, y = pts[:, 0], pts[:, 1]
         index = CellGraphIndex(pts, eps)
-        slots = np.flatnonzero(index.cell_counts >= 3)
+        dense = index.cell_counts >= 3
+        slots = np.flatnonzero(dense)
         parent = np.arange(index.n_cells, dtype=np.int64)
-        cellgraph._link_cells(index, x, y, slots, parent, WorkCounters())
+        summary = cellgraph._CellSummary(index, pts, dense)
+        cellgraph._link_cells(index, summary, parent, WorkCounters())
         flatten_parents(parent)
         # The unfiltered product over all points (every cell holds at
         # least 3, so all are dense): each eps-close pair links its cells.
@@ -536,6 +538,148 @@ class TestCellPairPrefilter:
         assert res.n_clusters == 2
         assert c.distance_computations == 0
         assert c.candidates_examined == 1
+
+
+# ---------------------------------------------------------------------------
+# sparse scan: whole-cell tests over the 5x5 block
+# ---------------------------------------------------------------------------
+
+
+def _assert_pass_matches_oracle(points, eps, top):
+    """Every ``m <= top`` from one pass equals the BFS oracle."""
+    built = MinptsPass(points, CellGraphIndex(points, eps), top)
+    for minpts in range(1, top + 1):
+        ref = bfs_oracle(points, eps, minpts)
+        got = built.cluster(minpts)
+        np.testing.assert_array_equal(got.labels, ref.labels)
+        np.testing.assert_array_equal(got.core_mask, ref.core_mask)
+    return built
+
+
+def _scan_scene(seed):
+    """Blobs, a uniform background and a 1/8 lattice patch: dense cells,
+    sparse cells and lattice ties in one database."""
+    g = resolve_rng(seed)
+    gx, gy = np.meshgrid(np.arange(12) / 8.0, np.arange(12) / 8.0)
+    lattice = np.column_stack([gx.ravel(), gy.ravel()]) + [4.0, 0.0]
+    return np.ascontiguousarray(
+        np.vstack(
+            [
+                g.normal(0.0, 0.25, (120, 2)),
+                g.uniform(-1.0, 6.0, (150, 2)),
+                lattice[g.random(lattice.shape[0]) < 0.7],
+            ]
+        )
+    )
+
+
+class TestSparseScan:
+    """Step 2 counts and pairs sparse points by whole-cell tests, exactly."""
+
+    def test_lattice_ties_on_box_edges_and_facing_representative(self):
+        # On a 1/8 lattice at eps = 0.5 the exact-eps pairs are four steps
+        # apart along an axis.  p (cell (2, 0)) is saturated by the dense
+        # cell (1, 0), which lies wholly within eps.  The dense cell
+        # (3, 0) starts exactly eps from p, and its representative facing
+        # p (its first point of least x) is exactly eps away, so the box
+        # test keeps the cell and the representative links it.  s, alone
+        # in cell (0, 0), is exactly eps from p: that one-point box is
+        # covered on its edge.
+        p, s = (0.75, 0.125), (0.25, 0.125)
+        west = [(x / 8, y / 8) for x in (3, 4, 5) for y in (0, 1, 2)]
+        east = [(1.25, 0.125)] + [(x / 8, y / 8) for x in (10, 11) for y in (0, 1, 2)
+                                  if (x, y) != (10, 1)]
+        pts = np.ascontiguousarray(np.array([p, s] + west + east))
+        index = CellGraphIndex(pts, HALF)
+        assert {tuple(k) for k in index.cell_keys.tolist()} == {
+            (0, 0), (1, 0), (2, 0), (3, 0)
+        }
+        built = _assert_pass_matches_oracle(pts, HALF, 6)
+        assert built.cluster(6).n_clusters == 1
+        c = WorkCounters()
+        MinptsPass(pts, index, 6, counters=c)
+        # The one distance is p's representative test; the two dense
+        # cells are more than eps apart by box, and every other cell is
+        # covered.
+        assert c.distance_computations == 1
+
+    def test_dense_cell_within_eps_is_counted_without_distances(self):
+        # p is alone in cell (1, 0); the dense cell (0, 0) lies wholly
+        # within eps of it.
+        top = 12
+        g = resolve_rng(5)
+        dense = np.column_stack([g.uniform(0.25, 0.34, top), g.uniform(0.0, 0.1, top)])
+        pts = np.ascontiguousarray(np.vstack([dense, [(0.40, 0.05)]]))
+        index = CellGraphIndex(pts, HALF)
+        assert index.n_cells == 2
+        c = WorkCounters()
+        built = MinptsPass(pts, index, top, counters=c)
+        assert built._count[-1] == top
+        assert c.distance_computations == 0
+        # Two box tests: p's own cell and the dense cell.
+        assert c.candidates_examined == 2
+        assert c.neighbor_searches == 1
+        _assert_pass_matches_oracle(pts, HALF, top)
+
+    def test_saturated_point_falls_back_when_representative_misses(self):
+        # p (cell (2, 0)) is saturated by the covered dense cell (1, 0).
+        # Its only neighbor q in the dense cell (3, 0) is not that cell's
+        # representative facing p (r, the point of least x), and r lies
+        # just beyond eps, so the cell's distances decide: p links both
+        # dense cells into one cluster.
+        top = 8
+        p = (0.80, 0.20)
+        g = resolve_rng(9)
+        west = np.column_stack([g.uniform(0.62, 0.68, top), g.uniform(0.15, 0.25, top)])
+        r, q = (1.26, 0.0), (1.27, 0.20)
+        east = np.vstack(
+            [[r, q], np.column_stack([g.uniform(1.33, 1.40, top - 2),
+                                      g.uniform(0.0, 0.3, top - 2)])]
+        )
+        pts = np.ascontiguousarray(np.vstack([[p], west, east]))
+        assert np.hypot(*np.subtract(r, p)) > HALF >= np.hypot(*np.subtract(q, p))
+        index = CellGraphIndex(pts, HALF)
+        assert {tuple(k) for k in index.cell_keys.tolist()} == {(1, 0), (2, 0), (3, 0)}
+        c = WorkCounters()
+        built = MinptsPass(pts, index, top, counters=c)
+        # One representative test, then the east cell's product.
+        assert c.distance_computations == 1 + top
+        assert built.cluster(top).n_clusters == 1
+        _assert_pass_matches_oracle(pts, HALF, top)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_pairs_straddling_blocks(self, monkeypatch, block, seed):
+        import repro.core.cellgraph as cellgraph
+
+        pts = _scan_scene(seed)
+        index = CellGraphIndex(pts, HALF)
+        base = WorkCounters()
+        ref = MinptsPass(pts, index, 6, counters=base)
+        monkeypatch.setattr(cellgraph, "SEARCH_BLOCK", block)
+        c = WorkCounters()
+        built = MinptsPass(pts, index, 6, counters=c)
+        # Blocks change how rows are grouped, never what is computed.
+        assert c.as_dict() == base.as_dict()
+        for m in range(1, 7):
+            np.testing.assert_array_equal(built.cluster(m).labels, ref.cluster(m).labels)
+        _assert_pass_matches_oracle(pts, HALF, 6)
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_top_one_and_top_above_every_cell(self, seed):
+        pts = _scan_scene(seed)
+        index = CellGraphIndex(pts, HALF)
+        # top = 1: every cell is dense and nothing is scanned.
+        c = WorkCounters()
+        MinptsPass(pts, index, 1, counters=c)
+        assert c.neighbor_searches == 0
+        _assert_pass_matches_oracle(pts, HALF, 1)
+        # top above every cell count: no dense cell, every point scanned.
+        top = int(index.cell_counts.max()) + 1
+        c = WorkCounters()
+        MinptsPass(pts, index, top, counters=c)
+        assert c.neighbor_searches == pts.shape[0]
+        _assert_pass_matches_oracle(pts, HALF, top)
 
 
 # ---------------------------------------------------------------------------
