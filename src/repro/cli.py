@@ -98,14 +98,6 @@ def _build_cluster_index(points, kind: str, args: argparse.Namespace):
         from repro.index.cellgraph import CellGraphIndex
 
         return CellGraphIndex(points, args.eps)
-    if kind == "grid":
-        from repro.index.grid import UniformGridIndex
-
-        return UniformGridIndex(points, cell_width=args.eps)
-    if kind == "kdtree":
-        from repro.index.kdtree import KDTree
-
-        return KDTree(points)
     from repro.index.brute import BruteForceIndex
 
     return BruteForceIndex(points)

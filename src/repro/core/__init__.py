@@ -15,7 +15,7 @@ Module map (paper section in parentheses):
 """
 
 from repro.core.cellgraph import cellgraph_dbscan
-from repro.core.dbscan import DEFAULT_BATCH_SIZE, dbscan
+from repro.core.dbscan import dbscan
 from repro.core.neighbors import NeighborSearcher, neighbor_search
 from repro.core.result import ClusteringResult
 from repro.core.reuse import (
@@ -43,7 +43,6 @@ __all__ = [
     "neighbor_search",
     "dbscan",
     "cellgraph_dbscan",
-    "DEFAULT_BATCH_SIZE",
     "variant_dbscan",
     "ReusePolicy",
     "CLUS_DEFAULT",

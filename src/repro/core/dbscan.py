@@ -12,8 +12,9 @@ Implementation notes
   :meth:`~repro.core.neighbors.NeighborSearcher.search_batch` call, so
   the per-query Python overhead of the scalar loop amortizes across
   the block while the distance filter stays one vectorized kernel.
-  ``batch_size <= 1`` selects the original one-point-at-a-time loop
-  (kept as the reference and for the ablation benchmark).
+  Blocks hold :data:`~repro.core.neighbors.BATCH_BLOCK` points.  The
+  one-point-at-a-time loop of the paper survives only as the test
+  suite's oracle.
 * The batched expansion is *exactly* equivalent to the scalar loop —
   identical labels, core mask, and work-counter totals — because a
   point enters the frontier at most once (the ``in_seeds`` bitmap),
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import neighbors
 from repro.core.cellgraph import cellgraph_dbscan
 from repro.core.neighbors import NeighborSearcher, OuterScanPrefetcher
 from repro.core.result import NOISE, ClusteringResult
@@ -55,13 +57,7 @@ from repro.metrics.counters import WorkCounters
 from repro.util.tracing import PhaseClock, Tracer, resolve_tracer
 from repro.util.validation import as_points_array, check_eps, check_minpts
 
-__all__ = ["dbscan", "dbscan_into", "expand_frontier", "DEFAULT_BATCH_SIZE"]
-
-#: Default frontier block size.  Big enough to amortize per-batch
-#: overhead over hundreds of queries, small enough that a block's
-#: candidate buffers stay cache-resident; the ablation benchmark shows
-#: the makespan is flat within 2x of this value.
-DEFAULT_BATCH_SIZE = 256
+__all__ = ["dbscan", "dbscan_into", "expand_frontier"]
 
 
 def dbscan(
@@ -71,7 +67,6 @@ def dbscan(
     *,
     index: SpatialIndex | None = None,
     counters: WorkCounters | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     tracer: Tracer | None = None,
 ) -> ClusteringResult:
     """Cluster ``points`` with DBSCAN.
@@ -92,10 +87,6 @@ def dbscan(
         optimized-index configuration.
     counters:
         Work-counter sink; a fresh one is created when omitted.
-    batch_size:
-        Frontier block size for the batched epsilon-search engine;
-        ``<= 1`` runs the scalar reference loop.  Labels, core mask,
-        and counters are identical either way.
     tracer:
         Span/phase collector; ``None`` uses the active tracer
         (disabled by default — see :mod:`repro.obs`).
@@ -147,7 +138,6 @@ def dbscan(
         visited=visited,
         counters=counters,
         next_cluster_id=0,
-        batch_size=batch_size,
         phases=phases,
     )
     elapsed = phases.finish() - t0
@@ -171,7 +161,6 @@ def expand_frontier(
     visited: np.ndarray,
     in_seeds: np.ndarray,
     cid: int,
-    batch_size: int,
     old_labels: np.ndarray | None = None,
     destroyed: set[int] | None = None,
 ) -> None:
@@ -180,18 +169,20 @@ def expand_frontier(
     Every point of ``frontier`` must already be flagged in
     ``in_seeds`` (so it can never re-enter), and all frontier points
     across generations are distinct.  Each wave searches its unvisited
-    members in blocks of ``batch_size``; neighborhoods of the wave's
-    core points, minus anything already seeded, form the next wave.
+    members in blocks of :data:`~repro.core.neighbors.BATCH_BLOCK`;
+    neighborhoods of the wave's core points, minus anything already
+    seeded, form the next wave.
 
     When ``old_labels``/``destroyed`` are given (the VariantDBSCAN
     Algorithm 4 case), absorbing a previously unclustered point marks
     its old cluster as destroyed, exactly like the scalar loop.
     """
     frontier = np.asarray(frontier, dtype=np.int64)
+    step = neighbors.BATCH_BLOCK
     while frontier.size:
         next_waves: list[np.ndarray] = []
-        for s in range(0, frontier.size, batch_size):
-            block = frontier[s : s + batch_size]
+        for s in range(0, frontier.size, step):
+            block = frontier[s : s + step]
             unvisited = block[~visited[block]]
             if unvisited.size:
                 visited[unvisited] = True
@@ -229,7 +220,6 @@ def dbscan_into(
     visited: np.ndarray,
     counters: WorkCounters,
     next_cluster_id: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     phases: PhaseClock | None = None,
 ) -> int:
     """Run the Algorithm 1 main loop *into* caller-owned state arrays.
@@ -253,16 +243,14 @@ def dbscan_into(
     n = labels.shape[0]
     in_seeds = np.zeros(n, dtype=bool)
     cid = next_cluster_id
-    prefetch = (
-        OuterScanPrefetcher(searcher, visited, batch_size) if batch_size > 1 else None
-    )
+    prefetch = OuterScanPrefetcher(searcher, visited)
 
     phases.switch("outer_scan")
     for p in range(n):
         if visited[p]:
             continue
         visited[p] = True
-        neigh = prefetch.take(p) if prefetch is not None else searcher.search(p)
+        neigh = prefetch.take(p)
         if neigh.size < minpts:
             continue  # tentative noise; may become a border point later
         # p founds a new cluster
@@ -271,50 +259,17 @@ def dbscan_into(
         in_seeds[neigh] = True
         in_seeds[p] = True
         phases.switch("expand")
-        if batch_size > 1:
-            expand_frontier(
-                searcher,
-                minpts,
-                neigh[neigh != p],
-                labels=labels,
-                core_mask=core_mask,
-                visited=visited,
-                in_seeds=in_seeds,
-                cid=cid,
-                batch_size=batch_size,
-            )
-        else:
-            _expand_scalar(searcher, minpts, p, neigh, labels, core_mask, visited, in_seeds, cid)
+        expand_frontier(
+            searcher,
+            minpts,
+            neigh[neigh != p],
+            labels=labels,
+            core_mask=core_mask,
+            visited=visited,
+            in_seeds=in_seeds,
+            cid=cid,
+        )
         phases.switch("outer_scan")
         cid += 1
     return cid
 
-
-def _expand_scalar(
-    searcher: NeighborSearcher,
-    minpts: int,
-    p: int,
-    neigh: np.ndarray,
-    labels: np.ndarray,
-    core_mask: np.ndarray,
-    visited: np.ndarray,
-    in_seeds: np.ndarray,
-    cid: int,
-) -> None:
-    """Original one-point-at-a-time seed-list expansion (reference path)."""
-    seeds: list[int] = [int(i) for i in neigh if i != p]
-    k = 0
-    while k < len(seeds):
-        q = seeds[k]
-        k += 1
-        if not visited[q]:
-            visited[q] = True
-            nq = searcher.search(q)
-            if nq.size >= minpts:
-                core_mask[q] = True
-                fresh = nq[~in_seeds[nq]]
-                if fresh.size:
-                    in_seeds[fresh] = True
-                    seeds.extend(fresh.tolist())
-        if labels[q] == NOISE:
-            labels[q] = cid

@@ -16,13 +16,16 @@ expensive, and step 3 vectorizes while step 2 does not.
 so DBSCAN's inner loop does no repeated attribute lookups.  Two kernels
 are exposed:
 
-* :meth:`NeighborSearcher.search` — one point, one query (the original
-  scalar path).
+* :meth:`NeighborSearcher.search` — one point, one query (Algorithm 2
+  as written; the tests' scalar Algorithm 1 oracle runs on it).
 * :meth:`NeighborSearcher.search_batch` — a whole block of points in
   one CSR-shaped result, riding the indexes' vectorized
   ``query_candidates_batch`` so per-query Python overhead amortizes
   across the block.  Counter totals are identical to issuing the same
   block through :meth:`search` point by point.
+
+The clustering kernels issue their searches in blocks of
+:data:`BATCH_BLOCK` points.
 """
 
 from __future__ import annotations
@@ -34,7 +37,15 @@ from repro.index.base import SpatialIndex
 from repro.index.mbb import XMAX, XMIN, YMAX, YMIN, point_query_mbb
 from repro.metrics.counters import WorkCounters
 
-__all__ = ["neighbor_search", "NeighborSearcher", "OuterScanPrefetcher"]
+__all__ = ["BATCH_BLOCK", "neighbor_search", "NeighborSearcher", "OuterScanPrefetcher"]
+
+#: Block size of the batched epsilon-search engine: frontier waves,
+#: boundary discovery and outer-scan prefetch search this many points
+#: per :meth:`NeighborSearcher.search_batch` call.  Big enough to
+#: amortize per-batch overhead over hundreds of queries, small enough
+#: that a block's candidate buffers stay cache-resident.  Labels, core
+#: masks and counters do not depend on it.
+BATCH_BLOCK = 256
 
 
 def neighbor_search(
@@ -89,9 +100,7 @@ class NeighborSearcher:
     def search_xy(self, x: float, y: float) -> np.ndarray:
         """Epsilon-neighborhood of an arbitrary location.
 
-        Used by the VariantDBSCAN boundary-discovery phase, where the
-        searched location is an *outside* point examined against the
-        low-resolution tree.
+        :meth:`search` is this at an indexed point's coordinates.
         """
         c = self.counters
         mbb = point_query_mbb(x, y, self.eps)
@@ -213,8 +222,8 @@ class OuterScanPrefetcher:
     time lives on the benchmark workloads.
 
     This prefetcher restores batching *without* changing the abstract
-    machine: it speculatively searches the next ``batch_size`` currently
-    unvisited points in one uncharged batch
+    machine: it speculatively searches the next :data:`BATCH_BLOCK`
+    currently unvisited points in one uncharged batch
     (:meth:`NeighborSearcher.filter_block_visits`), then, as the scan
     consumes each point, charges that row's exact scalar-equivalent
     cost (per-query node visits, candidates, distances).  A prefetched
@@ -226,18 +235,11 @@ class OuterScanPrefetcher:
     time, which the block amortization wins back many times over.
     """
 
-    __slots__ = ("searcher", "visited", "batch_size", "_window", "_pending")
+    __slots__ = ("searcher", "visited", "_pending")
 
-    def __init__(
-        self, searcher: NeighborSearcher, visited: np.ndarray, batch_size: int
-    ) -> None:
+    def __init__(self, searcher: NeighborSearcher, visited: np.ndarray) -> None:
         self.searcher = searcher
         self.visited = visited
-        self.batch_size = int(batch_size)
-        # How far ahead to look for unvisited points when refilling: wide
-        # enough to fill a block in sparse regions, narrow enough that the
-        # bitmap scan stays cheap.
-        self._window = max(1024, 64 * self.batch_size)
         self._pending: dict[int, tuple[np.ndarray, int, int]] = {}
 
     def take(self, p: int) -> np.ndarray:
@@ -263,8 +265,12 @@ class OuterScanPrefetcher:
         # Everything still pending is behind the scan point and was
         # claimed by an expansion: wasted speculation, dropped uncharged.
         self._pending.clear()
-        ahead = p + 1 + np.flatnonzero(~self.visited[p + 1 : p + 1 + self._window])
-        block = np.empty(min(self.batch_size, 1 + ahead.size), dtype=np.int64)
+        # How far ahead to look for unvisited points: wide enough to fill
+        # a block in sparse regions, narrow enough that the bitmap scan
+        # stays cheap.
+        window = max(1024, 64 * BATCH_BLOCK)
+        ahead = p + 1 + np.flatnonzero(~self.visited[p + 1 : p + 1 + window])
+        block = np.empty(min(BATCH_BLOCK, 1 + ahead.size), dtype=np.int64)
         block[0] = p
         block[1:] = ahead[: block.size - 1]
         ptr, flat, visits, cands = self.searcher.filter_block_visits(block)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.cellgraph import flatten_parents, union_edges
-from repro.core.dbscan import DEFAULT_BATCH_SIZE, dbscan
+from repro.core.dbscan import dbscan
 from repro.core.neighbors import NeighborSearcher
 from repro.core.result import NOISE, ClusteringResult
 from repro.core.variants import Variant
@@ -258,7 +258,6 @@ def cluster_shard(
     minpts: int,
     *,
     kernel: str = "bfs",
-    batch_size: int = DEFAULT_BATCH_SIZE,
     counters: WorkCounters | None = None,
     tracer: Tracer | None = None,
 ) -> ShardPiece:
@@ -302,7 +301,6 @@ def cluster_shard(
             minpts,
             index=index,
             counters=counters,
-            batch_size=batch_size,
             tracer=tracer,
         )
         owned_pos = np.searchsorted(slab_idx, owned_idx)
@@ -432,7 +430,6 @@ def sharded_dbscan(
     regions: int | None = None,
     part_size: int | None = None,
     kernel: str = "bfs",
-    batch_size: int = DEFAULT_BATCH_SIZE,
     counters: WorkCounters | None = None,
     tracer: Tracer | None = None,
 ) -> ClusteringResult:
@@ -459,7 +456,6 @@ def sharded_dbscan(
             region,
             minpts,
             kernel=kernel,
-            batch_size=batch_size,
             counters=counters,
             tracer=tracer,
         )

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dbscan import DEFAULT_BATCH_SIZE, dbscan, dbscan_into, expand_frontier
+from repro.core import neighbors
+from repro.core.dbscan import dbscan, dbscan_into, expand_frontier
 from repro.core.neighbors import NeighborSearcher
 from repro.core.result import NOISE, ClusteringResult
 from repro.core.reuse import CLUS_DENSITY, ReusePolicy
@@ -64,59 +65,34 @@ def expand_cluster(
     old_labels: np.ndarray,
     destroyed: set[int],
     cid: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> None:
     """Algorithm 4: grow cluster ``cid`` outward from ``grow_points``.
 
     ``grow_points`` are the boundary members discovered by the MBB
     sweep (already labeled ``cid``); standard DBSCAN frontier expansion
-    proceeds from them — in blocks of ``batch_size`` through the
-    batched epsilon-search engine, or one point at a time when
-    ``batch_size <= 1`` (identical labels, cores, and counters either
-    way).  Whenever a previously *unclustered* point is absorbed, the
-    old cluster it belonged to (``old_labels``) is added to
-    ``destroyed`` — that cluster's identity no longer survives into
-    this variant, so it must not be used as a reuse seed later
-    (Algorithm 4 lines 10-11).
+    proceeds from them through the batched epsilon-search engine
+    (:func:`~repro.core.dbscan.expand_frontier`).  Whenever a previously
+    *unclustered* point is absorbed, the old cluster it belonged to
+    (``old_labels``) is added to ``destroyed`` — that cluster's identity
+    no longer survives into this variant, so it must not be used as a
+    reuse seed later (Algorithm 4 lines 10-11).
 
     Points already claimed by another cluster of *this* run are never
     re-assigned (the ``clusterSet`` membership test of line 8).
     """
     in_seeds[grow_points] = True
-    if batch_size > 1:
-        expand_frontier(
-            searcher,
-            minpts,
-            grow_points,
-            labels=labels,
-            core_mask=core_mask,
-            visited=visited,
-            in_seeds=in_seeds,
-            cid=cid,
-            batch_size=batch_size,
-            old_labels=old_labels,
-            destroyed=destroyed,
-        )
-        return
-    seeds: list[int] = [int(i) for i in grow_points]
-    k = 0
-    while k < len(seeds):
-        q = seeds[k]
-        k += 1
-        if not visited[q]:
-            visited[q] = True
-            nq = searcher.search(q)
-            if nq.size >= minpts:
-                core_mask[q] = True
-                fresh = nq[~in_seeds[nq]]
-                if fresh.size:
-                    in_seeds[fresh] = True
-                    seeds.extend(fresh.tolist())
-        if labels[q] == NOISE:
-            labels[q] = cid
-            old = int(old_labels[q])
-            if old >= 0:
-                destroyed.add(old)
+    expand_frontier(
+        searcher,
+        minpts,
+        grow_points,
+        labels=labels,
+        core_mask=core_mask,
+        visited=visited,
+        in_seeds=in_seeds,
+        cid=cid,
+        old_labels=old_labels,
+        destroyed=destroyed,
+    )
 
 
 def variant_dbscan(
@@ -128,7 +104,6 @@ def variant_dbscan(
     t_low: RTree | None = None,
     reuse_policy: ReusePolicy = CLUS_DENSITY,
     counters: WorkCounters | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     tracer: Tracer | None = None,
 ) -> ClusteringResult:
     """Cluster ``points`` under ``variant``, reusing ``previous`` if given.
@@ -151,10 +126,6 @@ def variant_dbscan(
         Cluster-seed prioritisation (Section IV-C); default CLUSDENSITY.
     counters:
         Work-counter sink.
-    batch_size:
-        Block size for the batched epsilon-search engine (boundary
-        discovery and frontier expansion); ``<= 1`` selects the scalar
-        reference loops.  Results and counters are identical.
     tracer:
         Span/phase collector; ``None`` uses the active tracer
         (disabled by default).  When enabled, a phase clock partitions
@@ -183,7 +154,6 @@ def variant_dbscan(
             variant.minpts,
             index=t_low,
             counters=counters,
-            batch_size=batch_size,
             tracer=tracer,
         )
 
@@ -237,25 +207,16 @@ def variant_dbscan(
         outside = cand[labels[cand] != cid]
         boundary_hits: list[np.ndarray] = []
         phases.switch("boundary_search")
-        if batch_size > 1:
-            # Batched boundary discovery: the outside points are known
-            # up front, so whole blocks go through search_batch and the
-            # "reaches the cluster" test is one vectorized label
-            # comparison per block.
-            counters.outside_points_searched += int(outside.size)
-            for s in range(0, outside.size, batch_size):
-                _, neigh = searcher.search_batch(outside[s : s + batch_size])
-                inside = neigh[labels[neigh] == cid]
-                if inside.size:
-                    boundary_hits.append(inside)
-        else:
-            for p in outside:
-                counters.outside_points_searched += 1
-                neigh = searcher.search(int(p))
-                if neigh.size:
-                    inside = neigh[labels[neigh] == cid]
-                    if inside.size:
-                        boundary_hits.append(inside)
+        # The outside points are known up front, so whole blocks go
+        # through search_batch and the "reaches the cluster" test is one
+        # vectorized label comparison per block.
+        counters.outside_points_searched += int(outside.size)
+        step = neighbors.BATCH_BLOCK
+        for s in range(0, outside.size, step):
+            _, neigh = searcher.search_batch(outside[s : s + step])
+            inside = neigh[labels[neigh] == cid]
+            if inside.size:
+                boundary_hits.append(inside)
         if boundary_hits:
             grow_points = np.unique(np.concatenate(boundary_hits))
         else:
@@ -273,7 +234,6 @@ def variant_dbscan(
             old_labels=old_labels,
             destroyed=destroyed,
             cid=cid,
-            batch_size=batch_size,
         )
         cid += 1
 
@@ -291,7 +251,6 @@ def variant_dbscan(
         visited=visited,
         counters=counters,
         next_cluster_id=cid,
-        batch_size=batch_size,
         phases=phases,
     )
     elapsed = phases.finish() - t0

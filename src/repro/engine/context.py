@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.dbscan import DEFAULT_BATCH_SIZE
 from repro.core.reuse import POLICIES, ReusePolicy
 from repro.core.scheduling import SCHEDULERS, Scheduler
 from repro.core.variant_dbscan import DEFAULT_LOW_RES_R
@@ -68,11 +67,6 @@ def _lookup(value, kind: type, registry: dict, what: str):
         ) from None
 
 
-def _check_non_negative(name: str, value: int | None) -> None:
-    if value is not None and int(value) < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 @dataclass(frozen=True)
 class ReuseSpec:
     """The paper's reuse-path knobs; only ``kernel="bfs"`` reads them.
@@ -87,23 +81,17 @@ class ReuseSpec:
         a :class:`~repro.core.reuse.ReusePolicy` or its registry name.
     low_res_r:
         Points per leaf MBB of ``T_low`` (Section IV).
-    batch_size:
-        Epsilon-search engine block size (``<= 1`` = scalar loops,
-        identical results and counters).
     """
 
     scheduler: Scheduler | str = "SCHEDGREEDY"
     policy: ReusePolicy | str = "CLUSDENSITY"
     low_res_r: int = DEFAULT_LOW_RES_R
-    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
         set_(self, "scheduler", _lookup(self.scheduler, Scheduler, SCHEDULERS, "scheduler"))
         set_(self, "policy", _lookup(self.policy, ReusePolicy, POLICIES, "reuse policy"))
         set_(self, "low_res_r", check_positive_int(self.low_res_r, name="low_res_r"))
-        _check_non_negative("batch_size", self.batch_size)
-        set_(self, "batch_size", int(self.batch_size))
 
 
 #: Field names of :class:`ReuseSpec`, accepted flat by :meth:`RunSpec.override`.
@@ -209,8 +197,11 @@ class RunSpec:
                 set_(self, name, check_positive_int(value, name=name))
         if self.regions is not None and self.part_size is not None:
             raise ValueError("pass at most one of regions / part_size")
-        _check_non_negative("shard_threshold", self.shard_threshold)
         if self.shard_threshold is not None:
+            if int(self.shard_threshold) < 0:
+                raise ValueError(
+                    f"shard_threshold must be >= 0, got {self.shard_threshold}"
+                )
             set_(self, "shard_threshold", int(self.shard_threshold))
         if self.cost_model is None:
             from repro.exec.cost import DEFAULT_COST_MODEL
@@ -231,11 +222,11 @@ class RunSpec:
         """A copy with ``changes`` applied, then validated.
 
         ``changes`` are field names, or :class:`ReuseSpec` field names
-        (``scheduler=``, ``policy=``, ``low_res_r=``, ``batch_size=``),
-        which update the nested reuse spec.  Setting one of ``regions``
-        / ``part_size`` replaces the pair.  Switching ``kernel`` away
-        from ``bfs`` drops the reuse spec unless reuse knobs are given
-        too (which then raise).
+        (``scheduler=``, ``policy=``, ``low_res_r=``), which update the
+        nested reuse spec.  Setting one of ``regions`` / ``part_size``
+        replaces the pair.  Switching ``kernel`` away from ``bfs`` drops
+        the reuse spec unless reuse knobs are given too (which then
+        raise).
         """
         flat = {k: changes.pop(k) for k in REUSE_FIELDS if k in changes}
         if "regions" in changes or "part_size" in changes:

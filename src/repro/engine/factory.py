@@ -35,8 +35,6 @@ from repro.engine.shm import (
 from repro.engine.store import SPAN_SHM_ATTACH, PointStore
 from repro.index.brute import BruteForceIndex
 from repro.index.cellgraph import CellGraphIndex
-from repro.index.grid import UniformGridIndex
-from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
 from repro.obs.span import Tracer, resolve_tracer
 
@@ -59,11 +57,12 @@ __all__ = [
 #: Span name emitted around every cache-miss index construction.
 SPAN_INDEX_BUILD = "index_build"
 
-#: Constructors for every bundled index kind, keyed by factory name.
+#: Constructors for the user-facing index kinds, keyed by factory name:
+#: the paper's R-tree, the cell-graph kernel's eps-grid and the brute
+#: oracle.  ``UniformGridIndex`` and ``KDTree`` stay importable from
+#: :mod:`repro.index` for the index ablation and the parity suites.
 INDEX_KINDS = {
     "rtree": RTree,
-    "grid": UniformGridIndex,
-    "kdtree": KDTree,
     "brute": BruteForceIndex,
     "cellgraph": CellGraphIndex,
 }
@@ -127,9 +126,8 @@ class IndexFactory:
         """The memoized index of ``kind`` over ``store`` with ``params``.
 
         ``kind`` is one of :data:`INDEX_KINDS`; ``params`` are the
-        kind's constructor keywords (``r=``, ``cell_width=``,
-        ``leaf_size=`` ...).  R-trees built here share the store's
-        memoized bin-sort permutation.
+        kind's constructor keywords (``r=``, ``eps=`` ...).  R-trees
+        built here share the store's memoized bin-sort permutation.
         """
         if kind not in INDEX_KINDS:
             raise KeyError(

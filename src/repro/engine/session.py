@@ -71,9 +71,9 @@ class Session:
         The session's default :class:`~repro.engine.context.RunSpec`,
         by field name (``dataset=``, ``kernel=``, ``executor=`` ...);
         the :class:`~repro.engine.context.ReuseSpec` fields
-        (``scheduler=``, ``policy=``, ``low_res_r=``, ``batch_size=``)
-        are accepted flat, with ``kernel="bfs"`` only.  Held, validated,
-        as :attr:`spec`.
+        (``scheduler=``, ``policy=``, ``low_res_r=``) are accepted
+        flat, with ``kernel="bfs"`` only.  Held, validated, as
+        :attr:`spec`.
     """
 
     def __init__(
@@ -117,7 +117,7 @@ class Session:
         )
 
     def index(self, kind: str, **params: object) -> SpatialIndex:
-        """A memoized single index of ``kind`` (rtree/grid/kdtree/brute)."""
+        """A memoized single index of ``kind`` (rtree/cellgraph/brute)."""
         return self.factory.get(
             self.store, kind, tracer=resolve_tracer(self.tracer), **params
         )

@@ -160,7 +160,6 @@ def execute_variant(
                 t_low=indexes.t_low,
                 reuse_policy=reuse.policy,
                 counters=counters,
-                batch_size=reuse.batch_size,
                 tracer=tr,
             )
         span.set(

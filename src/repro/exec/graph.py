@@ -184,6 +184,27 @@ def partition_reuse_chains(
     return [b for b in bins if b]
 
 
+def _wall_done(t0: float, thread_id: int, pairs: list):
+    """A ``run_chain`` ``done`` callback that stamps measured wall time.
+
+    Each record spans from the previous stamp (the first from this
+    call) to its own ``done``, in seconds since ``t0``; its
+    ``response_time`` is that span.  Completed pairs go to ``pairs``.
+    """
+    mark = time.perf_counter() - t0
+
+    def done(result: ClusteringResult, record: VariantRunRecord) -> float:
+        nonlocal mark
+        finish = time.perf_counter() - t0
+        record.start, record.finish, record.thread_id = mark, finish, thread_id
+        record.response_time = finish - mark
+        mark = finish
+        pairs.append((result, record))
+        return finish
+
+    return done
+
+
 def _chain_worker(
     store_handle: PointStoreHandle,
     idx_handle: IndexPackHandle,
@@ -227,6 +248,7 @@ def _chain_worker(
     ``kill`` faults are armed here, and only in workers, so they
     terminate a worker process and never an in-process caller.
 
+    Each record carries its measured wall window (:func:`_wall_done`).
     Returns the completed ``(result, record)`` pairs, the first failure
     as ``(variant, error)`` (``None`` when the whole suffix ran) and the
     worker's spans.
@@ -234,10 +256,6 @@ def _chain_worker(
     allow_kill_faults(True)
     tracer = Tracer() if trace else None
     set_tracer(tracer)
-    # perf_counter is monotonic *and* system-wide, so the parent's t0
-    # is directly comparable here (unlike time.time, which can step
-    # under NTP between the parent's stamp and ours).
-    start = time.perf_counter() - t0
     # The pulse is the last acquisition before the try so no fallible
     # setup sits between it and the finally that closes it.
     hb = worker_pulse(pulse)
@@ -248,17 +266,6 @@ def _chain_worker(
     idx_shm = None
     ctx = factory = None
     pairs: list[tuple[ClusteringResult, VariantRunRecord]] = []
-    clock = 0.0
-
-    def done(result: ClusteringResult, record: VariantRunRecord) -> float:
-        nonlocal clock
-        record.start = clock
-        clock += record.response_time
-        record.finish = clock
-        record.thread_id = thread_id
-        pairs.append((result, record))
-        return clock
-
     try:
         store = PointStore.attach(store_handle, tracer=tracer)
         factory = IndexFactory()
@@ -272,12 +279,16 @@ def _chain_worker(
         registry = CompletedRegistry()
         for (e, m), donor_result in donors:
             registry.add(Variant(e, m), donor_result, finished_at=0.0)
+        # Records are stamped from here on, after attach, in seconds since
+        # the parent's t0: perf_counter is monotonic *and* system-wide, so
+        # that t0 is directly comparable here (unlike time.time, which can
+        # step under NTP between the parent's stamp and ours).
         failed = run_chain(
             ctx,
             VariantSet([Variant(e, m) for e, m in chain]),
             todo,
             registry,
-            done,
+            _wall_done(t0, thread_id, pairs),
             faults=faults,
             policy=policy,
             concurrency=1,
@@ -295,14 +306,6 @@ def _chain_worker(
         if hb is not None:
             hb.beat("group:done")
             hb.close()
-    finish = time.perf_counter() - t0
-    # Re-stamp the work-unit timestamps onto the worker's wall window.
-    span = finish - start
-    total = clock or 1.0
-    for _, rec in pairs:
-        rec.start = start + rec.start / total * span
-        rec.finish = start + rec.finish / total * span
-        rec.response_time = rec.finish - rec.start
     spans = None
     if tracer is not None:
         spans = tracer.drain()
@@ -316,7 +319,6 @@ def _shard_worker(
     region: int,
     minpts: int,
     kernel: str,
-    batch_size: int,
     t0: float,
     trace: bool,
     fault_spec: FaultSpec | None = None,
@@ -362,7 +364,6 @@ def _shard_worker(
             region,
             minpts,
             kernel=kernel,
-            batch_size=batch_size,
             tracer=tracer,
         )
         if hb is not None:
@@ -1006,16 +1007,7 @@ class GraphRuntime:
                     reg.add(v, result, finished_at=0.0)
                 vset, before = VariantSet(unit.variants), None
                 memo = PassMemo(VariantSet([p.variant for p, _ in todo]))
-                mark = time.perf_counter() - t0
-
-                def done(result, record) -> float:
-                    nonlocal mark
-                    finish = time.perf_counter() - t0
-                    record.start, record.finish, record.thread_id = mark, finish, -1
-                    record.response_time = finish - mark
-                    mark = finish
-                    pairs.append((result, record))
-                    return finish
+                done = _wall_done(t0, -1, pairs)
 
             failed = run_chain(
                 ctx if unit.kernel is None
@@ -1035,7 +1027,6 @@ class GraphRuntime:
                 region,
                 pipe.variant.minpts,
                 kernel=spec.kernel,
-                batch_size=spec.effective_reuse.batch_size,
                 tracer=tracer,
             )
             dur = spec.cost_model.duration(piece.counters, spec.n_threads)
@@ -1127,7 +1118,6 @@ class GraphRuntime:
                     region,
                     pipe.variant.minpts,
                     spec.kernel,
-                    spec.effective_reuse.batch_size,
                     t0,
                     tracer.enabled,
                     fault,

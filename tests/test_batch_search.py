@@ -1,13 +1,15 @@
-"""Batched epsilon-search engine: exact parity with the scalar path.
+"""Batched epsilon-search engine: exact parity with the scalar machine.
 
 The whole batched stack — ``query_candidates_batch`` on every index,
 ``NeighborSearcher.search_batch``, and the blocked frontier expansion
-in DBSCAN/VariantDBSCAN — promises
-*byte-identical* labels, core masks, and work-counter totals versus the
-original one-point-at-a-time code.  These tests pin that promise down
-with hypothesis-driven point sets spanning the empty/singleton/small/
-clustered regimes, all four index types, and the paper's index
-resolutions r in {1, 8, 70}.
+in DBSCAN/VariantDBSCAN — promises *byte-identical* labels, core
+masks, and work-counter totals versus one-point-at-a-time search.
+The oracle is :func:`tests.helpers.scalar_dbscan`, Algorithm 1 over
+``NeighborSearcher.search``; the block size
+(:data:`repro.core.neighbors.BATCH_BLOCK`) is patched to show results
+do not depend on it.  Point sets are hypothesis-driven across the
+empty/singleton/small/clustered regimes, all four index types, and the
+paper's index resolutions r in {1, 8, 70}.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import neighbors
 from repro.core.dbscan import dbscan
 from repro.core.neighbors import NeighborSearcher
 from repro.core.variant_dbscan import variant_dbscan
@@ -26,6 +29,7 @@ from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
 from repro.metrics.counters import WorkCounters
 from repro.util.rng import resolve_rng
+from tests.helpers import scalar_dbscan
 
 R_VALUES = [1, 8, 70]
 
@@ -119,7 +123,7 @@ class TestSearchBatchParity:
 
 
 class TestBatchedClusteringParity:
-    """Whole-pipeline parity: batched DBSCAN == scalar DBSCAN."""
+    """Whole-pipeline parity: batched DBSCAN == the scalar Algorithm 1."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -133,28 +137,34 @@ class TestBatchedClusteringParity:
         points = _make_points(kind, seed)
         index = RTree(points, r=8)
         c_s, c_b = WorkCounters(), WorkCounters()
-        ref = dbscan(points, eps, minpts, index=index, counters=c_s, batch_size=1)
-        got = dbscan(points, eps, minpts, index=index, counters=c_b, batch_size=bs)
-        np.testing.assert_array_equal(got.labels, ref.labels)
-        np.testing.assert_array_equal(got.core_mask, ref.core_mask)
+        labels, core_mask = scalar_dbscan(index, eps, minpts, c_s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "BATCH_BLOCK", bs)
+            got = dbscan(points, eps, minpts, index=index, counters=c_b)
+        np.testing.assert_array_equal(got.labels, labels)
+        np.testing.assert_array_equal(got.core_mask, core_mask)
         assert c_b.as_dict() == c_s.as_dict()
 
     @settings(max_examples=10, deadline=None)
-    @given(seeds, st.sampled_from([4, 64]))
-    def test_variant_dbscan_reuse_path_parity(self, seed, bs):
+    @given(seeds)
+    def test_variant_dbscan_reuse_path_parity(self, seed):
+        """Block sizes 1, 4 and 64 agree on the reuse path."""
         points = _make_points("clustered", seed)
         t_high = RTree(points, r=1)
         t_low = RTree(points, r=70)
-        prev = variant_dbscan(points, Variant(0.4, 8), None, t_low=t_low, batch_size=1)
-        c_s, c_b = WorkCounters(), WorkCounters()
-        ref = variant_dbscan(
-            points, Variant(0.7, 4), prev, t_high=t_high, t_low=t_low,
-            counters=c_s, batch_size=1,
-        )
-        got = variant_dbscan(
-            points, Variant(0.7, 4), prev, t_high=t_high, t_low=t_low,
-            counters=c_b, batch_size=bs,
-        )
-        np.testing.assert_array_equal(got.labels, ref.labels)
-        np.testing.assert_array_equal(got.core_mask, ref.core_mask)
-        assert c_b.as_dict() == c_s.as_dict()
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            for bs in (1, 4, 64):
+                mp.setattr(neighbors, "BATCH_BLOCK", bs)
+                prev = variant_dbscan(points, Variant(0.4, 8), None, t_low=t_low)
+                c = WorkCounters()
+                got = variant_dbscan(
+                    points, Variant(0.7, 4), prev, t_high=t_high, t_low=t_low,
+                    counters=c,
+                )
+                runs.append((got, c.as_dict()))
+        (ref, ref_c), *rest = runs
+        for got, c in rest:
+            np.testing.assert_array_equal(got.labels, ref.labels)
+            np.testing.assert_array_equal(got.core_mask, ref.core_mask)
+            assert c == ref_c

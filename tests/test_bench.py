@@ -248,7 +248,7 @@ class TestBenchSnapshot:
         root = Path(__file__).resolve().parent.parent
         for name, bench in [
             ("BENCH_index.json", "index"),
-            ("BENCH_batch.json", "batch"),
+            ("BENCH_pass.json", "pass"),
             ("BENCH_shard.json", "shard"),
             ("BENCH_hybrid.json", "hybrid"),
         ]:
@@ -260,6 +260,16 @@ class TestBenchSnapshot:
             kinds = [r["kind"] for r in snap["rows"]]
             if bench == "index":
                 assert "cellgraph" in kinds
+            if bench == "pass":
+                assert set(kinds) == {
+                    f"{grid} {arm}"
+                    for grid in ("V1", "V2", "V3")
+                    for arm in ("paper-reuse", "cellgraph-per-variant", "per-eps-pass")
+                }
+                for row in snap["rows"]:
+                    if row["kind"].endswith("per-eps-pass"):
+                        assert row["byte_identical"], row["kind"]
+                        assert row["quality_min"] == 1.0, row["kind"]
             if bench == "shard":
                 assert any(k.startswith("serial ") for k in kinds)
                 assert any("R=8" in k for k in kinds)

@@ -141,6 +141,15 @@ class TestSweep:
                  "--index", "octree"]
             )
 
+    @pytest.mark.parametrize("kind", ["grid", "kdtree"])
+    def test_cluster_rejects_internal_index_kinds(self, kind):
+        # The classes remain importable; only the CLI choice is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["cluster", "cF_10k_5N", "--eps", "2.0", "--minpts", "4",
+                 "--index", kind]
+            )
+
     def test_sweep_cellgraph_kernel(self, capsys):
         rc = main(
             [

@@ -153,8 +153,8 @@ class TestIndexFactory:
         "kind,params",
         [
             ("rtree", {"r": 4}),
-            ("grid", {"cell_width": 0.5}),
-            ("kdtree", {"leaf_size": 8}),
+            ("rtree", {"r": 1}),
+            ("cellgraph", {"eps": 0.5}),
             ("brute", {}),
         ],
     )
@@ -256,7 +256,7 @@ class TestRunContext:
 # RunSpec
 # ----------------------------------------------------------------------
 #: A non-default value for every ReuseSpec field.
-REUSE_KNOBS = {"scheduler": "SCHEDMINPTS", "policy": "CLUSSIZE", "low_res_r": 50, "batch_size": 1}
+REUSE_KNOBS = {"scheduler": "SCHEDMINPTS", "policy": "CLUSSIZE", "low_res_r": 50}
 
 
 class TestRunSpec:
@@ -365,7 +365,6 @@ class TestSession:
     @pytest.mark.parametrize(
         "knob, value",
         [
-            ("batch_size", -3),
             ("shard_threshold", -1),
             ("regions", 0),
             ("part_size", 0),

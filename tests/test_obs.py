@@ -16,6 +16,7 @@ import pytest
 from repro.cli import main
 from repro.core.cellgraph import MinptsPass, cellgraph_dbscan
 from repro.core.dbscan import dbscan
+from repro.core.taskgraph import variant_task_id
 from repro.core.variant_dbscan import variant_dbscan
 from repro.core.variants import Variant, VariantSet
 from repro.index.cellgraph import CellGraphIndex
@@ -188,6 +189,29 @@ class TestExecutorTracing:
             traced = run_batch(cloud, VARIANTS, executor, n_threads=2)
         for v in VARIANTS:
             assert np.array_equal(plain.results[v].labels, traced.results[v].labels)
+
+
+@pytest.mark.parametrize("kernel", ["cellgraph", "bfs"])
+def test_process_lane_task_spans_are_measured(cloud, kernel):
+    """Each variant's ``task`` span contains its worker ``variant`` span.
+
+    Process-lane records carry the wall times their worker measured, so
+    the task spans the parent builds from them bracket the kernel work.
+    """
+    tracer = Tracer()
+    with use_tracer(tracer):
+        run_batch(cloud, VARIANTS, "processes", n_threads=2, kernel=kernel)
+    records = tracer.records()
+    tasks = {r.args["id"]: r for r in records if r.name == "task"}
+    walls = [r for r in records if r.name == "variant"]
+    assert sorted(r.args["variant"] for r in walls) == sorted(str(v) for v in VARIANTS)
+    slack = 1e-6  # the parent rebases task stamps by adding t0 back
+    for v in VARIANTS:
+        task = tasks[variant_task_id(v)]
+        (wall,) = [r for r in walls if r.args["variant"] == str(v)]
+        assert wall.thread.startswith("worker-")
+        assert task.t0 - slack <= wall.t0, (str(v), task, wall)
+        assert wall.t0 + wall.dur <= task.t0 + task.dur + slack, (str(v), task, wall)
 
 
 class TestRegistry:
