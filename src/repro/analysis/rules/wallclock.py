@@ -1,13 +1,13 @@
 """Wallclock discipline: timing paths use the monotonic clock.
 
 Every span, phase total, and work-unit response time feeds the
-"phases sum to wall-clock" consistency suite and the procpool
-span-rebasing math.  ``time.time()`` is subject to NTP steps and
-DST-less-but-still-steppable realtime adjustments; one mixed-clock
-call site makes merged timelines non-monotonic in a way no test can
-reproduce on demand.  ``time.perf_counter()`` is monotonic *and*
-system-wide, so it is also the correct clock for cross-process
-rebasing.
+"phases sum to wall-clock" consistency suite and the process-lane
+trace, whose worker spans join the parent's without rebasing.
+``time.time()`` is subject to NTP steps and DST-less-but-still-steppable
+realtime adjustments; one mixed-clock call site makes merged timelines
+non-monotonic in a way no test can reproduce on demand.
+``time.perf_counter()`` is monotonic *and* system-wide, so worker and
+parent stamps share one clock across the process boundary.
 
 Flagged everywhere in the library: ``time.time()`` calls and
 ``from time import time``.  Genuine wall-of-day needs (log

@@ -132,7 +132,6 @@ def _spec_from_args(args: argparse.Namespace, dataset: str) -> dict:
         "n_threads": args.threads,
         "kernel": args.kernel,
         "regions": args.regions,
-        "part_size": args.part_size,
         "shard_threshold": args.shard_threshold,
         "resume": args.resume,
     }
@@ -630,12 +629,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                    help="points per T_low leaf MBB (--kernel bfs only; "
                         "default 70)")
     p.add_argument("--regions", type=int, default=None,
-                   help="spatial region count for --executor sharded "
-                        "(default: the worker count)")
-    p.add_argument("--part_size", type=int, default=None, dest="part_size",
-                   help="target points per region for --executor sharded "
-                        "(region count becomes ceil(n / part_size); "
-                        "mutually exclusive with --regions)")
+                   help="spatial region count for --executor hybrid's "
+                        "shard fan-outs (default: the worker count)")
     p.add_argument("--shard-threshold", type=int, default=None,
                    dest="shard_threshold", metavar="N",
                    help="point count at which --executor hybrid shards a "

@@ -37,7 +37,7 @@ byte for byte, not merely up to relabeling):
   mask.
 
 The pieces are deliberately decomposed (plan / cluster one shard /
-merge) so the ``sharded`` and ``hybrid`` executors (:mod:`repro.exec.graph`) can run
+merge) so the ``hybrid`` executor (:mod:`repro.exec.graph`) can run
 :func:`cluster_shard` in workers over a shared-memory store, while the
 in-process composition :func:`sharded_dbscan` drives the same code for
 tests and single-process callers.
@@ -170,29 +170,13 @@ class ShardPiece:
     counters: WorkCounters
 
 
-def resolve_n_regions(
-    n_points: int,
-    regions: int | None,
-    part_size: int | None,
-    *,
-    default: int = 1,
-) -> int:
-    """How many regions to cut: explicit count, else ``ceil(n / part_size)``.
-
-    ``regions`` wins when both knobs are given (the CLI forbids that
-    combination up front); with neither, ``default`` (an executor's
-    worker count) applies.
-    """
+def resolve_n_regions(regions: int | None, *, default: int = 1) -> int:
+    """How many regions to cut: ``regions``, else ``default`` (the lane count)."""
     if regions is not None:
         k = int(regions)
         if k < 1:
             raise ValueError(f"regions must be >= 1, got {regions}")
         return k
-    if part_size is not None:
-        ps = int(part_size)
-        if ps < 1:
-            raise ValueError(f"part_size must be >= 1, got {part_size}")
-        return max(1, -(-n_points // ps))
     return max(1, int(default))
 
 
@@ -428,7 +412,6 @@ def sharded_dbscan(
     minpts: int,
     *,
     regions: int | None = None,
-    part_size: int | None = None,
     kernel: str = "bfs",
     counters: WorkCounters | None = None,
     tracer: Tracer | None = None,
@@ -437,8 +420,8 @@ def sharded_dbscan(
 
     The in-process composition of the shard pipeline — the reference
     the property-test suite pins against the serial kernels, and the
-    execution path the ``sharded`` executor's workers run one region at
-    a time.  Output is byte-identical to
+    execution path ``hybrid``'s shard workers run one region at a
+    time.  Output is byte-identical to
     :func:`repro.core.dbscan.dbscan` at the same parameters.
     """
     points = as_points_array(points)
@@ -446,7 +429,7 @@ def sharded_dbscan(
     minpts = check_minpts(minpts)
     if counters is None:
         counters = WorkCounters()
-    k = resolve_n_regions(points.shape[0], regions, part_size, default=1)
+    k = resolve_n_regions(regions)
     sw = Stopwatch().start()
     plan = plan_shards(points, eps, k)
     pieces = [

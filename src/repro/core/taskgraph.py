@@ -15,7 +15,7 @@ et al. (arXiv:2103.05162) and the cell/merge decomposition of Wang, Gu
 * :class:`MergeTask` — stitch a variant's shard pieces back into the
   canonical labels (:func:`repro.core.shard.merge_shards`).
 
-Three lowering modes cover every executor backend:
+Two lowering modes cover every executor backend:
 
 ``variant``
     One :class:`VariantTask` per planned variant.  Donor edges are
@@ -23,11 +23,6 @@ Three lowering modes cover every executor backend:
     block dispatch) because reuse is online — a variant legally runs
     from scratch, or reuses any other completed donor, when its static
     donor is unavailable.
-``shard``
-    Every variant fans out into shard tasks joined by a merge task.
-    Consecutive variants are sequenced with **hard** edges
-    (``merge(i) -> shards(i+1)``), reproducing the region-parallel
-    executor's one-variant-at-a-time schedule.
 ``hybrid``
     From-scratch variants (donor-forest roots and ``force_scratch``
     heads) may fan out into shard/merge tasks; every other variant
@@ -86,7 +81,7 @@ __all__ = [
 DEFAULT_SHARD_THRESHOLD = 50_000
 
 #: Recognized lowering modes (see module docstring).
-LOWERING_MODES = ("variant", "shard", "hybrid")
+LOWERING_MODES = ("variant", "hybrid")
 
 
 def variant_task_id(variant: Variant) -> str:
@@ -130,14 +125,18 @@ class VariantTask:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Cluster one spatial region's slab of one variant."""
+    """Cluster one spatial region's slab of one variant.
+
+    A shard task has no dependencies: only from-scratch variants fan
+    out, so each starts as soon as a lane frees up.
+    """
 
     variant: Variant
     region: int
     n_regions: int
-    deps: tuple[str, ...] = ()
 
     kind = "shard"
+    deps: tuple[str, ...] = field(default=(), init=False)
     soft_deps: tuple[str, ...] = field(default=(), init=False)
 
     @property
@@ -270,13 +269,10 @@ def _scratch_planned(
     return scratch
 
 
-def _fan_out(
-    variant: Variant, n_regions: int, deps: tuple[str, ...]
-) -> list[Task]:
+def _fan_out(variant: Variant, n_regions: int) -> list[Task]:
     """Shard tasks plus the merge fan-in for one variant."""
     shards: list[Task] = [
-        ShardTask(variant, region, n_regions, deps=deps)
-        for region in range(n_regions)
+        ShardTask(variant, region, n_regions) for region in range(n_regions)
     ]
     shard_ids = tuple(t.task_id for t in shards)
     shards.append(MergeTask(variant, n_regions, deps=shard_ids))
@@ -303,7 +299,7 @@ def lower_variants(
     more points fan out only when they are fewer than ``n_lanes``, the
     lane count the graph will run on (default ``n_regions``).  An
     explicit ``shard_threshold`` fans out every scratch root at that
-    size.  The other modes ignore both.
+    size.  Variant mode ignores all four.
     """
     if mode not in LOWERING_MODES:
         raise ValueError(
@@ -318,13 +314,6 @@ def lower_variants(
             soft = (variant_task_id(parent),) if parent is not None else ()
             tasks.append(VariantTask(p, soft_deps=soft))
         return TaskGraph(tuple(tasks), mode=mode)
-    if mode == "shard":
-        previous: tuple[str, ...] = ()
-        for p in plan:
-            fan = _fan_out(p.variant, n_regions, previous)
-            tasks.extend(fan)
-            previous = (fan[-1].task_id,)
-        return TaskGraph(tuple(tasks), mode=mode)
     # hybrid
     scratch: set[Variant] = set()
     if n_regions > 1:
@@ -338,7 +327,7 @@ def lower_variants(
     donors = _donor_edges(plan, vset)
     for p in plan:
         if p.variant in scratch:
-            tasks.extend(_fan_out(p.variant, n_regions, ()))
+            tasks.extend(_fan_out(p.variant, n_regions))
             continue
         parent = donors.get(p.variant)
         hard: tuple[str, ...] = ()

@@ -116,11 +116,10 @@ class RunSpec:
     reuse:
         The paper-path knobs.  Rejected unless ``kernel="bfs"``, where
         ``None`` means ``ReuseSpec()``.
-    regions / part_size:
-        Spatial partitioning for shard and hybrid lowering (``regions``
-        fixes the region count, ``part_size`` derives it as
-        ``ceil(n / part_size)``; ``None`` for both lets the worker count
-        decide).  At most one may be set; ignored by variant lowering.
+    regions:
+        Spatial region count for hybrid lowering's shard fan-outs;
+        ``None`` lets the worker count decide.  Ignored by variant
+        lowering.
     shard_threshold:
         Point count at which hybrid lowering fans a *from-scratch*
         variant out into shard/merge tasks (see
@@ -160,7 +159,6 @@ class RunSpec:
     kernel: str = "cellgraph"
     reuse: ReuseSpec | None = None
     regions: int | None = None
-    part_size: int | None = None
     shard_threshold: int | None = None
     cost_model: CostModel | None = None
     dataset: str = ""
@@ -191,12 +189,8 @@ class RunSpec:
                 f"reuse knobs ({', '.join(REUSE_FIELDS)}) apply to "
                 f"kernel='bfs' only, not kernel={self.kernel!r}"
             )
-        for name in ("regions", "part_size"):
-            value = getattr(self, name)
-            if value is not None:
-                set_(self, name, check_positive_int(value, name=name))
-        if self.regions is not None and self.part_size is not None:
-            raise ValueError("pass at most one of regions / part_size")
+        if self.regions is not None:
+            set_(self, "regions", check_positive_int(self.regions, name="regions"))
         if self.shard_threshold is not None:
             if int(self.shard_threshold) < 0:
                 raise ValueError(
@@ -223,14 +217,11 @@ class RunSpec:
 
         ``changes`` are field names, or :class:`ReuseSpec` field names
         (``scheduler=``, ``policy=``, ``low_res_r=``), which update the
-        nested reuse spec.  Setting one of ``regions`` / ``part_size``
-        replaces the pair.  Switching ``kernel`` away from ``bfs`` drops
+        nested reuse spec.  Switching ``kernel`` away from ``bfs`` drops
         the reuse spec unless reuse knobs are given too (which then
         raise).
         """
         flat = {k: changes.pop(k) for k in REUSE_FIELDS if k in changes}
-        if "regions" in changes or "part_size" in changes:
-            changes = {"regions": None, "part_size": None, **changes}
         if flat or "kernel" in changes:
             kernel = changes.get("kernel", self.kernel)
             reuse = changes.get("reuse", self.reuse if kernel == "bfs" else None)

@@ -155,8 +155,8 @@ class Session:
         reads (the ``(T_high, T_low)`` pair under ``kernel="bfs"``, one
         cell grid per eps under ``cellgraph``).  ``executor`` names a row of
         :data:`repro.exec.EXECUTORS` (``serial`` / ``simulated`` /
-        ``processes`` / ``sharded`` / ``hybrid``): the runtime substrate
-        and lowering the batch runs on.
+        ``processes`` / ``hybrid``): the runtime substrate and lowering
+        the batch runs on.
 
         Any of ``retry_policy``, ``fault_plan`` or ``resume`` makes the
         run resilient: a permanently failed variant no longer aborts the
@@ -175,12 +175,7 @@ class Session:
             variants = VariantSet(variants)
         substrate, mode = EXECUTORS[spec.executor]
         if mode is None:
-            if spec.shard_threshold is not None:
-                mode = "hybrid"
-            elif spec.regions is not None or spec.part_size is not None:
-                mode = "shard"
-            else:
-                mode = "variant"
+            mode = "variant" if spec.shard_threshold is None else "hybrid"
         self._active_runs += 1
         try:
             result = GraphRuntime(substrate).run(ctx, variants, mode=mode)

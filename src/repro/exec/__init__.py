@@ -13,22 +13,21 @@ inline lanes (``sim``) and process lanes (``lanes``).
   1; the paper's Section V-D reuse study.
 * ``simulated`` — ``T`` inline lanes on the deterministic work-unit
   clock with a memory-contention model; regenerates the paper's
-  thread-scaling figures independently of host hardware.  Its lowering
-  follows the run's shard knobs: ``shard_threshold`` set lowers hybrid,
-  else ``regions`` / ``part_size`` set lowers shard, else variant.
+  thread-scaling figures independently of host hardware.  It lowers
+  hybrid when the run sets ``shard_threshold``, else variant.
 * ``processes`` — one process lane per statically partitioned reuse
   chain (:func:`~repro.exec.graph.partition_reuse_chains`); workers
   attach the session's shared-memory store and the batch's index pack
   (the R-tree pair under ``bfs``, the per-eps cell grids under
   ``cellgraph``), so they build no index.
-* ``sharded`` — process lanes over spatial regions with eps halos
-  inside each variant, merged back into byte-identical labels.
 * ``hybrid`` — both axes on one pool, variant-first: whole variants
   fill the lanes as under ``processes``, and scratch variants of
   ``DEFAULT_SHARD_THRESHOLD`` or more points fan out into shard/merge
-  tasks only while the batch has fewer scratch roots than lanes.  An
-  explicit ``shard_threshold`` shards every scratch variant at that
-  size while other variants' reuse chains run concurrently.
+  tasks (spatial regions with eps halos, merged back into
+  byte-identical labels) only while the batch has fewer scratch roots
+  than lanes.  An explicit ``shard_threshold`` shards every scratch
+  variant at that size while other variants' reuse chains run
+  concurrently.
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ __all__ = [
 ]
 
 #: Executor name -> (:class:`GraphRuntime` substrate, lowering mode).
-#: ``simulated``'s mode is ``None``: it is derived from each run's shard
-#: knobs (see the module docstring).
+#: ``simulated``'s mode is ``None``: it is derived from each run's
+#: ``shard_threshold`` (see the module docstring).
 EXECUTORS: dict[str, tuple[str, str | None]] = {
     "serial": ("sim", "variant"),
     "simulated": ("sim", None),
     "processes": ("lanes", "variant"),
-    "sharded": ("lanes", "shard"),
     "hybrid": ("lanes", "hybrid"),
 }

@@ -414,7 +414,6 @@ class _ShardPipeline:
 
     variant: Variant
     n_regions: int
-    deps: set[str]  # sequencing edges (shard mode) — empty in hybrid
     merge_id: str
     shard_ids: tuple[str, ...]
     budget: int
@@ -627,13 +626,10 @@ class GraphRuntime:
             p for p in spec.effective_reuse.scheduler.plan(variants) if p.variant not in results
         ]
         n_regions = 1
-        if mode in ("shard", "hybrid") and ctx.store.n_points:
+        if mode == "hybrid" and ctx.store.n_points:
             # plan_shards plans an empty database as one region, so the
             # graph is lowered with the count the geometry will have.
-            n_regions = resolve_n_regions(
-                ctx.store.n_points, spec.regions, spec.part_size,
-                default=spec.n_threads,
-            )
+            n_regions = resolve_n_regions(spec.regions, default=spec.n_threads)
         graph = lower_variants(
             plan,
             variants,
@@ -736,9 +732,6 @@ class GraphRuntime:
 
         variant_tasks = graph.variant_tasks()
         merge_tasks = graph.merge_tasks()
-        shard_deps: dict[Variant, set[str]] = {}
-        for st in graph.shard_tasks():
-            shard_deps.setdefault(st.variant, set()).update(st.deps)
         sharded_set = {t.variant for t in merge_tasks}
         task_of = {t.variant: t for t in variant_tasks}
 
@@ -776,7 +769,6 @@ class GraphRuntime:
             pipelines[mt.variant] = _ShardPipeline(
                 variant=mt.variant,
                 n_regions=mt.n_regions,
-                deps=set(shard_deps.get(mt.variant, set())),
                 merge_id=mt.task_id,
                 shard_ids=tuple(mt.deps),
                 budget=budget,
@@ -799,8 +791,6 @@ class GraphRuntime:
 
         if inline is not None:
             n_lanes = 1  # dispatch slots: inline units finish at submission
-        elif graph.mode == "shard":
-            n_lanes = max(1, min(spec.n_threads, merge_tasks[0].n_regions))
         elif graph.mode == "variant":
             n_lanes = max(1, len(groups))
         else:
@@ -1019,7 +1009,7 @@ class GraphRuntime:
             return pairs, failed, None
 
         def inline_shard(pipe: _ShardPipeline, plan, region, fault, task_id):
-            start = inline.start(pipe.deps)
+            start = inline.start(())
             fire(fault, deadline_s=deadline, started_at=time.perf_counter())
             piece = cluster_shard(
                 ctx.points,
@@ -1142,11 +1132,11 @@ class GraphRuntime:
             ready = resolved | failed_ids
             wake = None
             for unit in units:
-                if unit.done or not unit.deps <= ready:
+                if unit.done:
                     continue
                 region = -1
                 if isinstance(unit, _GroupUnit):
-                    if unit.running:
+                    if unit.running or not unit.deps <= ready:
                         continue
                 else:
                     pending = unit.pending_regions()
@@ -1283,8 +1273,7 @@ class GraphRuntime:
                 task_spans.append(
                     SpanRecord(
                         SPAN_TASK, w_start, w_dur, job.where,
-                        {"kind": "shard", "id": job.label,
-                         "deps": sorted(pipe.deps)},
+                        {"kind": "shard", "id": job.label, "deps": []},
                     )
                 )
             if len(pipe.pieces) == pipe.n_regions:

@@ -7,7 +7,7 @@ strictly-less-parallel configurations:
 ==========  =========================================  ================
 axis        rungs (top → bottom)                       what a step costs
 ==========  =========================================  ================
-lowering    hybrid → shard → variant                   intra-variant
+lowering    shard → variant                            intra-variant
                                                        parallelism
 kernel      cellgraph → bfs                            grid-kernel
                                                        throughput
@@ -49,7 +49,6 @@ class LadderStep:
 
 #: The declared ladder (see module docstring for the rationale).
 DEFAULT_LADDER = (
-    LadderStep("lowering", "hybrid", "shard"),
     LadderStep("lowering", "shard", "variant"),
     LadderStep("kernel", "cellgraph", "bfs"),
     LadderStep("substrate", "lanes", "serial"),

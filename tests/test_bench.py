@@ -249,7 +249,6 @@ class TestBenchSnapshot:
         for name, bench in [
             ("BENCH_index.json", "index"),
             ("BENCH_pass.json", "pass"),
-            ("BENCH_shard.json", "shard"),
             ("BENCH_hybrid.json", "hybrid"),
         ]:
             path = root / name
@@ -270,14 +269,7 @@ class TestBenchSnapshot:
                     if row["kind"].endswith("per-eps-pass"):
                         assert row["byte_identical"], row["kind"]
                         assert row["quality_min"] == 1.0, row["kind"]
-            if bench == "shard":
-                assert any(k.startswith("serial ") for k in kinds)
-                assert any("R=8" in k for k in kinds)
             if bench == "hybrid":
-                assert set(kinds) == {
-                    "serial", "variant-only", "shard-only", "hybrid"
-                }
+                assert set(kinds) == {"serial", "variant-only", "hybrid"}
                 speedup = snap["workload"]["modeled_speedup"]
-                assert speedup["hybrid"] >= max(
-                    speedup["variant-only"], speedup["shard-only"]
-                )
+                assert speedup["hybrid"] >= speedup["variant-only"]

@@ -281,10 +281,16 @@ class TestRunSpec:
         assert spec.reuse.scheduler.name == "SCHEDMINPTS"
         assert spec.override(kernel="cellgraph").reuse is None
 
-    def test_one_of_regions_part_size_replaces_the_pair(self):
-        spec = RunSpec(part_size=100)
-        assert (spec.override(regions=3).regions, spec.override(regions=3).part_size) == (3, None)
-        assert spec.override(n_threads=2).part_size == 100
+    def test_part_size_is_not_a_field(self, points):
+        assert "part_size" not in {f.name for f in dataclasses.fields(RunSpec)}
+        with pytest.raises(TypeError, match="part_size"):
+            RunSpec(part_size=100)
+        with pytest.raises(TypeError, match="part_size"):
+            RunSpec().override(part_size=100)
+        with pytest.raises(TypeError, match="part_size"):
+            Session(points, part_size=100)
+        with Session(points) as session, pytest.raises(TypeError, match="part_size"):
+            session.run(VSET, part_size=100)
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +352,16 @@ class TestSession:
             with pytest.raises(KeyError, match="unknown executor"):
                 session.run(VSET, executor=42)
 
+    def test_sharded_executor_is_unknown(self, points):
+        assert "sharded" not in EXECUTORS
+        with pytest.raises(KeyError, match="unknown executor 'sharded'"):
+            RunSpec(executor="sharded")
+        with pytest.raises(KeyError, match="unknown executor 'sharded'"):
+            Session(points, executor="sharded")
+        with Session(points) as session:
+            with pytest.raises(KeyError, match="unknown executor 'sharded'"):
+                session.run(VSET, executor="sharded", regions=2)
+
     def test_session_defaults_apply(self, points):
         with Session(
             points, kernel="bfs", scheduler="SCHEDMINPTS", policy="CLUSSIZE"
@@ -367,7 +383,6 @@ class TestSession:
         [
             ("shard_threshold", -1),
             ("regions", 0),
-            ("part_size", 0),
             ("n_threads", 0),
         ],
     )

@@ -253,9 +253,7 @@ class TestLanesRunTheCallersReuseSpec:
 
 class TestRegistry:
     def test_executor_registry(self):
-        assert set(EXECUTORS) == {
-            "serial", "simulated", "processes", "sharded", "hybrid"
-        }
+        assert set(EXECUTORS) == {"serial", "simulated", "processes", "hybrid"}
 
     def test_record_carries_config(self, blobs):
         cells = [

@@ -32,13 +32,11 @@ from repro.util.rng import resolve_rng
 VSET = VariantSet.from_product([0.4, 0.5, 0.6], [4, 6])
 
 #: Lowering-matrix inputs: case id -> (executor, shard knobs).
-#: ``simulated`` follows the knobs into shard or hybrid lowering.
+#: ``simulated`` follows ``shard_threshold`` into hybrid lowering.
 LOWERING_CASES = {
     "processes": ("processes", {}),
-    "sharded": ("sharded", {"regions": 2}),
     "hybrid": ("hybrid", {"regions": 2, "shard_threshold": 0}),
     "simulated": ("simulated", {}),
-    "simulated-shard": ("simulated", {"regions": 2}),
     "simulated-hybrid": ("simulated", {"shard_threshold": 0}),
 }
 
@@ -301,11 +299,15 @@ class TestSimulatedModeSelection:
         assert self._shard_plan_events(tracer) == []
         assert_canonical_equal(batch, baseline)
 
-    def test_regions_select_shard_mode(self, points, baseline):
+    def test_regions_alone_stay_variant_mode(self, points, baseline):
         tracer = Tracer()
         with Session(points, tracer=tracer) as s:
             batch = s.run(VSET, executor="simulated", n_threads=2, regions=2)
-        assert self._shard_plan_events(tracer)
+        assert self._shard_plan_events(tracer) == []
+        kinds = {
+            r.args["kind"] for r in tracer.records() if r.name == SPAN_TASK
+        }
+        assert kinds == {"variant"}
         assert_canonical_equal(batch, baseline)
 
     def test_shard_threshold_selects_hybrid_mode(self, points, baseline):

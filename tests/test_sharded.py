@@ -1,11 +1,11 @@
 """Shard-equivalence suite: region-parallel DBSCAN must equal serial.
 
-The sharded path (:mod:`repro.core.shard` + the ``sharded`` executor)
-re-derives every variant's clustering from spatially partitioned slabs
-with eps-width halos and a cross-border union-find merge.  Its one
-contract is *exactness*: labels and core masks are **byte-identical**
-to the serial kernels, for every index kind, kernel, scheduler, reuse
-policy, and region count — including the degenerate geometries where
+The shard pipeline (:mod:`repro.core.shard`, run by ``hybrid``'s shard
+and merge tasks) re-derives a variant's clustering from spatially
+partitioned slabs with eps-width halos and a cross-border union-find
+merge.  Its one contract is *exactness*: labels and core masks are
+**byte-identical** to the serial kernels, for every index kind,
+kernel, scheduler, reuse policy, and region count — including the degenerate geometries where
 sharding earns nothing (one region, more regions than points, halos
 swallowing the whole database, empty stripes from duplicate
 coordinates).
@@ -18,8 +18,10 @@ Covers, in order:
 * randomized shard-equivalence properties (Hypothesis) across
   kernel x region-count grids, plus metamorphic translation /
   permutation invariance;
-* the executor-level matrix: ``sharded`` vs ``serial`` across every
-  scheduler x reuse-policy combination and the index-kind oracle grid;
+* the executor-level matrix: ``hybrid`` at ``shard_threshold=0`` over a
+  grid of scratch roots (so every variant shards) vs ``serial`` across
+  every scheduler x reuse-policy combination, and the index-kind oracle
+  grid;
 * differential quality vs scikit-learn when installed (>= 0.998);
 * resilience: a killed shard worker recovers region-by-region to the
   exact fault-free labels, with zero leaked shared-memory segments.
@@ -49,12 +51,14 @@ from repro.core.taskgraph import merge_task_id
 from repro.core.variants import Variant, VariantSet
 from repro.engine.session import Session
 from repro.exec import EXECUTORS
+from repro.exec.graph import EVENT_SHARD_PLAN
 from repro.index.brute import BruteForceIndex
 from repro.index.cellgraph import CellGraphIndex
 from repro.index.grid import UniformGridIndex
 from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
 from repro.metrics.quality import quality_score
+from repro.obs.span import Tracer
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, VariantStatus
 from repro.util.rng import resolve_rng
 
@@ -104,19 +108,14 @@ def assert_exact(points, eps, minpts, *, regions, kernel="bfs"):
 # partition planning
 # ----------------------------------------------------------------------
 class TestPlanning:
-    def test_regions_wins_over_part_size(self):
-        # mutual exclusion is enforced at the Session/executor layer;
-        # the resolver itself lets an explicit region count win
-        assert resolve_n_regions(100, 4, 25) == 4
-
-    def test_part_size_derives_ceil(self):
-        assert resolve_n_regions(100, None, 30) == 4
-        assert resolve_n_regions(90, None, 30) == 3
-        assert resolve_n_regions(1, None, 30) == 1
+    def test_regions_wins_over_default(self):
+        assert resolve_n_regions(4, default=8) == 4
+        with pytest.raises(ValueError, match="regions"):
+            resolve_n_regions(0)
 
     def test_default_when_unset(self):
-        assert resolve_n_regions(100, None, None) == 1
-        assert resolve_n_regions(100, None, None, default=8) == 8
+        assert resolve_n_regions(None) == 1
+        assert resolve_n_regions(None, default=8) == 8
 
     def test_empty_database_plans_one_region(self):
         plan = plan_shards(np.empty((0, 2)), 0.5, 8)
@@ -255,12 +254,6 @@ class TestShardEquivalence:
         res = sharded_dbscan(np.asarray([[1.0, 2.0]]), 0.5, 1, regions=4)
         assert res.n_clusters == 1
 
-    def test_part_size_routing(self):
-        pts = make_cloud(37, n=200)
-        ref = dbscan(pts, 0.5, 4)
-        got = sharded_dbscan(pts, 0.5, 4, part_size=30)
-        assert np.array_equal(got.labels, ref.labels)
-
     def test_merge_rejects_incomplete_cover(self):
         pts = make_cloud(41, n=100)
         plan = plan_shards(pts, 0.5, 3)
@@ -300,7 +293,15 @@ class TestIndexKindOracle:
 # ----------------------------------------------------------------------
 # executor-level matrix
 # ----------------------------------------------------------------------
-EXEC_VSET = VariantSet.from_product([0.45, 0.7], [4, 8])
+#: Four variants no variant can reuse (eps and minpts rise together):
+#: four scratch roots, so ``hybrid`` at ``shard_threshold=0`` shards
+#: every one of them.
+EXEC_VSET = VariantSet(
+    [Variant(0.45, 4), Variant(0.55, 6), Variant(0.7, 8), Variant(0.9, 12)]
+)
+
+#: The knobs that fan every scratch root out into shard/merge tasks.
+SHARD_ALL = {"executor": "hybrid", "shard_threshold": 0}
 
 
 @pytest.fixture(scope="module")
@@ -315,20 +316,13 @@ def exec_oracle(exec_cloud):
 
 class TestShardedExecutor:
     def test_registered(self):
-        assert EXECUTORS["sharded"] == ("lanes", "shard")
-
-    def test_regions_and_part_size_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            Session(np.zeros((4, 2)), regions=2, part_size=100)
-        with Session(np.zeros((4, 2))) as s, pytest.raises(ValueError):
-            s.run(EXEC_VSET, executor="sharded", regions=2, part_size=100)
+        assert EXECUTORS["hybrid"] == ("lanes", "hybrid")
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_byte_equal_vs_serial_kernel(self, exec_cloud, exec_oracle, kernel):
         with Session(exec_cloud) as s:
             batch = s.run(
-                EXEC_VSET, executor="sharded", n_threads=2,
-                regions=3, kernel=kernel,
+                EXEC_VSET, **SHARD_ALL, n_threads=2, regions=3, kernel=kernel,
             )
         for v in EXEC_VSET:
             assert np.array_equal(batch[v].labels, exec_oracle[v].labels)
@@ -346,19 +340,22 @@ class TestShardedExecutor:
             scheduler=SCHEDULERS[scheduler_name],
             policy=POLICIES[policy_name],
         ) as s:
-            batch = s.run(EXEC_VSET, executor="sharded", n_threads=2, regions=2)
+            batch = s.run(EXEC_VSET, **SHARD_ALL, n_threads=2, regions=2)
         for v in EXEC_VSET:
             assert np.array_equal(batch[v].labels, exec_oracle[v].labels)
 
     def test_session_default_knobs_thread_through(self, exec_cloud, exec_oracle):
         v = Variant(0.45, 4)
-        with Session(exec_cloud, part_size=120) as s:
-            batch = s.run(VariantSet([v]), executor="sharded", n_threads=2)
+        tracer = Tracer()
+        with Session(exec_cloud, tracer=tracer, regions=3, **SHARD_ALL) as s:
+            batch = s.run(VariantSet([v]), n_threads=2)
+        plans = [r for r in tracer.records() if r.name == EVENT_SHARD_PLAN]
+        assert [r.args["regions"] for r in plans] == [3]
         assert np.array_equal(batch[v].labels, exec_oracle[v].labels)
 
     def test_records_account_every_variant(self, exec_cloud):
         with Session(exec_cloud) as s:
-            batch = s.run(EXEC_VSET, executor="sharded", n_threads=2, regions=2)
+            batch = s.run(EXEC_VSET, **SHARD_ALL, n_threads=2, regions=2)
         ran = sorted(r.variant.as_tuple() for r in batch.record.records)
         assert ran == sorted(v.as_tuple() for v in EXEC_VSET)
         for r in batch.record.records:
@@ -411,7 +408,7 @@ class TestShardedResilience:
         plan = FaultPlan([FaultSpec("kill", 0)])
         with Session(cloud) as s:
             batch = s.run(
-                EXEC_VSET, executor="sharded", n_threads=2, regions=3,
+                EXEC_VSET, **SHARD_ALL, n_threads=2, regions=3,
                 retry_policy=RetryPolicy(max_retries=2), fault_plan=plan,
             )
         for v in EXEC_VSET:
@@ -425,7 +422,7 @@ class TestShardedResilience:
         assert _repro_segments() <= before
 
     @pytest.mark.parametrize("keyed", ["variant", "merge"])
-    @pytest.mark.parametrize("executor", ["sharded", "simulated"])
+    @pytest.mark.parametrize("executor", ["hybrid", "simulated"])
     def test_corrupt_merge_retries_whole_variant(
         self, cloud, oracle, executor, keyed
     ):
@@ -440,14 +437,14 @@ class TestShardedResilience:
         with Session(cloud) as s:
             batch = s.run(
                 EXEC_VSET, executor=executor, n_threads=2, regions=2,
-                retry_policy=RetryPolicy(max_retries=2),
+                shard_threshold=0, retry_policy=RetryPolicy(max_retries=2),
                 fault_plan=FaultPlan([spec]),
             )
         for v in EXEC_VSET:
             assert np.array_equal(batch[v].labels, oracle[v].labels)
         assert batch.report.outcomes[target].status is VariantStatus.RETRIED
 
-    @pytest.mark.parametrize("executor", ["sharded", "simulated"])
+    @pytest.mark.parametrize("executor", ["hybrid", "simulated"])
     def test_budget_exhaustion_fails_only_that_variant(
         self, cloud, oracle, executor
     ):
@@ -457,7 +454,8 @@ class TestShardedResilience:
         with Session(cloud) as s:
             batch = s.run(
                 EXEC_VSET, executor=executor, n_threads=2, regions=2,
-                retry_policy=RetryPolicy(max_retries=1), fault_plan=plan,
+                shard_threshold=0, retry_policy=RetryPolicy(max_retries=1),
+                fault_plan=plan,
             )
         target = list(EXEC_VSET)[0]
         assert target not in batch.results
@@ -474,7 +472,7 @@ class TestShardedResilience:
         v = Variant(0.45, 4)
         with Session(cloud) as s:
             s.run(
-                VariantSet([v]), executor="sharded", n_threads=2, regions=2,
+                VariantSet([v]), **SHARD_ALL, n_threads=2, regions=2,
                 retry_policy=RetryPolicy(max_retries=2), fault_plan=plan,
             )
         assert sum(1 for seg in scan_segments() if seg.orphaned) == 0

@@ -83,6 +83,10 @@ def points():
 #: Small chain for the per-fault soak cases.
 VSET4 = VariantSet([Variant(0.5 + 0.1 * i, 5) for i in range(4)])
 
+#: Fan the chain's one scratch root, ``VSET4[0]``, out into shard and
+#: merge tasks; the rest of the chain reuses it.
+SHARD_ROOT = {"executor": "hybrid", "shard_threshold": 0}
+
 #: The acceptance scenario's 12 variants: two reuse-incomparable
 #: families (neither root satisfies the inclusion criteria for the
 #: other family), so the hybrid plan deterministically contains two
@@ -296,7 +300,7 @@ class TestRemediationLoop:
 class TestLadder:
     def test_declared_rung_order(self):
         ladder = DegradationLadder()
-        assert ladder.rungs("lowering") == ("hybrid", "shard", "variant")
+        assert ladder.rungs("lowering") == ("shard", "variant")
         assert ladder.rungs("kernel") == ("cellgraph", "bfs")
         assert ladder.rungs("substrate") == ("lanes", "serial")
         assert ladder.axes == ("kernel", "lowering", "substrate")
@@ -478,7 +482,7 @@ class TestBackoffJitter:
         )
         with Session(points) as s:
             batch = s.run(
-                VSET4, executor="sharded", n_threads=2, regions=2,
+                VSET4, **SHARD_ROOT, n_threads=2, regions=2,
                 fault_plan=plan, retry_policy=self.JITTERED,
             )
         assert batch.report.complete
@@ -557,7 +561,7 @@ def proc_base(points):
 @pytest.fixture(scope="module")
 def shard_base(points):
     with Session(points) as s:
-        return s.run(VSET4, executor="sharded", n_threads=2, regions=2)
+        return s.run(VSET4, **SHARD_ROOT, n_threads=2, regions=2)
 
 
 class TestChaosSoak:
@@ -604,7 +608,7 @@ class TestChaosSoak:
         )
 
     def test_stuck_shard_worker_task_targeted(self, points, shard_base):
-        v = VSET4[1]
+        v = VSET4[0]
         plan = FaultPlan(
             [
                 FaultSpec(
@@ -615,7 +619,7 @@ class TestChaosSoak:
         )
         with Session(points) as s:
             batch = s.run(
-                VSET4, executor="sharded", n_threads=2, regions=2,
+                VSET4, **SHARD_ROOT, n_threads=2, regions=2,
                 fault_plan=plan,
                 retry_policy=RetryPolicy(max_retries=2, deadline_s=60.0),
                 supervise=AUTONOMOUS,
@@ -626,7 +630,7 @@ class TestChaosSoak:
         assert applied and all(r.verdict == "verified" for r in applied)
 
     def test_pipeline_lowers_shard_to_variant(self, points, shard_base):
-        v = VSET4[1]
+        v = VSET4[0]
         plan = FaultPlan(
             [
                 FaultSpec(
@@ -637,7 +641,7 @@ class TestChaosSoak:
         )
         with Session(points) as s:
             batch = s.run(
-                VSET4, executor="sharded", n_threads=2, regions=2,
+                VSET4, **SHARD_ROOT, n_threads=2, regions=2,
                 fault_plan=plan,
                 retry_policy=RetryPolicy(max_retries=0, deadline_s=60.0),
                 supervise=AUTONOMOUS,
@@ -659,10 +663,10 @@ class TestChaosSoak:
         assert any("lowering" in d for d in degraded.values())
 
     def test_merge_corruption_gated_resubmit(self, points, shard_base):
-        plan = FaultPlan([FaultSpec("corrupt", 1, attempt=0, phase="finish")])
+        plan = FaultPlan([FaultSpec("corrupt", 0, attempt=0, phase="finish")])
         with Session(points) as s:
             batch = s.run(
-                VSET4, executor="sharded", n_threads=2, regions=2,
+                VSET4, **SHARD_ROOT, n_threads=2, regions=2,
                 fault_plan=plan,
                 retry_policy=RetryPolicy(max_retries=2, deadline_s=60.0),
                 supervise=AUTONOMOUS,
@@ -674,10 +678,12 @@ class TestChaosSoak:
         assert all(r.verdict == "verified" for r in applied)
 
     def test_zero_budget_recommends_instead_of_healing(self, points):
-        plan = FaultPlan([FaultSpec("corrupt", 1, attempt=0, phase="finish")])
+        plan = FaultPlan([FaultSpec("corrupt", 0, attempt=0, phase="finish")])
         with Session(points) as s:
+            # The root alone: no chain depends on it, so no dependent
+            # re-plans onto scratch when it fails.
             batch = s.run(
-                VSET4, executor="sharded", n_threads=2, regions=2,
+                VariantSet([VSET4[0]]), **SHARD_ROOT, n_threads=2, regions=2,
                 fault_plan=plan,
                 retry_policy=RetryPolicy(max_retries=2, deadline_s=60.0),
                 supervise=SupervisePolicy(

@@ -2,8 +2,8 @@
 
 ``lower_variants`` is pure planning (no execution), so these tests pin
 the DAG shapes every backend's lowering policy relies on: soft donor
-edges in variant mode, hard merge-sequencing in shard mode, and the
-threshold-gated mixed fan-out of hybrid mode.
+edges in variant mode, and the threshold-gated mixed fan-out of hybrid
+mode, whose shard tasks depend on nothing and whose merges cover them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ class TestTaskIds:
         assert merge_task_id(v) == "merge:0.5/4"
 
     def test_ids_are_unique_across_grid(self):
-        graph = lower_variants(PLAN, VSET, mode="shard", n_regions=3)
+        graph = lower_variants(
+            PLAN, VSET, mode="hybrid", n_regions=3, shard_threshold=0
+        )
+        assert graph.merge_tasks()
         ids = task_ids(graph)
         assert len(ids) == len(set(ids))
 
@@ -83,41 +86,37 @@ class TestVariantLowering:
 
 
 class TestShardLowering:
+    """The shard fan-out of hybrid lowering, on a grid of scratch roots."""
+
+    #: No variant can reuse another: every planned variant is a root.
+    ROOTS = VariantSet([Variant(0.3, 8), Variant(0.4, 16), Variant(0.5, 24)])
+
+    def lower(self, n_regions: int) -> TaskGraph:
+        plan = SchedGreedy().plan(self.ROOTS)
+        return lower_variants(
+            plan, self.ROOTS, mode="hybrid", n_regions=n_regions,
+            shard_threshold=0,
+        )
+
     def test_fan_out_and_merge_per_variant(self):
-        graph = lower_variants(PLAN, VSET, mode="shard", n_regions=3)
-        assert len(graph.shard_tasks()) == 3 * len(PLAN)
-        assert len(graph.merge_tasks()) == len(PLAN)
+        graph = self.lower(3)
+        assert len(graph.shard_tasks()) == 3 * len(self.ROOTS)
+        assert len(graph.merge_tasks()) == len(self.ROOTS)
         for mt in graph.merge_tasks():
             assert mt.deps == tuple(
                 shard_task_id(mt.variant, r) for r in range(3)
             )
-        assert graph.sharded_variants() == [p.variant for p in PLAN]
+        assert set(graph.sharded_variants()) == set(self.ROOTS)
 
-    def test_consecutive_variants_hard_sequenced(self):
-        graph = lower_variants(PLAN, VSET, mode="shard", n_regions=2)
-        merges = graph.merge_tasks()
-        shards_of = {
-            p.variant: [
-                t for t in graph.shard_tasks() if t.variant == p.variant
-            ]
-            for p in PLAN
-        }
-        for prev, p in zip(PLAN, PLAN[1:]):
-            want = (merge_task_id(prev.variant),)
-            for st in shards_of[p.variant]:
-                assert st.deps == want
-        for st in shards_of[PLAN[0].variant]:
-            assert st.deps == ()
-        assert len(merges) == len(PLAN)
-
-    def test_single_region_still_fans_out(self):
-        graph = lower_variants(PLAN, VSET, mode="shard", n_regions=1)
-        assert len(graph.shard_tasks()) == len(PLAN)
-        assert len(graph.merge_tasks()) == len(PLAN)
+    def test_shard_tasks_depend_on_nothing(self):
+        graph = self.lower(2)
+        assert graph.shard_tasks()
+        for st in graph.shard_tasks():
+            assert st.deps == () and st.soft_deps == ()
 
     def test_terminal_id_is_the_merge(self):
-        graph = lower_variants(PLAN, VSET, mode="shard", n_regions=2)
-        v = PLAN[0].variant
+        graph = self.lower(2)
+        v = graph.sharded_variants()[0]
         assert graph.terminal_id(v) == merge_task_id(v)
 
 
@@ -224,11 +223,16 @@ class TestValidation:
             TaskGraph((VariantTask(p), VariantTask(p)))
 
     def test_forward_hard_dep_rejected(self):
-        v = Variant(0.5, 4)
-        shard = ShardTask(v, 0, 1, deps=(merge_task_id(v),))
+        v, w = Variant(0.5, 4), Variant(0.6, 4)
+        early = VariantTask(PlannedVariant(w), deps=(merge_task_id(v),))
+        shard = ShardTask(v, 0, 1)
         merge = MergeTask(v, 1, deps=(shard.task_id,))
         with pytest.raises(ValueError, match="topological"):
-            TaskGraph((shard, merge), mode="shard")
+            TaskGraph((early, shard, merge), mode="hybrid")
+
+    def test_shard_mode_is_unknown(self):
+        with pytest.raises(ValueError, match="lowering mode"):
+            lower_variants(PLAN, VSET, mode="shard", n_regions=2)
 
     def test_empty_graph_is_valid(self):
         graph = lower_variants([], VSET)

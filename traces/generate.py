@@ -81,8 +81,12 @@ def chaos_processes(points: np.ndarray) -> None:
 
 
 def chaos_sharded(points: np.ndarray) -> None:
-    """Shard pipeline with a task-targeted stall, healed by respawn."""
-    v = VSET[1]
+    """Lanes substrate, hybrid lowering, a stalled root shard healed by respawn.
+
+    Only scratch roots fan out under hybrid, so the stall targets the
+    root's first region; the reuse chain waits on the root's merge.
+    """
+    v = VSET[0]
     plan = FaultPlan(
         [
             FaultSpec(
@@ -94,8 +98,8 @@ def chaos_sharded(points: np.ndarray) -> None:
     tracer = Tracer()
     with use_tracer(tracer), Session(points) as s:
         batch = s.run(
-            VSET, executor="sharded", n_threads=2, regions=2,
-            fault_plan=plan,
+            VSET, executor="hybrid", n_threads=2, regions=2,
+            shard_threshold=0, fault_plan=plan,
             retry_policy=RetryPolicy(max_retries=2, deadline_s=60.0),
             supervise=AUTONOMOUS,
         )
