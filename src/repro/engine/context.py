@@ -124,11 +124,12 @@ class RunSpec:
         Point count at which hybrid lowering fans a *from-scratch*
         variant out into shard/merge tasks (see
         :mod:`repro.core.taskgraph`).  ``None`` is variant-first under
-        ``hybrid``: scratch variants of
+        ``hybrid``: with ``kernel="bfs"``, scratch variants of
         :data:`~repro.core.taskgraph.DEFAULT_SHARD_THRESHOLD` or more
         points fan out only while the batch has fewer scratch roots
-        than ``n_threads`` lanes, else every variant runs whole; it
-        also keeps ``simulated`` off hybrid lowering.  An explicit
+        than ``n_threads`` lanes, else every variant runs whole (with
+        ``cellgraph``, always); it also keeps ``simulated`` off hybrid
+        lowering.  An explicit
         value shards every scratch variant of at least that many
         points (``0``: all of them).
     cost_model:

@@ -21,13 +21,13 @@ inline lanes (``sim``) and process lanes (``lanes``).
   (the R-tree pair under ``bfs``, the per-eps cell grids under
   ``cellgraph``), so they build no index.
 * ``hybrid`` — both axes on one pool, variant-first: whole variants
-  fill the lanes as under ``processes``, and scratch variants of
-  ``DEFAULT_SHARD_THRESHOLD`` or more points fan out into shard/merge
-  tasks (spatial regions with eps halos, merged back into
-  byte-identical labels) only while the batch has fewer scratch roots
-  than lanes.  An explicit ``shard_threshold`` shards every scratch
-  variant at that size while other variants' reuse chains run
-  concurrently.
+  fill the lanes as under ``processes``, and, under ``kernel="bfs"``,
+  scratch variants of ``DEFAULT_SHARD_THRESHOLD`` or more points fan
+  out into shard/merge tasks (spatial regions with eps halos, merged
+  back into byte-identical labels) only while the batch has fewer
+  scratch roots than lanes; under ``cellgraph`` it lowers variant.  An
+  explicit ``shard_threshold`` shards every scratch variant at that
+  size while other variants' reuse chains run concurrently.
 """
 
 from __future__ import annotations

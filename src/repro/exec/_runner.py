@@ -263,17 +263,19 @@ def run_chain(
     before: float | None = None,
     passes: PassMemo | None = None,
     beat: Callable[[str], None] | None = None,
-) -> tuple[Variant, Exception] | None:
+) -> tuple[list[tuple[ClusteringResult, VariantRunRecord]], tuple[Variant, Exception] | None]:
     """One unit attempt: each ``(planned, attempt)`` of ``todo`` once, in order.
 
     ``vset`` is the unit's whole chain (it normalizes reuse distances,
     so a resubmitted suffix picks the same sources), ``registry`` holds
     its donors, and ``done`` stamps each completed record and returns
-    its finish time.  Stops at the first failure and returns the
-    failing variant and its error, so the next variant of the chain
-    runs only after the runtime has retried or dropped this one.
-    Without a retry ``policy`` the error propagates instead.
+    its finish time.  Returns the completed ``(result, record)`` pairs
+    and the first failure as the failing variant and its error (``None``
+    when every variant ran): the next variant of the chain runs only
+    after the runtime has retried or dropped that one.  Without a retry
+    ``policy`` the error propagates instead.
     """
+    pairs: list[tuple[ClusteringResult, VariantRunRecord]] = []
     for planned, attempt in todo:
         variant = planned.variant
         if beat is not None:
@@ -288,6 +290,7 @@ def run_chain(
         except Exception as exc:
             if policy is None:
                 raise
-            return variant, exc
+            return pairs, (variant, exc)
         registry.add(variant, result, finished_at=done(result, record))
-    return None
+        pairs.append((result, record))
+    return pairs, None

@@ -3,10 +3,12 @@
 An executor name (:data:`repro.exec.EXECUTORS`) picks a lowering mode
 (:func:`repro.core.taskgraph.lower_variants`) and a **substrate**, and
 :class:`GraphRuntime` executes the resulting DAG with one
-dependency-aware dispatch loop.  The substrate only picks the *lane
-set* that loop dispatches onto:
+dependency-aware dispatch loop (:func:`_dispatch`).  The substrate only
+picks the *lane set* that loop dispatches onto.  Both lane sets offer
+one small interface: start a unit, stamp its records on their clock,
+respawn a lane, close.
 
-``sim`` (inline lanes)
+``sim`` (:class:`_InlineLanes`)
     ``T`` virtual workers in the parent on the work-unit clock.  A unit
     is one task; it starts at ``max(lane free, hard-dep finishes)`` and
     lasts its cost-model price, ties broken by lane id, so the schedule
@@ -14,23 +16,27 @@ set* that loop dispatches onto:
     (any lowering mode).  Shard and merge tasks execute for real and
     are priced per task, so a hybrid graph shows one variant's shards
     overlapping other variants' reuse chains on the modeled clock.
-``lanes`` (process lanes)
+``lanes`` (:class:`_ProcessLanes`)
     One single-process pool per lane on the wall clock, so a killed
     worker breaks exactly one lane.  A variant unit is a whole reuse
     chain run inside :func:`_chain_worker`; shard tasks fan out one
     region per lane and merge in the parent.
 
-**One failure path.**  A unit attempt runs each unfinished variant of
-its unit once, in chain order (:func:`repro.exec._runner.run_chain`),
-and stops at the first failure.  Every lost attempt — a variant that
-raised, timed out or failed its audit, a dead, hung or stuck worker, a
-failed shard or a damaged merge — lands in the dispatch loop's one
-failure handler.  It charges the attempt to the variants concerned,
-then retries the unfinished suffix after a backoff, asks the
+**One batch state, one failure path.**  A batch's per-run state is one
+plain :class:`_Batch` that module-level handlers act on; the unit
+classes (:class:`_GroupUnit`, :class:`_ShardPipeline`) carry what
+differs between a chain of variants and a sharded variant.  A unit
+attempt runs each unfinished variant of its unit once, in chain order
+(:func:`repro.exec._runner.run_chain`), and stops at the first failure.
+Every lost attempt — a variant that raised, timed out or failed its
+audit, a dead, hung or stuck worker, a failed shard or a damaged merge
+— lands in :func:`_fail`.  It charges the attempt to the variants
+concerned, then retries the unfinished suffix after a backoff, asks the
 supervisor's risk gate, steps the unit down the degradation ladder, or
 drops a variant permanently.  Checkpoint saves, outcome statuses and
 backoff are computed once, in the parent, so a fault plan fires, and
-supervision acts, the same way on both lane sets.  Every
+supervision acts, the same way on both lane sets.  :func:`_fail` reads
+no lanes, so a hand-built :class:`_Batch` drives it directly.  Every
 run record's ``response_time`` is ``finish - start`` on its lane set's
 clock.
 
@@ -59,6 +65,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.core.result import ClusteringResult
 from repro.core.scheduling import (
@@ -105,9 +112,13 @@ from repro.resilience.faults import (
 )
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.report import BatchReport, VariantOutcome, VariantStatus, classify_replans
-from repro.supervise.signals import PulseHandle, worker_pulse
+from repro.supervise.ladder import LadderStep
+from repro.supervise.signals import HeartbeatMailbox, PulseHandle, worker_pulse
 from repro.supervise.supervisor import Supervisor
 from repro.util.errors import CorruptResultError, VariantTimeoutError
+
+if TYPE_CHECKING:
+    from multiprocessing.shared_memory import SharedMemory
 
 __all__ = [
     "EVENT_SHARD_PLAN",
@@ -184,12 +195,12 @@ def partition_reuse_chains(
     return [b for b in bins if b]
 
 
-def _wall_done(t0: float, thread_id: int, pairs: list):
+def _wall_done(t0: float, thread_id: int):
     """A ``run_chain`` ``done`` callback that stamps measured wall time.
 
     Each record spans from the previous stamp (the first from this
     call) to its own ``done``, in seconds since ``t0``; its
-    ``response_time`` is that span.  Completed pairs go to ``pairs``.
+    ``response_time`` is that span.
     """
     mark = time.perf_counter() - t0
 
@@ -199,10 +210,35 @@ def _wall_done(t0: float, thread_id: int, pairs: list):
         record.start, record.finish, record.thread_id = mark, finish, thread_id
         record.response_time = finish - mark
         mark = finish
-        pairs.append((result, record))
         return finish
 
     return done
+
+
+def _run_unit(ctx: RunContext, chain, todo, donors, t0, thread_id, faults, policy, beat=None):
+    """One unit attempt on the wall clock: a chain worker's, or the serial rung's.
+
+    ``chain`` is the unit's whole chain (its variant set normalizes
+    reuse distances), ``todo`` the ``(planned variant, attempt)`` pairs
+    still to run, in chain order, and ``donors`` the results they may
+    reuse: sharded donors the chain hard-depends on and the chain's own
+    completed prefix.  Donors are seeded into a fresh registry at t = 0
+    (it accepts out-of-set donors — inclusion checks are pure variant
+    arithmetic), so a resubmitted suffix sees exactly the sources it
+    would have seen in one pass.  Each record carries its measured wall
+    window (:func:`_wall_done`).  Returns the completed ``(result,
+    record)`` pairs, the first failure as ``(variant, error)`` (``None``
+    when the whole suffix ran), and no spans.
+    """
+    registry = CompletedRegistry()
+    for variant, result in donors:
+        registry.add(variant, result, finished_at=0.0)
+    pairs, failed = run_chain(
+        ctx, VariantSet(chain), todo, registry, _wall_done(t0, thread_id),
+        faults=faults, policy=policy, concurrency=1,
+        passes=PassMemo(VariantSet([p.variant for p, _ in todo])), beat=beat,
+    )
+    return pairs, failed, None
 
 
 def _chain_worker(
@@ -223,17 +259,10 @@ def _chain_worker(
 ):
     """Run one attempt of a reuse-chain unit inside a lane worker process.
 
-    ``chain`` is the unit's whole chain (its variant set normalizes
-    reuse distances), ``todo`` the ``(planned variant, attempt)`` pairs
-    still to run, in chain order, and ``donors`` the results they may
-    reuse: sharded donors the chain hard-depends on and the chain's own
-    completed prefix.  Donors are seeded into the worker's completed
-    registry at t = 0 (the registry accepts out-of-set donors —
-    inclusion checks are pure variant arithmetic), so a resubmitted
-    suffix sees exactly the sources it would have seen in one pass.
-    ``kernel``, ``reuse`` and ``cost_model`` are the run's own: the
-    worker picks sources with the caller's scheduler and seeds clusters
-    with the caller's reuse policy.
+    The attempt itself is :func:`_run_unit`'s; ``kernel``, ``reuse``
+    and ``cost_model`` are the run's own: the worker picks sources with
+    the caller's scheduler and seeds clusters with the caller's reuse
+    policy.
 
     The worker attaches the parent's shared point segment and index
     pack (zero-copy views; spans ``shm_attach``) instead of receiving
@@ -248,9 +277,7 @@ def _chain_worker(
     ``kill`` faults are armed here, and only in workers, so they
     terminate a worker process and never an in-process caller.
 
-    Each record carries its measured wall window (:func:`_wall_done`).
-    Returns the completed ``(result, record)`` pairs, the first failure
-    as ``(variant, error)`` (``None`` when the whole suffix ran) and the
+    Returns :func:`_run_unit`'s pairs and first failure, and the
     worker's spans.
     """
     allow_kill_faults(True)
@@ -265,7 +292,6 @@ def _chain_worker(
     store: PointStore | None = None
     idx_shm = None
     ctx = factory = None
-    pairs: list[tuple[ClusteringResult, VariantRunRecord]] = []
     try:
         store = PointStore.attach(store_handle, tracer=tracer)
         factory = IndexFactory()
@@ -276,24 +302,14 @@ def _chain_worker(
             factory=factory,
             **({"tracer": tracer} if tracer is not None else {}),
         )
-        registry = CompletedRegistry()
-        for (e, m), donor_result in donors:
-            registry.add(Variant(e, m), donor_result, finished_at=0.0)
         # Records are stamped from here on, after attach, in seconds since
         # the parent's t0: perf_counter is monotonic *and* system-wide, so
         # that t0 is directly comparable here (unlike time.time, which can
         # step under NTP between the parent's stamp and ours).
-        failed = run_chain(
-            ctx,
-            VariantSet([Variant(e, m) for e, m in chain]),
-            todo,
-            registry,
-            _wall_done(t0, thread_id, pairs),
-            faults=faults,
-            policy=policy,
-            concurrency=1,
-            passes=PassMemo(VariantSet([p.variant for p, _ in todo])),
-            beat=hb.beat if hb is not None else None,
+        pairs, failed, _ = _run_unit(
+            ctx, [Variant(e, m) for e, m in chain], todo,
+            [(Variant(e, m), result) for (e, m), result in donors],
+            t0, thread_id, faults, policy, beat=hb.beat if hb is not None else None,
         )
     finally:
         # Drop every view into the segments before unmapping; both
@@ -311,6 +327,12 @@ def _chain_worker(
         spans = tracer.drain()
         set_tracer(None)
     return pairs, failed, spans
+
+
+def _cluster_region(points, plan, region, minpts, kernel, fault, deadline_s, started_at, tracer):
+    """One shard attempt, on either lane set: its start fault, then its slab."""
+    fire(fault, deadline_s=deadline_s, started_at=started_at)
+    return cluster_shard(points, plan, region, minpts, kernel=kernel, tracer=tracer)
 
 
 def _shard_worker(
@@ -357,14 +379,9 @@ def _shard_worker(
         if hb is not None:
             # Before the fault fires: a stall freezes the counter here.
             hb.beat(task_label or "shard")
-        fire(fault_spec, deadline_s=deadline_s, started_at=perf_start)
-        piece = cluster_shard(
-            store.points,
-            plan,
-            region,
-            minpts,
-            kernel=kernel,
-            tracer=tracer,
+        piece = _cluster_region(
+            store.points, plan, region, minpts, kernel,
+            fault_spec, deadline_s, perf_start, tracer,
         )
         if hb is not None:
             hb.beat(task_label or "shard")
@@ -382,57 +399,8 @@ def _shard_worker(
 
 
 # --------------------------------------------------------------------------
-# scheduling units and lane sets
+# scheduling units
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class _GroupUnit:
-    """Variant tasks run as one unit (a chain on a process lane, one task inline)."""
-
-    gid: int
-    variants: list[Variant]  # the whole chain: its set normalizes reuse distances
-    todo: list[PlannedVariant]  # unfinished, in chain order
-    deps: set[str]  # merge-task ids of sharded donors
-    budget: int  # attempts each variant may use up to on the current rung
-    rung: str = "lanes"  # "lanes": a chain worker; "serial": an inline lane
-    kernel: str | None = None  # a ladder step's kernel override
-    merge_id: str | None = None  # set when a shard pipeline was lowered to this
-    degraded: str | None = None  # the ladder step this unit took
-    ready_after: float = 0.0  # time.monotonic() a retry's backoff ends
-    running: bool = False
-    done: bool = False
-
-    @property
-    def label(self) -> str:
-        return self.merge_id or f"group:{self.gid}"
-
-
-@dataclass
-class _ShardPipeline:
-    """One sharded variant: region fan-out plus the parent-side merge."""
-
-    variant: Variant
-    n_regions: int
-    merge_id: str
-    shard_ids: tuple[str, ...]
-    budget: int
-    ready_after: float = 0.0
-    started_at: float = 0.0  # perf_counter at first dispatch (0: not yet)
-    done: bool = False
-    pieces: dict[int, tuple[ShardPiece, float]] = field(default_factory=dict)
-    inflight: set[int] = field(default_factory=set)
-
-    @property
-    def label(self) -> str:
-        return self.merge_id
-
-    def pending_regions(self) -> list[int]:
-        return [
-            r
-            for r in range(self.n_regions)
-            if r not in self.pieces and r not in self.inflight
-        ]
 
 
 @dataclass
@@ -446,6 +414,199 @@ class _Job:
     stamp: int = -1  # the variant's attempt at submission (staleness check)
     label: str = ""  # supervisor task label ("group:N" / shard task id)
     where: str = ""  # task-span thread name
+
+
+@dataclass
+class _GroupUnit:
+    """Variant tasks run as one unit (a chain on a process lane, one task inline)."""
+
+    kind = "group"
+
+    gid: int
+    variants: list[Variant]  # the whole chain: its set normalizes reuse distances
+    todo: list[PlannedVariant]  # unfinished, in chain order
+    deps: set[str]  # merge-task ids of sharded donors
+    budget: int  # attempts each variant may use up to on the current rung
+    rung: str = "lanes"  # "lanes": a chain worker; "serial": in the parent
+    kernel: str | None = None  # a ladder step's kernel override
+    merge_id: str | None = None  # set when a shard pipeline was lowered to this
+    settles: tuple[str, ...] = ()  # that pipeline's shard tasks: closing settles them too
+    degraded: str | None = None  # the ladder step this unit took
+    ready_after: float = 0.0  # time.monotonic() a retry's backoff ends
+    inflight: set[int] = field(default_factory=set)  # {-1} while an attempt runs
+    done: bool = False
+
+    @property
+    def label(self) -> str:
+        return self.merge_id or f"group:{self.gid}"
+
+    def radius(self, n_tasks: int) -> float:
+        """The fraction of the batch a remediation of this unit touches."""
+        return len(self.todo) / n_tasks
+
+    def dispatchable(self, ready: set[str]) -> int | None:
+        """``-1`` when the unit may start (no region), else ``None``."""
+        return None if self.inflight or not self.deps <= ready else -1
+
+    def start(self, b: _Batch, region: int, lane: int) -> tuple[Future, _Job]:
+        assert b.lanes is not None
+        donors = []
+        for dep in sorted(self.deps):
+            v = b.merge_variant[dep]
+            if v in b.results:
+                donors.append((v, b.results[v]))
+            elif (
+                b.supervisor is not None
+                and dep in b.failed_ids
+                and (self.gid, dep) not in b.replan_noted
+            ):
+                # The donor died permanently; the unit's scheduler
+                # re-plans the chain onto surviving donors / scratch.
+                b.replan_noted.add((self.gid, dep))
+                b.supervisor.on_replanned(
+                    self.label, dep, blast_radius=len(self.variants) / b.n_tasks
+                )
+        # The chain's completed prefix: a resubmitted suffix sees the
+        # sources it would have seen in one pass.
+        donors += [(v, b.results[v]) for v in self.variants if v in b.results]
+        todo = [(p, b.attempts[p.variant]) for p in self.todo]
+        self.inflight.add(region)
+        fut, where, deadline = b.lanes.start_unit(b, self, lane, todo, donors)
+        return fut, _Job(self, lane, deadline, label=self.label, where=where)
+
+    def settle(self, b: _Batch, job: _Job, payload) -> None:
+        pairs, failed, spans = payload
+        for result, record in pairs:
+            v = record.variant
+            self.todo = [p for p in self.todo if p.variant != v]
+            _complete(b, v, result, record, self.degraded)
+            task = b.task_of.get(v)
+            if task is not None:
+                _task_span(
+                    b, record.start, record.finish - record.start, job.where,
+                    "variant", task.task_id, task.deps, soft=list(task.soft_deps),
+                )
+        if spans:
+            b.tracer.add_records(spans, thread=f"worker-{self.gid}")
+        if failed is not None:
+            _fail(b, self, [failed[0]], failed[1], self.label)
+        elif not self.todo:
+            _close(b, self, True, self.degraded or "")
+
+    def charged(self, b: _Batch, job: _Job) -> tuple[list[Variant], int | None]:
+        """Nothing of a lost attempt is known to have run: charge every unfinished variant."""
+        return [p.variant for p in self.todo], None
+
+    def drop(self, lost: list[Variant]) -> bool:
+        """Drop ``lost`` for good; ``True`` when nothing is left to run."""
+        self.todo = [p for p in self.todo if p.variant not in lost]
+        return not self.todo
+
+    def rung_at(self, corrupt: bool, kernel: str) -> tuple[str, str]:
+        """The ladder ``(axis, rung)`` an exhausted unit steps down from."""
+        return "substrate", self.rung
+
+    def step_down(self, b: _Batch, step: LadderStep, budget: int) -> None:
+        self.rung, self.degraded, self.budget = step.target, step.label, budget
+
+
+@dataclass
+class _ShardPipeline:
+    """One sharded variant: region fan-out plus the parent-side merge."""
+
+    kind = "shard"
+    settles = ()  # each shard settles itself as it completes
+
+    variant: Variant
+    n_regions: int
+    merge_id: str
+    shard_ids: tuple[str, ...]  # one task id per region, in region order
+    budget: int
+    ready_after: float = 0.0
+    started_at: float = 0.0  # perf_counter at first dispatch (0: not yet)
+    done: bool = False
+    pieces: dict[int, tuple[ShardPiece, float]] = field(default_factory=dict)
+    inflight: set[int] = field(default_factory=set)
+
+    @property
+    def label(self) -> str:
+        return self.merge_id
+
+    def radius(self, n_tasks: int) -> float:
+        return (1 + self.n_regions) / n_tasks
+
+    def dispatchable(self, ready: set[str]) -> int | None:
+        """The first region neither done nor in flight, else ``None``."""
+        pending = (r for r in range(self.n_regions) if r not in self.pieces)
+        return next((r for r in pending if r not in self.inflight), None)
+
+    def start(self, b: _Batch, region: int, lane: int) -> tuple[Future, _Job]:
+        assert b.lanes is not None and b.base_plan is not None
+        if not self.started_at:
+            self.started_at = time.perf_counter()
+        label = self.shard_ids[region]
+        attempt = b.attempts[self.variant]
+        fault = None
+        if b.faults:
+            found = b.faults.find(self.variant, attempt, "start")
+            if found is not None and region == found.index % self.n_regions:
+                fault = found
+            if fault is None:
+                fault = b.faults.find_task(label, attempt, "start")
+        self.inflight.add(region)
+        plan = b.base_plan.with_eps(self.variant.eps)
+        fut, where, deadline = b.lanes.start_shard(
+            b, plan, region, self.variant.minpts, fault, label, lane
+        )
+        job = _Job(self, lane, deadline, region=region, stamp=attempt, label=label, where=where)
+        return fut, job
+
+    def settle(self, b: _Batch, job: _Job, payload) -> None:
+        piece, spans, w_start, w_dur = payload
+        if b.supervisor is not None:
+            b.supervisor.task_done(job.label, True)
+        if self.done:
+            return  # stale completion after a permanent failure
+        # Shard work is deterministic, so a piece from a superseded
+        # round is byte-identical — accept it.
+        self.pieces[job.region] = (piece, w_start)
+        if spans:
+            b.tracer.add_records(spans, thread=f"shard-{job.region}")
+        _task_span(b, w_start, w_dur, job.where, "shard", job.label, ())
+        if len(self.pieces) == self.n_regions:
+            _merge(b, self)
+
+    def charged(self, b: _Batch, job: _Job) -> tuple[list[Variant], int | None] | None:
+        """The variant, keyed on the region; ``None`` for a stale round."""
+        if self.done or job.stamp != b.attempts[self.variant]:
+            return None  # stale round: already accounted
+        return [self.variant], job.region
+
+    def drop(self, lost: list[Variant]) -> bool:
+        return bool(lost)
+
+    def rung_at(self, corrupt: bool, kernel: str) -> tuple[str, str]:
+        if corrupt and kernel == "cellgraph":
+            return "kernel", kernel
+        return "lowering", "shard"
+
+    def step_down(self, b: _Batch, step: LadderStep, budget: int) -> None:
+        # The variant re-runs as a unit in the parent, from scratch:
+        # shard pipelines compute from scratch, and a reused source
+        # could permute cluster ids.
+        self.done = True
+        b.units[b.units.index(self)] = _GroupUnit(
+            -1,
+            [self.variant],
+            [PlannedVariant(self.variant, force_scratch=True)],
+            set(),
+            budget,
+            rung="serial",
+            kernel="bfs" if step.axis == "kernel" else None,
+            merge_id=self.merge_id,
+            settles=self.shard_ids,
+            degraded=step.label,
+        )
 
 
 #: glibc ``mallopt`` parameter: the most malloc arenas a process may have.
@@ -480,42 +641,60 @@ def _one_malloc_arena() -> bool:
         return False
 
 
-class _Lane:
-    """One worker slot: a single-process pool a kill breaks in isolation."""
+def _resolved(fn, *args) -> Future:
+    """Run ``fn`` now and hand back its outcome as a finished future."""
+    fut: Future = Future()
+    try:
+        fut.set_result(fn(*args))
+    except Exception as exc:
+        fut.set_exception(exc)
+    return fut
 
-    def __init__(self) -> None:
-        _one_malloc_arena()
-        self.pool = ProcessPoolExecutor(max_workers=1)
 
-    def respawn(self, *, hung: bool = False) -> None:
-        if hung:  # wedged workers never join; kill them first
-            for proc in list(getattr(self.pool, "_processes", {}).values()):
-                proc.terminate()
-        self.pool.shutdown(wait=True, cancel_futures=True)
-        self.pool = ProcessPoolExecutor(max_workers=1)
+def _watchdog(deadline_s: float | None, n: int) -> float | None:
+    """When a job of ``n`` attempts counts as wedged (``time.monotonic()``)."""
+    return None if deadline_s is None else time.monotonic() + deadline_s * n + 30.0
 
-    def close(self) -> None:
-        self.pool.shutdown(wait=True, cancel_futures=True)
+
+def _unit_ctx(b: _Batch, unit: _GroupUnit) -> RunContext:
+    """The run context with ``unit``'s ladder kernel override, if any."""
+    if unit.kernel is None:
+        return b.ctx
+    return replace(b.ctx, spec=b.spec.override(kernel=unit.kernel))
 
 
 class _InlineLanes:
     """``T`` virtual lanes in the parent on the work-unit clock.
 
     Lanes carry free times in a min-heap, so ties break on lane id.  A
-    unit reads its :meth:`start` before it runs (the online reuse
+    unit reads its :meth:`ready_at` before it runs (the online reuse
     constraint is ``before = start``) and :meth:`occupy` books it once
     its price is known; a unit that fails books nothing, so its lane
-    frees at once.
+    frees at once.  A unit runs at submission, so the loop has one
+    dispatch slot, and keeps graph order strictly: a unit waiting out
+    its backoff holds the lane.
     """
 
-    def __init__(self, n: int) -> None:
+    in_order = True
+    t0 = 0.0  # task spans are stamped on the work-unit clock
+
+    def __init__(self, n: int, variants: VariantSet) -> None:
+        self.n_slots = 1
         self.free = [(0.0, tid) for tid in range(n)]  # sorted: a heap
         self.finish_at: dict[str, float] = {}
+        self.passes = PassMemo(variants)  # the batch's cell-graph passes, one per eps
+
+    def group(self, b: _Batch, graph: TaskGraph) -> list[_GroupUnit]:
+        """One unit per variant task, run in the parent."""
+        return [
+            _GroupUnit(gid, [t.variant], [t.planned], set(t.deps), b.budget, rung="serial")
+            for gid, t in enumerate(graph.variant_tasks())
+        ]
 
     def next_name(self) -> str:
         return f"sim-{self.free[0][1]}"
 
-    def start(self, deps) -> float:
+    def ready_at(self, deps) -> float:
         done = [self.finish_at[d] for d in deps if d in self.finish_at]
         return max([self.free[0][0], *done])
 
@@ -526,15 +705,256 @@ class _InlineLanes:
         self.finish_at[task_id] = finish
         return tid, finish
 
+    def start_unit(self, b: _Batch, unit: _GroupUnit, lane: int, todo, donors):
+        """Run one unit attempt now, as one task priced by the cost model."""
+        where = self.next_name()
+        return _resolved(self._run_unit, b, unit, todo), where, None
 
-def _resolved(fn, *args) -> Future:
-    """Run ``fn`` now and hand back its outcome as a finished future."""
-    fut: Future = Future()
-    try:
-        fut.set_result(fn(*args))
-    except Exception as exc:
-        fut.set_exception(exc)
-    return fut
+    def _run_unit(self, b: _Batch, unit: _GroupUnit, todo):
+        # Starts when its lane and hard deps free up, against the
+        # batch's registry with ``before = start``.
+        start = self.ready_at(unit.deps)
+        task_id = unit.merge_id or variant_task_id(unit.variants[0])
+
+        def done(result, record) -> float:
+            tid, finish = self.occupy(task_id, start, record.response_time)
+            record.start, record.finish, record.thread_id = start, finish, tid
+            return finish
+
+        pairs, failed = run_chain(
+            _unit_ctx(b, unit), b.variants, todo, b.registry, done,
+            faults=b.faults, policy=b.policy,
+            concurrency=b.spec.n_threads, before=start, passes=self.passes,
+        )
+        return pairs, failed, None
+
+    def start_shard(self, b: _Batch, plan, region, minpts, fault, label, lane):
+        where = self.next_name()
+        return _resolved(self._shard, b, plan, region, minpts, fault, label), where, None
+
+    def _shard(self, b: _Batch, plan, region, minpts, fault, label):
+        start = self.ready_at(())
+        piece = _cluster_region(
+            b.ctx.points, plan, region, minpts, b.spec.kernel,
+            fault, b.deadline, time.perf_counter(), b.tracer,
+        )
+        dur = b.spec.cost_model.duration(piece.counters, b.spec.n_threads)
+        self.occupy(label, start, dur)
+        return piece, None, start, dur
+
+    def stamp_merge(self, b: _Batch, pipe: _ShardPipeline, merge_t0: float, delta):
+        """A merge's ``(start, finish, duration, lane, thread name)``."""
+        start = self.ready_at(pipe.shard_ids)
+        where = self.next_name()
+        dur = b.spec.cost_model.duration(delta, b.spec.n_threads)
+        tid, finish = self.occupy(pipe.merge_id, start, dur)
+        return start, finish, dur, tid, where
+
+    def open(self, b: _Batch) -> None:
+        """Nothing to acquire: every unit runs in the parent."""
+
+    def respawn(self, lane: int, hung: bool) -> None:
+        """A lost inline attempt leaves no worker behind."""
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+class _ProcessLanes:
+    """One single-process pool per dispatch slot, on the wall clock.
+
+    A kill breaks exactly one lane's pool, and only that pool is
+    replaced.  A variant unit is a reuse chain run by
+    :func:`_chain_worker`, or, on the ladder's serial rung, by
+    :func:`_run_unit` in the parent; a shard task is one region run by
+    :func:`_shard_worker`.  Records and task spans are stamped in
+    seconds since :attr:`t0`.
+    """
+
+    in_order = False
+
+    def __init__(self) -> None:
+        self.n_slots = 1
+        self.t0 = 0.0
+        self.indexes: list[tuple[str, dict]] = []  # factory (kind, params) to pack
+        self.store_handle: PointStoreHandle | None = None
+        self.idx_shm: SharedMemory | None = None
+        self.idx_handle: IndexPackHandle | None = None
+        self.pools: list[ProcessPoolExecutor] = []
+        self.supervisor: Supervisor | None = None
+        self.mailbox: HeartbeatMailbox | None = None
+
+    def group(self, b: _Batch, graph: TaskGraph) -> list[_GroupUnit]:
+        """Reuse-chain units, one slot each (or one per lane when sharding)."""
+        sharded = {t.variant for t in graph.merge_tasks()}
+        tasks = graph.variant_tasks()
+        groups: list[_GroupUnit] = []
+        if tasks:
+            # Group the plain variants along the *global* reuse forest
+            # (so a sharded root's subtree stays one chain), then drop
+            # the sharded variants — their results arrive as donors.
+            all_vs = [t.variant for t in tasks] + list(sharded)
+            for chain in partition_reuse_chains(VariantSet(all_vs), b.spec.n_threads):
+                kept = [v for v in chain if v not in sharded]
+                if kept:
+                    deps = set().union(*(b.task_of[v].deps for v in kept))
+                    groups.append(
+                        _GroupUnit(
+                            len(groups), kept, [PlannedVariant(v) for v in kept],
+                            deps, b.budget,
+                        )
+                    )
+        # The chain workers read the (T_high, T_low) pair under bfs, one
+        # grid per eps of the groups' variants under cellgraph.
+        if groups and b.spec.kernel == "bfs":
+            self.indexes = pair_params(b.spec.effective_reuse.low_res_r)
+        else:
+            eps = sorted({v.eps for g in groups for v in g.variants})
+            self.indexes = [("cellgraph", {"eps": e}) for e in eps]
+        n = len(groups) if graph.mode == "variant" else b.spec.n_threads
+        self.n_slots = max(1, n)
+        return groups
+
+    def open(self, b: _Batch) -> None:
+        """Share the store, pack the indexes, start the lanes and the mailbox."""
+        tracer = b.tracer
+        self.store_handle = b.ctx.store.ensure_shared(tracer=tracer)
+        self.t0 = time.perf_counter()
+        if self.indexes:
+            self.idx_shm, self.idx_handle = share_indexes(
+                b.ctx.factory if b.ctx.factory is not None else IndexFactory(),
+                b.ctx.store,
+                self.indexes,
+                tracer=tracer,
+            )
+        _one_malloc_arena()
+        self.pools.extend(ProcessPoolExecutor(max_workers=1) for _ in range(self.n_slots))
+        if b.supervisor is not None:
+            self.supervisor = b.supervisor
+            self.mailbox = b.supervisor.open_mailbox(self.n_slots)
+
+    def _pulse(self, lane: int) -> PulseHandle | None:
+        return self.mailbox.handle(lane) if self.mailbox is not None else None
+
+    def start_unit(self, b: _Batch, unit: _GroupUnit, lane: int, todo, donors):
+        if unit.rung == "serial":
+            fut = _resolved(
+                _run_unit, _unit_ctx(b, unit), unit.variants, todo, donors,
+                self.t0, -1, b.faults, b.policy,
+            )
+            return fut, "parent", None
+        fut = self.pools[lane].submit(
+            _chain_worker,
+            self.store_handle,
+            self.idx_handle,
+            [v.as_tuple() for v in unit.variants],
+            todo,
+            [(v.as_tuple(), r) for v, r in donors],
+            b.spec.kernel,
+            b.spec.reuse,
+            b.spec.cost_model,
+            self.t0,
+            b.tracer.enabled,
+            b.policy,
+            b.faults,
+            self._pulse(lane),
+            unit.gid,
+        )
+        return fut, f"lane-{lane}", _watchdog(b.deadline, len(todo))
+
+    def start_shard(self, b: _Batch, plan, region, minpts, fault, label, lane):
+        fut = self.pools[lane].submit(
+            _shard_worker,
+            self.store_handle,
+            plan,
+            region,
+            minpts,
+            b.spec.kernel,
+            self.t0,
+            b.tracer.enabled,
+            fault,
+            b.deadline,
+            self._pulse(lane),
+            label,
+        )
+        return fut, f"lane-{lane}", _watchdog(b.deadline, 1)
+
+    def stamp_merge(self, b: _Batch, pipe: _ShardPipeline, merge_t0: float, delta):
+        start = merge_t0 - self.t0
+        finish = time.perf_counter() - self.t0
+        return start, finish, finish - start, 0, "parent"
+
+    def respawn(self, lane: int, hung: bool) -> None:
+        pool = self.pools[lane]
+        if hung:  # wedged workers never join; kill them first
+            for proc in list(getattr(pool, "_processes", {}).values()):
+                proc.terminate()
+        pool.shutdown(wait=True, cancel_futures=True)
+        self.pools[lane] = ProcessPoolExecutor(max_workers=1)
+
+    def close(self) -> None:
+        for pool in self.pools:
+            pool.shutdown(wait=True, cancel_futures=True)
+        if self.supervisor is not None and self.mailbox is not None:
+            self.supervisor.close_mailbox()
+        if self.idx_shm is not None:
+            # The pack exists only for this batch; remove it even when a
+            # worker raised.  (The point segment belongs to the store's
+            # owner — the session.)  destroy also drops the segment from
+            # the owned-set audit, so later leak gates (Session.close,
+            # CI doctor) stay clean.
+            release_segment(self.idx_shm)
+            destroy_segment(self.idx_shm)
+
+
+# --------------------------------------------------------------------------
+# the batch state and its handlers
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class _Batch:
+    """The per-run state of one dispatch: plain data the handlers share.
+
+    ``lanes`` stays ``None`` until the runtime picks a lane set; the
+    failure handlers never read it.
+    """
+
+    ctx: RunContext
+    variants: VariantSet
+    policy: RetryPolicy | None = None
+    faults: BoundFaultPlan | None = None
+    supervisor: Supervisor | None = None
+    base_plan: ShardPlan | None = None
+    lanes: _InlineLanes | _ProcessLanes | None = None
+    n_tasks: int = 1  # graph size: remediation blast radii are fractions of it
+    registry: CompletedRegistry = field(default_factory=CompletedRegistry)
+    results: dict[Variant, ClusteringResult] = field(default_factory=dict)
+    records: list[VariantRunRecord] = field(default_factory=list)
+    outcomes: dict[Variant, VariantOutcome] = field(default_factory=dict)
+    units: list[_GroupUnit | _ShardPipeline] = field(default_factory=list)
+    task_of: dict[Variant, VariantTask] = field(default_factory=dict)
+    merge_variant: dict[str, Variant] = field(default_factory=dict)
+    inflight: dict[Future, _Job] = field(default_factory=dict)
+    free_lanes: list[int] = field(default_factory=list)
+    resolved: set[str] = field(default_factory=set)
+    failed_ids: set[str] = field(default_factory=set)
+    replan_noted: set[tuple[int, str]] = field(default_factory=set)
+    task_spans: list[SpanRecord] = field(default_factory=list)
+    last_error: dict[Variant, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.spec, self.tracer = self.ctx.spec, self.ctx.tracer
+        policy = self.policy
+        self.max_attempts = policy.max_attempts if policy is not None else 1
+        self.deadline = policy.deadline_s if policy is not None else None
+        # A variant's budget counts the plan's kill faults too, so
+        # collateral deaths never exhaust an innocent variant.
+        kills = sum(s.kind == "kill" for s in self.faults.table.values()) if self.faults else 0
+        self.budget = self.max_attempts + kills
+        self.attempts = dict.fromkeys(self.variants, 0)
+        # Canonical batch index: the backoff jitter key of a variant.
+        self.index_of = {v: i for i, v in enumerate(self.variants)}
 
 
 def _settle(
@@ -551,16 +971,347 @@ def _settle(
     )
 
 
-def _lane_indexes(spec: RunSpec, groups: list[_GroupUnit]) -> list[tuple[str, dict]]:
-    """The factory ``(kind, params)`` of every index the chain workers read.
+def _task_span(b: _Batch, start, dur, where, kind, task_id, deps, **extra) -> None:
+    """Keep one ``task`` span (when tracing), on the lane set's clock."""
+    if b.tracer.enabled:
+        args = {"kind": kind, "id": task_id, "deps": list(deps), **extra}
+        b.task_spans.append(SpanRecord(SPAN_TASK, start, dur, where, args))
 
-    ``bfs`` reads the ``(T_high, T_low)`` pair; ``cellgraph`` one grid
-    per eps of the groups' variants, and no R-tree.
+
+def _complete(
+    b: _Batch,
+    variant: Variant,
+    result: ClusteringResult,
+    record: VariantRunRecord,
+    degraded: str | None = None,
+) -> None:
+    """A variant finished: keep it, checkpoint it, write its outcome."""
+    b.results[variant] = result
+    b.records.append(record)
+    if b.ctx.checkpoint is not None:
+        b.ctx.checkpoint.save(result)
+    _settle(
+        b.outcomes,
+        variant,
+        VariantStatus.RETRIED if b.attempts[variant] else VariantStatus.OK,
+        b.attempts[variant] + 1,
+        b.last_error.get(variant),
+        degraded,
+    )
+
+
+def _close(b: _Batch, unit: _GroupUnit | _ShardPipeline, ok: bool, detail: str) -> None:
+    """Mark ``unit`` settled and resolve its pending verifications."""
+    unit.done = True
+    if unit.merge_id is not None:
+        (b.resolved if ok else b.failed_ids).add(unit.merge_id)
+    if b.supervisor is not None:
+        for label in (unit.label, *unit.settles):
+            b.supervisor.task_done(label, ok, detail)
+
+
+def _degrade(b: _Batch, unit: _GroupUnit | _ShardPipeline, n: int, corrupt: bool) -> bool:
+    """Step an exhausted unit down the ladder; False when none applies."""
+    assert b.supervisor is not None
+    axis, rung = unit.rung_at(corrupt, b.spec.kernel)
+    _, step = b.supervisor.on_exhausted(
+        unit.label,
+        submissions=n,
+        budget=unit.budget,
+        blast_radius=unit.radius(b.n_tasks),
+        breaker_key=unit.label,
+        axis=axis,
+        rung=rung,
+    )
+    if step is None:
+        return False
+    unit.step_down(b, step, n + b.max_attempts)
+    return True
+
+
+def _fail(
+    b: _Batch,
+    unit: _GroupUnit | _ShardPipeline,
+    charged: list[Variant],
+    error: BaseException | str,
+    label: str,
+    *,
+    key: int | None = None,
+    corrupt: bool = False,
+) -> None:
+    """The one failure path: every lost attempt of the batch lands here.
+
+    Charges one attempt to each variant of ``charged``, then retries
+    the unit after a backoff (keyed on ``key``, default the first
+    charged variant's canonical index), or — once a variant's budget is
+    spent or the supervisor's risk gate rejects the retry — steps the
+    unit down the ladder or drops the exhausted variants permanently.
+    ``corrupt`` marks a damaged merge, which the gate judges as such
+    from the first failure on.
     """
-    if spec.kernel == "bfs":
-        return pair_params(spec.effective_reuse.low_res_r)
-    eps = sorted({v.eps for g in groups for v in g.variants})
-    return [("cellgraph", {"eps": e}) for e in eps]
+    assert b.policy is not None
+    err = error if isinstance(error, str) else f"{type(error).__name__}: {error}"
+    for v in charged:
+        b.attempts[v] += 1
+        b.last_error[v] = err
+    n = max(b.attempts[v] for v in charged)
+    b.tracer.instant(
+        EVENT_TIMEOUT if isinstance(error, VariantTimeoutError) else EVENT_RETRY,
+        variant=str(charged[0]),
+        attempt=n - 1,
+        error=err,
+    )
+    lost = [v for v in charged if b.attempts[v] >= unit.budget]
+    sup = b.supervisor
+    if sup is not None and not lost and (corrupt or n >= 2):
+        # Crash loops and corrupt merges are supervised decisions: the
+        # risk gate must admit the retry.
+        if corrupt:
+            rec = sup.on_corruption(label, err, blast_radius=unit.radius(b.n_tasks))
+        else:
+            rec = sup.on_crash(
+                label,
+                submissions=n,
+                budget=unit.budget,
+                blast_radius=len(charged) / b.n_tasks,
+            )
+        if rec.decision != "applied":
+            lost = list(charged)
+    if lost and sup is not None and _degrade(b, unit, n, corrupt):
+        return
+    for v in lost:
+        _settle(b.outcomes, v, VariantStatus.FAILED, b.attempts[v], err)
+        b.tracer.instant(EVENT_FAILED, variant=str(v), attempts=b.attempts[v], error=err)
+    if unit.drop(lost):
+        _close(b, unit, False, err)
+        return
+    unit.ready_after = time.monotonic() + b.policy.backoff_s(
+        n - 1, key=b.index_of[charged[0]] if key is None else key
+    )
+
+
+def _merge(b: _Batch, pipe: _ShardPipeline) -> None:
+    """Merge a pipeline's pieces in the parent; a damaged merge re-runs every region."""
+    assert b.lanes is not None and b.base_plan is not None
+    variant = pipe.variant
+    plan = b.base_plan.with_eps(variant.eps)
+    merge_t0 = time.perf_counter()
+    merge_delta = WorkCounters()
+    ordered = [pipe.pieces[r][0] for r in range(pipe.n_regions)]
+    labels, core_mask = merge_shards(
+        b.ctx.points, plan, ordered, counters=merge_delta, tracer=b.tracer
+    )
+    merged = WorkCounters()
+    for piece, _ in pipe.pieces.values():
+        merged.merge(piece.counters)
+    merged.merge(merge_delta)
+    result = ClusteringResult(
+        labels,
+        core_mask,
+        variant=variant,
+        counters=merged,
+        elapsed=time.perf_counter() - pipe.started_at,
+    )
+    attempt = b.attempts[variant]
+    faults = b.faults
+    try:
+        finish_attempt(
+            result,
+            (
+                faults.find(variant, attempt, "finish")
+                or faults.find_task(pipe.merge_id, attempt, "finish")
+            )
+            if faults
+            else None,
+            b.policy,
+            b.ctx.store.n_points,
+            pipe.started_at,
+        )
+    except Exception as exc:
+        if b.policy is None:
+            raise
+        # A damaged merged result re-runs the whole variant, unlike a
+        # worker death, which resubmits its own region.
+        pipe.pieces = {}
+        corrupt = isinstance(exc, CorruptResultError)
+        _fail(b, pipe, [variant], exc, pipe.merge_id, corrupt=corrupt)
+        return
+    m_start, finish, dur, tid, where = b.lanes.stamp_merge(b, pipe, merge_t0, merge_delta)
+    start = min((w for _, w in pipe.pieces.values()), default=finish)
+    record = VariantRunRecord(
+        variant=variant,
+        response_time=finish - start,
+        wall_time=result.elapsed,
+        start=start,
+        finish=finish,
+        thread_id=tid,
+        n_clusters=result.n_clusters,
+        n_noise=result.n_noise,
+        counters=merged,
+    )
+    b.registry.add(variant, result, finished_at=finish)
+    _complete(b, variant, result, record)
+    _close(b, pipe, True, "merge verified")
+    _task_span(b, m_start, dur, where, "merge", pipe.merge_id, pipe.shard_ids)
+
+
+def _plan_units(b: _Batch, graph: TaskGraph) -> None:
+    """Fill ``b``'s units (each where its first task is in graph order) and lanes."""
+    assert b.lanes is not None
+    b.task_of = {t.variant: t for t in graph.variant_tasks()}
+    groups = b.lanes.group(b, graph)
+    pipelines = {
+        mt.variant: _ShardPipeline(
+            mt.variant, mt.n_regions, mt.task_id, tuple(mt.deps), b.budget
+        )
+        for mt in graph.merge_tasks()
+    }
+    b.merge_variant = {p.merge_id: p.variant for p in pipelines.values()}
+    # Groups hold the variant tasks, pipelines the sharded variants, so
+    # every task's variant names exactly one unit.
+    unit_of = {v: g for g in groups for v in g.variants} | pipelines
+    first = {id(u): u for u in (unit_of.get(t.variant) for t in graph.tasks) if u is not None}
+    b.units = list(first.values())
+    b.free_lanes = list(range(b.lanes.n_slots))
+
+
+def _next_dispatch(b: _Batch, now: float):
+    """The first dispatchable unit in graph order, its region, and the next wake-up."""
+    assert b.lanes is not None
+    ready = b.resolved | b.failed_ids
+    wake = None
+    for unit in b.units:
+        if unit.done:
+            continue
+        region = unit.dispatchable(ready)
+        if region is None:
+            continue
+        if unit.ready_after > now:
+            wake = unit.ready_after if wake is None else min(wake, unit.ready_after)
+            if b.lanes.in_order:
+                break
+            continue
+        return unit, region, wake
+    return None, -1, wake
+
+
+def _submit(b: _Batch, unit: _GroupUnit | _ShardPipeline, region: int, lane: int) -> None:
+    """Start ``unit`` (or its ``region``) on ``lane`` and put it in flight."""
+    fut, job = unit.start(b, region, lane)
+    if b.supervisor is not None:
+        b.supervisor.job_started(lane, job.label, deadline_s=b.deadline)
+    b.inflight[fut] = job
+
+
+def _on_done(b: _Batch, job: _Job, payload) -> None:
+    """A job returned: free its lane, and its unit settles what it ran."""
+    _release(b, job)
+    job.unit.settle(b, job, payload)
+
+
+def _on_lost(b: _Batch, job: _Job, error: str) -> None:
+    """A job raised, outlived its watchdog, or was remediated as stuck."""
+    found = job.unit.charged(b, job)
+    if found is not None:
+        charged, key = found
+        _fail(b, job.unit, charged, f"{job.unit.kind} {error}", job.label, key=key)
+
+
+def _release(b: _Batch, job: _Job, *, respawn: bool = False, hung: bool = False) -> None:
+    """Take ``job`` out of flight and hand its lane back (``respawn``: a lost worker's)."""
+    assert b.lanes is not None
+    if respawn:
+        b.lanes.respawn(job.lane, hung)
+    b.free_lanes.append(job.lane)
+    if b.supervisor is not None:
+        b.supervisor.job_finished(job.lane)
+    job.unit.inflight.discard(job.region)
+
+
+def _dispatch(b: _Batch) -> None:
+    """Dependency-aware dispatch of ``b``'s units onto its lane set.
+
+    Units dispatch in graph order once their hard deps are settled and
+    their backoff has ended.  Shard pipelines keep completed regions'
+    pieces.  Each variant carries its own attempt count, shipped with
+    every submission so fault-plan lookups key on it.  With a
+    :class:`Supervisor` attached, the loop also respawns lanes whose
+    heartbeat went stale (process lanes only), and every decision is
+    traced and lands in ``BatchReport.remediations``.
+    """
+    assert b.lanes is not None
+    try:
+        b.lanes.open(b)
+        while True:
+            wake = None
+            while b.free_lanes:
+                unit, region, wake = _next_dispatch(b, time.monotonic())
+                if unit is None:
+                    break
+                _submit(b, unit, region, b.free_lanes.pop())
+            now = time.monotonic()
+            if not b.inflight:
+                if wake is None:
+                    break
+                # Nothing runs until a backoff ends: wait it out.
+                time.sleep(max(0.0, wake - now))
+                continue
+            waits = [j.deadline - now for j in b.inflight.values() if j.deadline is not None]
+            if wake is not None:
+                waits.append(wake - now)
+            if b.supervisor is not None:
+                waits.append(b.supervisor.policy.poll_interval_s)
+            timeout = max(0.0, min(waits)) if waits else None
+            done_futs, _ = wait(b.inflight, timeout=timeout, return_when=FIRST_COMPLETED)
+            if b.supervisor is not None:
+                # Applied stuck-task remediations: kill the stale lane
+                # and route the job through the failure path.
+                for rec in b.supervisor.poll():
+                    target = rec.anomaly.subject
+                    match = next(
+                        (
+                            f
+                            for f, j in b.inflight.items()
+                            if j.label == target and f not in done_futs
+                        ),
+                        None,
+                    )
+                    if match is None:
+                        continue
+                    job = b.inflight.pop(match)
+                    _release(b, job, respawn=True, hung=True)
+                    _on_lost(b, job, "stuck: heartbeat stale")
+            if not done_futs:
+                # Watchdog: a truly wedged worker never joins; stop
+                # waiting, kill its lane, and account the failure.
+                now = time.monotonic()
+                for fut in list(b.inflight):
+                    job = b.inflight[fut]
+                    if job.deadline is not None and now >= job.deadline:
+                        del b.inflight[fut]
+                        _release(b, job, respawn=True, hung=True)
+                        _on_lost(b, job, "worker exceeded the deadline budget")
+                continue
+            for fut in done_futs:
+                job = b.inflight.pop(fut, None)
+                if job is None:
+                    continue  # remediated as stuck in this round
+                try:
+                    payload = fut.result()
+                except Exception as exc:
+                    if b.policy is None:
+                        raise  # no resilience configured: propagate
+                    _release(b, job, respawn=True)
+                    _on_lost(b, job, f"worker died: {type(exc).__name__}: {exc}")
+                    continue
+                _on_done(b, job, payload)
+    finally:
+        b.lanes.close()
+    if b.tracer.enabled and b.task_spans:
+        # Task spans are stamped on the batch's clock: the work-unit
+        # clock inline, else seconds since t0, which this offset puts
+        # on the tracer's own clock beside every other span.
+        b.tracer.add_records(b.task_spans, offset=b.lanes.t0)
 
 
 class GraphRuntime:
@@ -580,7 +1331,6 @@ class GraphRuntime:
             )
         self.substrate = substrate
 
-    # -- entry point -----------------------------------------------------
     def run(
         self, ctx: RunContext, variants: VariantSet, *, mode: str = "variant"
     ) -> BatchResult:
@@ -595,10 +1345,7 @@ class GraphRuntime:
             # Faults or a checkpoint without a policy: capture failures
             # into the report (no retries) instead of aborting the batch.
             policy = RetryPolicy(max_retries=0)
-        outcomes: dict[Variant, VariantOutcome] = {}
-        registry = CompletedRegistry()
-        results: dict[Variant, ClusteringResult] = {}
-        records: list[VariantRunRecord] = []
+        b = _Batch(ctx, variants, policy=policy, faults=faults)
         if ctx.checkpoint is not None:
             # A loaded result is genuine for this database fingerprint,
             # so it is registered at t = 0 as a legal donor.
@@ -606,9 +1353,9 @@ class GraphRuntime:
                 result = ctx.checkpoint.load(variant)
                 if result is None:
                     continue
-                registry.add(variant, result, finished_at=0.0)
-                results[variant] = result
-                records.append(
+                b.registry.add(variant, result, finished_at=0.0)
+                b.results[variant] = result
+                b.records.append(
                     VariantRunRecord(
                         variant=variant,
                         reused_from=result.reused_from,
@@ -620,11 +1367,16 @@ class GraphRuntime:
                         n_noise=result.n_noise,
                     )
                 )
-                _settle(outcomes, variant, VariantStatus.RESUMED, 0)
+                _settle(b.outcomes, variant, VariantStatus.RESUMED, 0)
                 tracer.instant(EVENT_RESUMED, variant=str(variant))
         plan = [
-            p for p in spec.effective_reuse.scheduler.plan(variants) if p.variant not in results
+            p for p in spec.effective_reuse.scheduler.plan(variants) if p.variant not in b.results
         ]
+        if mode == "hybrid" and spec.shard_threshold is None and spec.kernel == "cellgraph":
+            # Variant-first hybrid never pays under the cell-graph kernel:
+            # a slab builds its own grid where the whole variant reuses
+            # the session's one, so a lone big root runs whole.
+            mode = "variant"
         n_regions = 1
         if mode == "hybrid" and ctx.store.n_points:
             # plan_shards plans an empty database as one region, so the
@@ -639,774 +1391,35 @@ class GraphRuntime:
             shard_threshold=spec.shard_threshold,
             n_lanes=spec.n_threads,
         )
-        base_plan: ShardPlan | None = None
         if graph.merge_tasks():
             # Cut geometry is eps-independent; plan once, re-halo per
             # variant with ShardPlan.with_eps.
-            base_plan = plan_shards(ctx.points, plan[0].variant.eps, n_regions)
+            b.base_plan = plan_shards(ctx.points, plan[0].variant.eps, n_regions)
             tracer.instant(
                 EVENT_SHARD_PLAN,
-                regions=base_plan.n_regions,
-                axis=base_plan.axis,
+                regions=b.base_plan.n_regions,
+                axis=b.base_plan.axis,
                 n=ctx.store.n_points,
             )
-        supervisor = None
+        b.n_tasks = max(len(graph), 1)
         if spec.supervise is not None:
-            supervisor = Supervisor(
-                spec.supervise, tracer=tracer, n_tasks=max(len(graph), 1)
-            )
+            b.supervisor = Supervisor(spec.supervise, tracer=tracer, n_tasks=b.n_tasks)
         if len(graph):
-            self._dispatch(
-                ctx, variants, graph, base_plan, registry, results, records,
-                policy=policy, faults=faults, outcomes=outcomes,
-                supervisor=supervisor,
-            )
-        makespan = max((r.finish for r in records), default=0.0)
+            sim = self.substrate == "sim"
+            b.lanes = _InlineLanes(spec.n_threads, variants) if sim else _ProcessLanes()
+            _plan_units(b, graph)
+            _dispatch(b)
+        makespan = max((r.finish for r in b.records), default=0.0)
         batch_record = BatchRunRecord(
-            records=records, n_threads=spec.n_threads, makespan=makespan
+            records=b.records, n_threads=spec.n_threads, makespan=makespan
         )
         report = None
         if policy is not None:  # else errors propagated: no report
-            report = BatchReport(outcomes=outcomes)
+            report = BatchReport(outcomes=b.outcomes)
             classify_replans(report, variants)
-        if supervisor is not None:
+        if b.supervisor is not None:
             # Dangling verifications fail, orphaned segments are reclaimed.
-            supervisor.finalize()
+            b.supervisor.finalize()
             if report is not None:
-                report.remediations.extend(supervisor.records)
-        return BatchResult(results=results, record=batch_record, report=report)
-
-    # -- the dispatch loop -------------------------------------------------
-    def _dispatch(
-        self,
-        ctx: RunContext,
-        variants: VariantSet,
-        graph: TaskGraph,
-        base_plan: ShardPlan | None,
-        registry: CompletedRegistry,
-        results: dict,
-        records: list,
-        *,
-        policy: RetryPolicy | None,
-        faults: BoundFaultPlan | None,
-        outcomes: dict,
-        supervisor: Supervisor | None = None,
-    ) -> None:
-        """Dependency-aware dispatch of variant units and shards.
-
-        Units dispatch in graph order once their hard deps are settled
-        and their backoff has ended; inline lanes keep graph order
-        strictly, so a unit waiting out its backoff holds the lane.  On
-        process lanes a variant unit is a reuse-chain group run by a
-        :func:`_chain_worker`; on inline lanes it is one variant task
-        run against the parent's registry with ``before = start``, at
-        submission, so one unit is in flight at a time.  A unit on the
-        ladder's serial rung runs inline too, in the parent, on the
-        wall clock.  Shard pipelines keep completed regions' pieces;
-        a failed merge re-runs every region.
-
-        Each variant carries its own attempt count, shipped with every
-        submission so fault-plan lookups key on it.  Its budget is
-        ``max_attempts`` plus the plan's ``kill`` faults, so collateral
-        deaths never exhaust an innocent variant.  ``fail`` is the one
-        failure handler (see the module docstring); with a
-        :class:`Supervisor` attached it also gates crash loops and
-        corrupt merges, steps exhausted units down the ladder, and —
-        on process lanes — respawns lanes whose heartbeat went stale.
-        Every decision is traced and lands in
-        ``BatchReport.remediations``.
-        """
-        tracer, spec = ctx.tracer, ctx.spec
-        max_attempts = policy.max_attempts if policy is not None else 1
-        kills = sum(s.kind == "kill" for s in faults.table.values()) if faults else 0
-        budget = max_attempts + kills
-        deadline = policy.deadline_s if policy is not None else None
-        inline = _InlineLanes(spec.n_threads) if self.substrate == "sim" else None
-        # Failed attempts per variant, and the last error of each.
-        attempts = dict.fromkeys(variants, 0)
-        last_error: dict[Variant, str] = {}
-        # Canonical batch index: the backoff jitter key of a variant.
-        index_of = {v: i for i, v in enumerate(variants)}
-        # The batch's cell-graph passes, one per eps (inline lanes).
-        passes = PassMemo(variants)
-
-        variant_tasks = graph.variant_tasks()
-        merge_tasks = graph.merge_tasks()
-        sharded_set = {t.variant for t in merge_tasks}
-        task_of = {t.variant: t for t in variant_tasks}
-
-        groups: list[_GroupUnit] = []
-        if inline is not None:
-            for t in variant_tasks:
-                groups.append(
-                    _GroupUnit(
-                        len(groups), [t.variant], [t.planned], set(t.deps),
-                        budget, rung="serial",
-                    )
-                )
-        elif variant_tasks:
-            # Group the plain variants along the *global* reuse forest
-            # (so a sharded root's subtree stays one chain), then drop
-            # the sharded variants — their results arrive as donors.
-            all_vs = [t.variant for t in variant_tasks] + list(sharded_set)
-            raw = partition_reuse_chains(VariantSet(all_vs), spec.n_threads)
-            for chain in raw:
-                kept = [v for v in chain if v not in sharded_set]
-                if not kept:
-                    continue
-                deps: set[str] = set()
-                for v in kept:
-                    deps.update(task_of[v].deps)
-                groups.append(
-                    _GroupUnit(
-                        len(groups), kept, [PlannedVariant(v) for v in kept],
-                        deps, budget,
-                    )
-                )
-
-        pipelines: dict[Variant, _ShardPipeline] = {}
-        for mt in merge_tasks:
-            pipelines[mt.variant] = _ShardPipeline(
-                variant=mt.variant,
-                n_regions=mt.n_regions,
-                merge_id=mt.task_id,
-                shard_ids=tuple(mt.deps),
-                budget=budget,
-            )
-        merge_variant = {p.merge_id: p.variant for p in pipelines.values()}
-
-        # Dispatch order: units appear where their first task does.
-        group_of = {v: g for g in groups for v in g.variants}
-        units: list[_GroupUnit | _ShardPipeline] = []
-        seen: set[int] = set()
-        for task in graph.tasks:
-            unit: _GroupUnit | _ShardPipeline | None
-            if isinstance(task, VariantTask):
-                unit = group_of.get(task.variant)
-            else:
-                unit = pipelines.get(task.variant)
-            if unit is not None and id(unit) not in seen:
-                seen.add(id(unit))
-                units.append(unit)
-
-        if inline is not None:
-            n_lanes = 1  # dispatch slots: inline units finish at submission
-        elif graph.mode == "variant":
-            n_lanes = max(1, len(groups))
-        else:
-            n_lanes = max(1, spec.n_threads)
-
-        store_handle = (
-            ctx.store.ensure_shared(tracer=tracer) if inline is None else None
-        )
-        t0 = time.perf_counter()
-        # The index pack, lane pools, and heartbeat mailbox are acquired
-        # inside the dispatch try (below) so the finally reaches them on
-        # every path; the submit closures capture these cells and only
-        # run after the assignments.
-        idx_shm = idx_handle = None
-        lanes: list[_Lane] = []
-        mailbox = None
-        n_graph_tasks = max(len(graph), 1)
-        free_lanes = list(range(n_lanes))
-        inflight: dict[Future, _Job] = {}
-        resolved: set[str] = set()
-        failed_ids: set[str] = set()
-        task_spans: list[SpanRecord] = []
-
-        def shard_label(pipe: _ShardPipeline, region: int) -> str:
-            return f"shard:{pipe.variant.eps:g}/{pipe.variant.minpts}#{region}"
-
-        def radius(unit: _GroupUnit | _ShardPipeline) -> float:
-            """The fraction of the batch a remediation of ``unit`` touches."""
-            if isinstance(unit, _ShardPipeline):
-                return (1 + unit.n_regions) / n_graph_tasks
-            return len(unit.todo) / n_graph_tasks
-
-        # -- completion and the one failure path ----------------------------
-        def complete(
-            variant: Variant,
-            result: ClusteringResult,
-            record: VariantRunRecord,
-            degraded: str | None = None,
-        ) -> None:
-            """A variant finished: keep it, checkpoint it, write its outcome."""
-            results[variant] = result
-            records.append(record)
-            if ctx.checkpoint is not None:
-                ctx.checkpoint.save(result)
-            _settle(
-                outcomes,
-                variant,
-                VariantStatus.RETRIED if attempts[variant] else VariantStatus.OK,
-                attempts[variant] + 1,
-                last_error.get(variant),
-                degraded,
-            )
-
-        def close(unit: _GroupUnit | _ShardPipeline, ok: bool, detail: str) -> None:
-            """Mark ``unit`` settled and resolve its pending verifications."""
-            unit.done = True
-            labels = [unit.label]
-            merge_id = unit.merge_id
-            if merge_id is not None:
-                (resolved if ok else failed_ids).add(merge_id)
-                if isinstance(unit, _GroupUnit):
-                    # Shard-level remediations of a lowered pipeline (a
-                    # stuck region that forced the lowering) settle with
-                    # the variant-level re-run.
-                    pipe = pipelines[unit.variants[0]]
-                    labels += [shard_label(pipe, r) for r in range(pipe.n_regions)]
-            if supervisor is not None:
-                for label in labels:
-                    supervisor.task_done(label, ok, detail)
-
-        def degrade(unit: _GroupUnit | _ShardPipeline, n: int, corrupt: bool) -> bool:
-            """Step an exhausted unit down the ladder; False when none applies."""
-            assert supervisor is not None
-            if isinstance(unit, _GroupUnit):
-                axis, rung = "substrate", unit.rung
-            elif corrupt and spec.kernel == "cellgraph":
-                axis, rung = "kernel", spec.kernel
-            else:
-                axis, rung = "lowering", "shard"
-            _, step = supervisor.on_exhausted(
-                unit.label,
-                submissions=n,
-                budget=unit.budget,
-                blast_radius=radius(unit),
-                breaker_key=unit.label,
-                axis=axis,
-                rung=rung,
-            )
-            if step is None:
-                return False
-            if isinstance(unit, _GroupUnit):
-                unit.rung, unit.degraded = step.target, step.label
-                unit.budget = n + max_attempts
-                return True
-            # The pipeline's variant re-runs as a unit on an inline lane,
-            # from scratch: shard pipelines compute from scratch, and a
-            # reused source could permute cluster ids.
-            unit.done = True
-            units[units.index(unit)] = _GroupUnit(
-                -1,
-                [unit.variant],
-                [PlannedVariant(unit.variant, force_scratch=True)],
-                set(),
-                n + max_attempts,
-                rung="serial",
-                kernel="bfs" if axis == "kernel" else None,
-                merge_id=unit.merge_id,
-                degraded=step.label,
-            )
-            return True
-
-        def fail(
-            unit: _GroupUnit | _ShardPipeline,
-            charged: list[Variant],
-            error: BaseException | str,
-            label: str,
-            *,
-            key: int | None = None,
-        ) -> None:
-            """The one failure path: every lost attempt of the batch lands here.
-
-            Charges one attempt to each variant of ``charged``, then
-            retries the unit after a backoff (keyed on ``key``, default
-            the first charged variant's canonical index), or — once a
-            variant's budget is spent or the supervisor's risk gate
-            rejects the retry — steps the unit down the ladder or drops
-            the exhausted variants permanently.
-            """
-            assert policy is not None
-            err = error if isinstance(error, str) else f"{type(error).__name__}: {error}"
-            for v in charged:
-                attempts[v] += 1
-                last_error[v] = err
-            n = max(attempts[v] for v in charged)
-            tracer.instant(
-                EVENT_TIMEOUT
-                if isinstance(error, VariantTimeoutError)
-                else EVENT_RETRY,
-                variant=str(charged[0]),
-                attempt=n - 1,
-                error=err,
-            )
-            corrupt = isinstance(unit, _ShardPipeline) and isinstance(
-                error, CorruptResultError
-            )
-            lost = [v for v in charged if attempts[v] >= unit.budget]
-            if supervisor is not None and not lost and (corrupt or n >= 2):
-                # Crash loops and corrupt merges are supervised
-                # decisions: the risk gate must admit the retry.
-                if corrupt:
-                    rec = supervisor.on_corruption(
-                        label, err, blast_radius=radius(unit)
-                    )
-                else:
-                    rec = supervisor.on_crash(
-                        label,
-                        submissions=n,
-                        budget=unit.budget,
-                        blast_radius=len(charged) / n_graph_tasks,
-                    )
-                if rec.decision != "applied":
-                    lost = list(charged)
-            if lost and supervisor is not None and degrade(unit, n, corrupt):
-                return
-            for v in lost:
-                _settle(outcomes, v, VariantStatus.FAILED, attempts[v], err)
-                tracer.instant(
-                    EVENT_FAILED, variant=str(v), attempts=attempts[v], error=err
-                )
-            if isinstance(unit, _GroupUnit):
-                unit.todo = [p for p in unit.todo if p.variant not in lost]
-                if not unit.todo:
-                    close(unit, False, err)
-                    return
-            elif lost:
-                close(unit, False, err)
-                return
-            unit.ready_after = time.monotonic() + policy.backoff_s(
-                n - 1, key=index_of[charged[0]] if key is None else key
-            )
-
-        # -- running units ---------------------------------------------------
-        def run_inline(unit: _GroupUnit, todo, donors):
-            """A unit attempt on an inline lane, in the parent."""
-            pairs: list[tuple[ClusteringResult, VariantRunRecord]] = []
-            if inline is not None:
-                # One task on the work-unit clock, priced by the cost
-                # model and started when its lane and hard deps free up.
-                start = inline.start(unit.deps)
-                task_id = unit.merge_id or variant_task_id(unit.variants[0])
-                reg, vset, memo, before = registry, variants, passes, start
-
-                def done(result, record) -> float:
-                    tid, finish = inline.occupy(task_id, start, record.response_time)
-                    record.start, record.finish, record.thread_id = start, finish, tid
-                    pairs.append((result, record))
-                    return finish
-
-            else:
-                # The serial rung of a process-lane batch: the wall
-                # clock, and exactly the donors a chain worker seeds.
-                reg = CompletedRegistry()
-                for v, result in donors:
-                    reg.add(v, result, finished_at=0.0)
-                vset, before = VariantSet(unit.variants), None
-                memo = PassMemo(VariantSet([p.variant for p, _ in todo]))
-                done = _wall_done(t0, -1, pairs)
-
-            failed = run_chain(
-                ctx if unit.kernel is None
-                else replace(ctx, spec=spec.override(kernel=unit.kernel)),
-                vset, todo, reg, done,
-                faults=faults, policy=policy,
-                concurrency=spec.n_threads, before=before, passes=memo,
-            )
-            return pairs, failed, None
-
-        def inline_shard(pipe: _ShardPipeline, plan, region, fault, task_id):
-            start = inline.start(())
-            fire(fault, deadline_s=deadline, started_at=time.perf_counter())
-            piece = cluster_shard(
-                ctx.points,
-                plan,
-                region,
-                pipe.variant.minpts,
-                kernel=spec.kernel,
-                tracer=tracer,
-            )
-            dur = spec.cost_model.duration(piece.counters, spec.n_threads)
-            inline.occupy(task_id, start, dur)
-            return piece, None, start, dur
-
-        replan_noted: set[tuple[int, str]] = set()
-
-        def submit_group(unit: _GroupUnit, lane: int) -> None:
-            donors = []
-            for dep in sorted(unit.deps):
-                v = merge_variant[dep]
-                if v in results:
-                    donors.append((v, results[v]))
-                elif (
-                    supervisor is not None
-                    and dep in failed_ids
-                    and (unit.gid, dep) not in replan_noted
-                ):
-                    # The donor died permanently; the unit's scheduler
-                    # re-plans the chain onto surviving donors / scratch.
-                    replan_noted.add((unit.gid, dep))
-                    supervisor.on_replanned(
-                        unit.label,
-                        dep,
-                        blast_radius=len(unit.variants) / n_graph_tasks,
-                    )
-            # The chain's completed prefix: a resubmitted suffix sees
-            # the sources it would have seen in one pass.
-            donors += [(v, results[v]) for v in unit.variants if v in results]
-            todo = [(p, attempts[p.variant]) for p in unit.todo]
-            unit.running = True
-            budget_t = None
-            if unit.rung == "serial":
-                where = inline.next_name() if inline is not None else "parent"
-                fut = _resolved(run_inline, unit, todo, donors)
-            else:
-                where = f"lane-{lane}"
-                if deadline is not None:
-                    budget_t = time.monotonic() + deadline * len(todo) + 30.0
-                fut = lanes[lane].pool.submit(
-                    _chain_worker,
-                    store_handle,
-                    idx_handle,
-                    [v.as_tuple() for v in unit.variants],
-                    todo,
-                    [(v.as_tuple(), r) for v, r in donors],
-                    spec.kernel,
-                    spec.reuse,
-                    spec.cost_model,
-                    t0,
-                    tracer.enabled,
-                    policy,
-                    faults,
-                    mailbox.handle(lane) if mailbox is not None else None,
-                    unit.gid,
-                )
-            if supervisor is not None:
-                supervisor.job_started(lane, unit.label, deadline_s=deadline)
-            inflight[fut] = _Job(unit, lane, budget_t, label=unit.label, where=where)
-
-        def submit_shard(pipe: _ShardPipeline, region: int, lane: int) -> None:
-            assert base_plan is not None
-            if not pipe.started_at:
-                pipe.started_at = time.perf_counter()
-            label = shard_label(pipe, region)
-            attempt = attempts[pipe.variant]
-            fault = None
-            if faults:
-                found = faults.find(pipe.variant, attempt, "start")
-                if found is not None and region == found.index % pipe.n_regions:
-                    fault = found
-                if fault is None:
-                    fault = faults.find_task(label, attempt, "start")
-            pipe.inflight.add(region)
-            plan = base_plan.with_eps(pipe.variant.eps)
-            budget_t = None
-            if inline is not None:
-                where = inline.next_name()
-                fut = _resolved(inline_shard, pipe, plan, region, fault, label)
-            else:
-                where = f"lane-{lane}"
-                if deadline is not None:
-                    budget_t = time.monotonic() + deadline + 30.0
-                fut = lanes[lane].pool.submit(
-                    _shard_worker,
-                    store_handle,
-                    plan,
-                    region,
-                    pipe.variant.minpts,
-                    spec.kernel,
-                    t0,
-                    tracer.enabled,
-                    fault,
-                    deadline,
-                    mailbox.handle(lane) if mailbox is not None else None,
-                    label,
-                )
-            if supervisor is not None:
-                supervisor.job_started(lane, label, deadline_s=deadline)
-            inflight[fut] = _Job(
-                pipe,
-                lane,
-                budget_t,
-                region=region,
-                stamp=attempt,
-                label=label,
-                where=where,
-            )
-
-        def next_dispatch(now: float):
-            """The first dispatchable unit in graph order, and the next wake-up."""
-            ready = resolved | failed_ids
-            wake = None
-            for unit in units:
-                if unit.done:
-                    continue
-                region = -1
-                if isinstance(unit, _GroupUnit):
-                    if unit.running or not unit.deps <= ready:
-                        continue
-                else:
-                    pending = unit.pending_regions()
-                    if not pending:
-                        continue
-                    region = pending[0]
-                if unit.ready_after > now:
-                    wake = unit.ready_after if wake is None else min(wake, unit.ready_after)
-                    if inline is not None:
-                        break
-                    continue
-                return unit, region, wake
-            return None, -1, wake
-
-        # -- settling jobs ---------------------------------------------------
-        def merge_pipeline(pipe: _ShardPipeline) -> None:
-            assert base_plan is not None
-            variant = pipe.variant
-            plan = base_plan.with_eps(variant.eps)
-            merge_t0 = time.perf_counter()
-            merge_delta = WorkCounters()
-            ordered = [pipe.pieces[r][0] for r in range(pipe.n_regions)]
-            labels, core_mask = merge_shards(
-                ctx.points, plan, ordered, counters=merge_delta, tracer=tracer
-            )
-            merged = WorkCounters()
-            for piece, _ in pipe.pieces.values():
-                merged.merge(piece.counters)
-            merged.merge(merge_delta)
-            result = ClusteringResult(
-                labels,
-                core_mask,
-                variant=variant,
-                counters=merged,
-                elapsed=time.perf_counter() - pipe.started_at,
-            )
-            attempt = attempts[variant]
-            try:
-                finish_attempt(
-                    result,
-                    (
-                        faults.find(variant, attempt, "finish")
-                        or faults.find_task(pipe.merge_id, attempt, "finish")
-                    )
-                    if faults
-                    else None,
-                    policy,
-                    ctx.store.n_points,
-                    pipe.started_at,
-                )
-            except Exception as exc:
-                if policy is None:
-                    raise
-                # A damaged merged result re-runs the whole variant,
-                # unlike a worker death, which resubmits its own region.
-                pipe.pieces = {}
-                fail(pipe, [variant], exc, pipe.merge_id)
-                return
-            if inline is not None:
-                m_start = inline.start(pipe.shard_ids)
-                where = inline.next_name()
-                dur = spec.cost_model.duration(merge_delta, spec.n_threads)
-                tid, finish = inline.occupy(pipe.merge_id, m_start, dur)
-            else:
-                m_start = merge_t0 - t0
-                finish = time.perf_counter() - t0
-                tid, dur, where = 0, finish - m_start, "parent"
-            start = min((w for _, w in pipe.pieces.values()), default=finish)
-            record = VariantRunRecord(
-                variant=variant,
-                response_time=finish - start,
-                wall_time=result.elapsed,
-                start=start,
-                finish=finish,
-                thread_id=tid,
-                n_clusters=result.n_clusters,
-                n_noise=result.n_noise,
-                counters=merged,
-            )
-            registry.add(variant, result, finished_at=finish)
-            complete(variant, result, record)
-            close(pipe, True, "merge verified")
-            if tracer.enabled:
-                task_spans.append(
-                    SpanRecord(
-                        SPAN_TASK, m_start, dur, where,
-                        {"kind": "merge", "id": pipe.merge_id,
-                         "deps": list(pipe.shard_ids)},
-                    )
-                )
-
-        def on_group(job: _Job, payload) -> None:
-            unit = job.unit
-            assert isinstance(unit, _GroupUnit)
-            pairs, failed, spans = payload
-            for result, record in pairs:
-                v = record.variant
-                unit.todo = [p for p in unit.todo if p.variant != v]
-                complete(v, result, record, unit.degraded)
-                task = task_of.get(v)
-                if tracer.enabled and task is not None:
-                    task_spans.append(
-                        SpanRecord(
-                            SPAN_TASK,
-                            record.start,
-                            record.finish - record.start,
-                            job.where,
-                            {"kind": "variant", "id": task.task_id,
-                             "deps": list(task.deps),
-                             "soft": list(task.soft_deps)},
-                        )
-                    )
-            if spans:
-                tracer.add_records(spans, thread=f"worker-{unit.gid}")
-            if failed is not None:
-                fail(unit, [failed[0]], failed[1], unit.label)
-            elif not unit.todo:
-                close(unit, True, unit.degraded or "")
-
-        def on_shard(job: _Job, payload) -> None:
-            pipe = job.unit
-            assert isinstance(pipe, _ShardPipeline)
-            piece, spans, w_start, w_dur = payload
-            if supervisor is not None:
-                supervisor.task_done(job.label, True)
-            if pipe.done:
-                return  # stale completion after a permanent failure
-            # Shard work is deterministic, so a piece from a superseded
-            # round is byte-identical — accept it.
-            pipe.pieces[job.region] = (piece, w_start)
-            if spans:
-                tracer.add_records(spans, thread=f"shard-{job.region}")
-            if tracer.enabled:
-                task_spans.append(
-                    SpanRecord(
-                        SPAN_TASK, w_start, w_dur, job.where,
-                        {"kind": "shard", "id": job.label, "deps": []},
-                    )
-                )
-            if len(pipe.pieces) == pipe.n_regions:
-                merge_pipeline(pipe)
-
-        def on_lost(job: _Job, error: str) -> None:
-            """A job raised, outlived its watchdog, or was remediated as stuck."""
-            unit = job.unit
-            if isinstance(unit, _GroupUnit):
-                # Nothing of a lost unit attempt is known to have run:
-                # every unfinished variant is charged one attempt.
-                fail(unit, [p.variant for p in unit.todo], f"group {error}", job.label)
-                return
-            assert isinstance(unit, _ShardPipeline)
-            if unit.done or job.stamp != attempts[unit.variant]:
-                return  # stale round: already accounted
-            fail(unit, [unit.variant], f"shard {error}", job.label, key=job.region)
-
-        def release(job: _Job, *, respawn: bool = False, hung: bool = False) -> None:
-            """Take ``job`` out of flight and hand its lane back.
-
-            ``respawn`` replaces the lane's pool (a lost worker).
-            """
-            if respawn and lanes:
-                lanes[job.lane].respawn(hung=hung)
-            free_lanes.append(job.lane)
-            if supervisor is not None:
-                supervisor.job_finished(job.lane)
-            if isinstance(job.unit, _GroupUnit):
-                job.unit.running = False
-            else:
-                job.unit.inflight.discard(job.region)
-
-        try:
-            if inline is None:
-                if groups:
-                    idx_shm, idx_handle = share_indexes(
-                        ctx.factory if ctx.factory is not None else IndexFactory(),
-                        ctx.store,
-                        _lane_indexes(spec, groups),
-                        tracer=tracer,
-                    )
-                lanes.extend(_Lane() for _ in range(n_lanes))
-                if supervisor is not None:
-                    mailbox = supervisor.open_mailbox(n_lanes)
-            while True:
-                wake = None
-                while free_lanes:
-                    unit, region, wake = next_dispatch(time.monotonic())
-                    if unit is None:
-                        break
-                    lane = free_lanes.pop()
-                    if isinstance(unit, _GroupUnit):
-                        submit_group(unit, lane)
-                    else:
-                        submit_shard(unit, region, lane)
-                now = time.monotonic()
-                if not inflight:
-                    if wake is None:
-                        break
-                    # Nothing runs until a backoff ends: wait it out.
-                    time.sleep(max(0.0, wake - now))
-                    continue
-                waits = [j.deadline - now for j in inflight.values() if j.deadline is not None]
-                if wake is not None:
-                    waits.append(wake - now)
-                if supervisor is not None:
-                    waits.append(supervisor.policy.poll_interval_s)
-                timeout = max(0.0, min(waits)) if waits else None
-                done_futs, _ = wait(
-                    inflight, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if supervisor is not None:
-                    # Applied stuck-task remediations: kill the stale
-                    # lane and route the job through the failure path.
-                    for rec in supervisor.poll():
-                        target = rec.anomaly.subject
-                        match = next(
-                            (
-                                f
-                                for f, j in inflight.items()
-                                if j.label == target and f not in done_futs
-                            ),
-                            None,
-                        )
-                        if match is None:
-                            continue
-                        job = inflight.pop(match)
-                        release(job, respawn=True, hung=True)
-                        on_lost(job, "stuck: heartbeat stale")
-                if not done_futs:
-                    # Watchdog: a truly wedged worker never joins; stop
-                    # waiting, kill its lane, and account the failure.
-                    now = time.monotonic()
-                    for fut in list(inflight):
-                        job = inflight[fut]
-                        if job.deadline is not None and now >= job.deadline:
-                            del inflight[fut]
-                            release(job, respawn=True, hung=True)
-                            on_lost(job, "worker exceeded the deadline budget")
-                    continue
-                for fut in done_futs:
-                    job = inflight.pop(fut, None)
-                    if job is None:
-                        continue  # remediated as stuck in this round
-                    try:
-                        payload = fut.result()
-                    except Exception as exc:
-                        if policy is None:
-                            raise  # no resilience configured: propagate
-                        release(job, respawn=True)
-                        on_lost(job, f"worker died: {type(exc).__name__}: {exc}")
-                        continue
-                    release(job)
-                    if isinstance(job.unit, _GroupUnit):
-                        on_group(job, payload)
-                    else:
-                        on_shard(job, payload)
-        finally:
-            for lane in lanes:
-                lane.close()
-            if mailbox is not None:
-                supervisor.close_mailbox()
-            if idx_shm is not None:
-                # The pack exists only for this batch; remove it even
-                # when a worker raised.  (The point segment belongs to
-                # the store's owner — the session.)  destroy also drops
-                # the segment from the owned-set audit, so later leak
-                # gates (Session.close, CI doctor) stay clean.
-                release_segment(idx_shm)
-                destroy_segment(idx_shm)
-        if tracer.enabled and task_spans:
-            # Task spans are stamped on the batch's clock: the work-unit
-            # clock inline, else seconds since t0, which this offset puts
-            # on the tracer's own clock beside every other span.
-            tracer.add_records(task_spans, offset=0.0 if inline is not None else t0)
+                report.remediations.extend(b.supervisor.records)
+        return BatchResult(results=b.results, record=batch_record, report=report)

@@ -19,8 +19,8 @@ never imports ``repro.exec``).
 from repro.supervise.ladder import (
     DEFAULT_LADDER,
     CircuitBreaker,
-    DegradationLadder,
     LadderStep,
+    next_step,
 )
 from repro.supervise.remedy import (
     ACTION_KINDS,
@@ -54,7 +54,6 @@ __all__ = [
     "Anomaly",
     "CircuitBreaker",
     "DEFAULT_LADDER",
-    "DegradationLadder",
     "Detector",
     "HealthMonitor",
     "HeartbeatMailbox",
@@ -69,5 +68,6 @@ __all__ = [
     "Verifier",
     "WorkerPulse",
     "as_supervise_policy",
+    "next_step",
     "worker_pulse",
 ]

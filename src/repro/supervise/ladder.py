@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CircuitBreaker", "DEFAULT_LADDER", "DegradationLadder", "LadderStep"]
+__all__ = ["CircuitBreaker", "DEFAULT_LADDER", "LadderStep", "next_step"]
 
 
 @dataclass(frozen=True)
@@ -55,57 +55,9 @@ DEFAULT_LADDER = (
 )
 
 
-class DegradationLadder:
-    """Ordered per-axis rungs with next-step lookup.
-
-    Steps on one axis must chain (each step's source is the previous
-    step's target) so "the next rung down" is always unambiguous.
-    """
-
-    def __init__(self, steps: tuple[LadderStep, ...] = DEFAULT_LADDER) -> None:
-        self._next: dict[tuple[str, str], LadderStep] = {}
-        chains: dict[str, list[LadderStep]] = {}
-        for step in steps:
-            key = (step.axis, step.source)
-            if key in self._next:
-                raise ValueError(
-                    f"axis {step.axis!r} declares two steps from "
-                    f"{step.source!r}; the ladder must be a chain"
-                )
-            self._next[key] = step
-            chains.setdefault(step.axis, []).append(step)
-        self._rungs: dict[str, tuple[str, ...]] = {}
-        for axis, axis_steps in chains.items():
-            sources = {s.source for s in axis_steps}
-            targets = {s.target for s in axis_steps}
-            heads = sources - targets
-            if len(heads) != 1:
-                raise ValueError(
-                    f"axis {axis!r} does not form a single chain "
-                    f"(heads: {sorted(heads)})"
-                )
-            rungs = [heads.pop()]
-            while (axis, rungs[-1]) in self._next:
-                rungs.append(self._next[(axis, rungs[-1])].target)
-            if len(rungs) != len(axis_steps) + 1:
-                raise ValueError(f"axis {axis!r} steps do not chain")
-            self._rungs[axis] = tuple(rungs)
-
-    @property
-    def axes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._rungs))
-
-    def rungs(self, axis: str) -> tuple[str, ...]:
-        """All rungs on ``axis``, most parallel first."""
-        return self._rungs[axis]
-
-    def next_step(self, axis: str, current: str) -> LadderStep | None:
-        """The step down from ``current``, or ``None`` at the floor."""
-        return self._next.get((axis, current))
-
-    def floor(self, axis: str) -> str:
-        """The terminal (least parallel) rung on ``axis``."""
-        return self._rungs[axis][-1]
+def next_step(axis: str, rung: str) -> LadderStep | None:
+    """The step down from ``rung`` on ``axis``, or ``None`` at its floor."""
+    return next((s for s in DEFAULT_LADDER if (s.axis, s.source) == (axis, rung)), None)
 
 
 class CircuitBreaker:

@@ -7,10 +7,9 @@ Session → executor → per-run override into the
 :class:`Supervisor` owns one instance each of the loop's components —
 :class:`~repro.supervise.signals.HealthMonitor`,
 :class:`~repro.supervise.remedy.Detector`, :class:`Proposer`,
-:class:`RiskGate`, :class:`Verifier` — plus the
-:class:`~repro.supervise.ladder.DegradationLadder` and
-:class:`CircuitBreaker`, and exposes the narrow hook surface the
-task-graph runtime calls:
+:class:`RiskGate`, :class:`Verifier` — plus a :class:`CircuitBreaker`,
+reads the ladder through :func:`~repro.supervise.ladder.next_step`, and
+exposes the narrow hook surface the task-graph runtime calls:
 
 * :meth:`job_started` / :meth:`job_finished` — lane occupancy,
 * :meth:`poll` — stale-heartbeat and deadline-at-risk detection; the
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 from repro.obs.span import resolve_tracer
 from repro.resilience.audit import scan_segments, unlink_segment
-from repro.supervise.ladder import CircuitBreaker, DegradationLadder, LadderStep
+from repro.supervise.ladder import CircuitBreaker, LadderStep, next_step
 from repro.supervise.remedy import (
     Detector,
     Proposer,
@@ -164,7 +163,6 @@ class Supervisor:
         self.proposer = Proposer()
         self.gate = RiskGate(policy.risk_budget)
         self.verifier = Verifier(tracer)
-        self.ladder = DegradationLadder()
         self.breaker = CircuitBreaker(policy.breaker_threshold)
         self.records: list[RemediationRecord] = []
         self._pending: dict[str, list[RemediationRecord]] = {}
@@ -296,7 +294,7 @@ class Supervisor:
             )
             return rec, None
         self.breaker.record_failure(key)
-        step = self.ladder.next_step(axis, rung)
+        step = next_step(axis, rung)
         if step is None:
             rec = self._record(
                 anomaly,

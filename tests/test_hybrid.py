@@ -390,6 +390,29 @@ class TestVariantFirst:
             assert batch[v].labels.tobytes() == large_serial[v].labels.tobytes()
             assert batch[v].core_mask.tobytes() == large_serial[v].core_mask.tobytes()
 
+    @pytest.mark.parametrize("kernel,kinds", [
+        ("cellgraph", {"variant"}),
+        ("bfs", {"shard", "merge"}),
+    ])
+    def test_lone_root_shards_only_under_bfs(self, large_points, kernel, kinds):
+        """Default-threshold hybrid runs a lone cellgraph root whole.
+
+        A slab builds its own grid where the whole variant reuses the
+        session's one, so under ``cellgraph`` the lone root lowers as a
+        variant task; under ``bfs`` it still fans out.
+        """
+        lone = VariantSet([Variant(0.5, 12)])
+        with Session(large_points, kernel=kernel) as s:
+            serial = s.run(lone)[lone[0]]
+        tracer = Tracer()
+        with Session(large_points, kernel=kernel, tracer=tracer) as s:
+            batch = s.run(lone, executor="hybrid", n_threads=2)
+        spans = {r.args["kind"] for r in tracer.records() if r.name == SPAN_TASK}
+        assert spans == kinds
+        if kernel == "cellgraph":
+            assert batch[lone[0]].labels.tobytes() == serial.labels.tobytes()
+            assert batch[lone[0]].core_mask.tobytes() == serial.core_mask.tobytes()
+
     def test_bfs_lanes_get_the_rtree_pair_once(self, points):
         tracer = Tracer()
         with Session(points, tracer=tracer) as s:

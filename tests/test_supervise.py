@@ -51,7 +51,6 @@ from repro.supervise import (
     Anomaly,
     CircuitBreaker,
     DEFAULT_LADDER,
-    DegradationLadder,
     Detector,
     HealthMonitor,
     HeartbeatMailbox,
@@ -62,6 +61,7 @@ from repro.supervise import (
     Supervisor,
     Verifier,
     as_supervise_policy,
+    next_step,
     worker_pulse,
 )
 from repro.supervise.remedy import BASE_RISK
@@ -297,39 +297,37 @@ class TestRemediationLoop:
 # ----------------------------------------------------------------------
 # ladder + circuit breaker
 # ----------------------------------------------------------------------
+def _rungs(axis: str, top: str) -> tuple[str, ...]:
+    """Walk ``axis`` down from ``top`` until ``next_step`` finds no step."""
+    rungs = [top]
+    while (step := next_step(axis, rungs[-1])) is not None:
+        rungs.append(step.target)
+    return tuple(rungs)
+
+
 class TestLadder:
     def test_declared_rung_order(self):
-        ladder = DegradationLadder()
-        assert ladder.rungs("lowering") == ("shard", "variant")
-        assert ladder.rungs("kernel") == ("cellgraph", "bfs")
-        assert ladder.rungs("substrate") == ("lanes", "serial")
-        assert ladder.axes == ("kernel", "lowering", "substrate")
+        assert _rungs("lowering", "shard") == ("shard", "variant")
+        assert _rungs("kernel", "cellgraph") == ("cellgraph", "bfs")
+        assert _rungs("substrate", "lanes") == ("lanes", "serial")
+        assert sorted({s.axis for s in DEFAULT_LADDER}) == ["kernel", "lowering", "substrate"]
 
     def test_next_step_and_floor(self):
-        ladder = DegradationLadder()
-        step = ladder.next_step("substrate", "lanes")
+        step = next_step("substrate", "lanes")
         assert (step.source, step.target) == ("lanes", "serial")
         assert step.label == "substrate:lanes→serial"
-        assert ladder.next_step("substrate", "serial") is None
-        assert ladder.floor("substrate") == "serial"
-        assert ladder.floor("lowering") == "variant"
+        # A floor is the rung with no step below it.
+        assert next_step("substrate", "serial") is None
+        assert next_step("lowering", "variant") is None
+        assert next_step("kernel", "bfs") is None
+        assert next_step("substrate", "cellgraph") is None  # rungs are per axis
 
     def test_every_default_step_descends_its_axis(self):
-        ladder = DegradationLadder()
         for step in DEFAULT_LADDER:
-            rungs = ladder.rungs(step.axis)
-            assert rungs.index(step.target) == rungs.index(step.source) + 1
-
-    def test_forked_ladder_rejected(self):
-        from repro.supervise.ladder import LadderStep
-
-        with pytest.raises(ValueError, match="chain"):
-            DegradationLadder(
-                (
-                    LadderStep("substrate", "lanes", "serial"),
-                    LadderStep("substrate", "lanes", "inline"),
-                )
-            )
+            assert next_step(step.axis, step.source) is step
+            rungs = _rungs(step.axis, step.source)
+            assert rungs[1] == step.target
+            assert step.source not in rungs[1:], "a step must never climb back"
 
     def test_breaker_trips_at_threshold(self):
         breaker = CircuitBreaker(threshold=2)
