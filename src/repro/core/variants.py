@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.util.errors import ValidationError
 from repro.util.validation import check_eps, check_minpts
@@ -79,7 +80,9 @@ class VariantSet:
     """An ordered collection of distinct variants.
 
     The constructor de-duplicates and stores variants in the canonical
-    Section IV-D order.  Iteration yields variants in that order.
+    Section IV-D order.  Iteration yields variants in that order.  The
+    set is immutable, so its derived values (membership, distinct
+    values, spans) are computed once.
     """
 
     def __init__(self, variants: Iterable[Variant]) -> None:
@@ -91,6 +94,7 @@ class VariantSet:
         if not seen:
             raise ValidationError("a VariantSet needs at least one variant")
         self._variants: tuple[Variant, ...] = tuple(sorted(seen, key=sort_key))
+        self._members = frozenset(self._variants)
 
     @classmethod
     def from_product(
@@ -121,7 +125,7 @@ class VariantSet:
         return self._variants[i]
 
     def __contains__(self, v: object) -> bool:
-        return v in set(self._variants)
+        return v in self._members
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VariantSet) and self._variants == other._variants
@@ -133,24 +137,24 @@ class VariantSet:
         return f"VariantSet({list(self._variants)!r})"
 
     # -- parameter-space geometry -------------------------------------------
-    @property
+    @cached_property
     def eps_values(self) -> tuple[float, ...]:
         """Distinct eps values, ascending."""
         return tuple(sorted({v.eps for v in self._variants}))
 
-    @property
+    @cached_property
     def minpts_values(self) -> tuple[int, ...]:
         """Distinct minpts values, ascending."""
         return tuple(sorted({v.minpts for v in self._variants}))
 
-    @property
+    @cached_property
     def eps_span(self) -> float:
         """Range of eps values (>= smallest positive value for degenerate sets)."""
         vals = self.eps_values
         span = vals[-1] - vals[0]
         return span if span > 0 else max(vals[-1], 1.0)
 
-    @property
+    @cached_property
     def minpts_span(self) -> float:
         """Range of minpts values (>= 1 for degenerate sets)."""
         vals = self.minpts_values

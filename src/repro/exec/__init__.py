@@ -15,8 +15,11 @@ inline lanes (``sim``) and process lanes (``lanes``).
   clock with a memory-contention model; regenerates the paper's
   thread-scaling figures independently of host hardware.  It lowers
   hybrid when the run sets ``shard_threshold``, else variant.
-* ``processes`` — one process lane per statically partitioned reuse
-  chain (:func:`~repro.exec.graph.partition_reuse_chains`); workers
+* ``processes`` — process lanes, at most ``n_threads``; a unit is one
+  cell-graph pass under ``cellgraph`` (every ``minpts`` of one
+  ``eps``, dispatched longest first) and a statically partitioned
+  reuse chain under ``bfs``
+  (:func:`~repro.exec.graph.partition_reuse_chains`); workers
   attach the session's shared-memory store and the batch's index pack
   (the R-tree pair under ``bfs``, the per-eps cell grids under
   ``cellgraph``), so they build no index.

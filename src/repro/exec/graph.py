@@ -18,9 +18,13 @@ respawn a lane, close.
     overlapping other variants' reuse chains on the modeled clock.
 ``lanes`` (:class:`_ProcessLanes`)
     One single-process pool per lane on the wall clock, so a killed
-    worker breaks exactly one lane.  A variant unit is a whole reuse
-    chain run inside :func:`_chain_worker`; shard tasks fan out one
-    region per lane and merge in the parent.
+    worker breaks exactly one lane.  A variant unit is run inside
+    :func:`_chain_worker`: under ``cellgraph`` one cell-graph pass (an
+    ``eps`` and all of its ``minpts``, so each pass is built once per
+    batch), dispatched longest first by an estimate read from the
+    parent's grid (:func:`_pass_cost`), to whichever lane frees first;
+    under ``bfs`` a whole reuse chain.  Shard tasks fan out one region
+    per lane and merge in the parent.
 
 **One batch state, one failure path.**  A batch's per-run state is one
 plain :class:`_Batch` that module-level handlers act on; the unit
@@ -63,9 +67,12 @@ import functools
 import heapq
 import os
 import time
+import weakref
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.core.result import ClusteringResult
 from repro.core.scheduling import (
@@ -101,6 +108,7 @@ from repro.engine.store import PointStore, PointStoreHandle
 from repro.exec._runner import PassMemo, finish_attempt, run_chain
 from repro.exec.base import BatchResult
 from repro.exec.cost import CostModel
+from repro.index.cellgraph import NEIGHBOR_OFFSETS, CellGraphIndex
 from repro.metrics.counters import WorkCounters
 from repro.metrics.records import BatchRunRecord, VariantRunRecord
 from repro.obs.span import SPAN_TASK, SpanRecord, Tracer, set_tracer
@@ -145,10 +153,13 @@ def partition_reuse_chains(
 ) -> list[list[Variant]]:
     """Split a variant set into <= ``n_workers`` reuse-closed groups.
 
-    Each returned group is ordered depth-first along the dependency
-    tree, so executing it serially front-to-back always finds each
-    variant's reuse source already completed (when the source is in the
-    group).  Groups are balanced greedily by variant count.
+    Process lanes group a ``kernel="bfs"`` batch with it; under
+    ``cellgraph`` nothing is reused, so a lane unit is one pass instead
+    (:meth:`_ProcessLanes.group`).  Each returned group is ordered
+    depth-first along the dependency tree, so executing it serially
+    front-to-back always finds each variant's reuse source already
+    completed (when the source is in the group).  Groups are balanced
+    greedily by variant count.
     """
     tree = dependency_tree(variants)
     subtrees: list[list[Variant]] = []
@@ -193,6 +204,36 @@ def partition_reuse_chains(
         smallest = min(bins, key=len)
         smallest.extend(piece)
     return [b for b in bins if b]
+
+
+#: :func:`_pass_cost` by grid and ``top``: a session's grids serve many batches.
+_PASS_COSTS: weakref.WeakKeyDictionary[CellGraphIndex, dict[int, int]] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _pass_cost(index: CellGraphIndex, top: int) -> int:
+    """A cell-graph pass's estimated work, read from its grid without a distance.
+
+    The sparse scan's candidate count: each cell of fewer than ``top``
+    points times the points in its 5x5 block, plus one per dense cell
+    (the cell-based cost accounting of Wang, Gu & Shun).  Memoized
+    while the grid lives.
+    """
+    known = _PASS_COSTS.setdefault(index, {})
+    if top not in known:
+        counts = index.cell_counts
+        sparse = np.flatnonzero(counts < top)
+        keys = index.cell_keys[sparse]
+        # Offset-major probes: each offset's row of keys stays sorted.
+        slot = index.slots_at(
+            (NEIGHBOR_OFFSETS[:, :1] + keys[:, 0]).ravel(),
+            (NEIGHBOR_OFFSETS[:, 1:] + keys[:, 1]).ravel(),
+        )
+        near = np.where(slot >= 0, counts[slot], 0).reshape(len(NEIGHBOR_OFFSETS), -1)
+        block = counts[sparse] + near.sum(axis=0)
+        known[top] = int(counts[sparse] @ block) + counts.size - sparse.size
+    return known[top]
 
 
 def _wall_done(t0: float, thread_id: int):
@@ -418,15 +459,21 @@ class _Job:
 
 @dataclass
 class _GroupUnit:
-    """Variant tasks run as one unit (a chain on a process lane, one task inline)."""
+    """Variant tasks run as one unit.
+
+    Inline, one task.  On a process lane, one cell-graph pass (every
+    ``minpts`` of one ``eps``) under ``cellgraph``; a reuse chain
+    under ``bfs``.
+    """
 
     kind = "group"
 
     gid: int
-    variants: list[Variant]  # the whole chain: its set normalizes reuse distances
+    variants: list[Variant]  # the whole unit: its set normalizes reuse distances
     todo: list[PlannedVariant]  # unfinished, in chain order
     deps: set[str]  # merge-task ids of sharded donors
     budget: int  # attempts each variant may use up to on the current rung
+    cost: tuple = ()  # dispatch priority, largest first: a pass's (estimate, eps)
     rung: str = "lanes"  # "lanes": a chain worker; "serial": in the parent
     kernel: str | None = None  # a ladder step's kernel override
     merge_id: str | None = None  # set when a shard pipeline was lowered to this
@@ -516,6 +563,7 @@ class _ShardPipeline:
 
     kind = "shard"
     settles = ()  # each shard settles itself as it completes
+    cost = ()  # no estimate: keeps its graph-order place among unpriced units
 
     variant: Variant
     n_regions: int
@@ -764,8 +812,9 @@ class _ProcessLanes:
     """One single-process pool per dispatch slot, on the wall clock.
 
     A kill breaks exactly one lane's pool, and only that pool is
-    replaced.  A variant unit is a reuse chain run by
-    :func:`_chain_worker`, or, on the ladder's serial rung, by
+    replaced.  A variant unit is one cell-graph pass under
+    ``cellgraph`` and a reuse chain under ``bfs`` (:meth:`group`), run
+    by :func:`_chain_worker`, or, on the ladder's serial rung, by
     :func:`_run_unit` in the parent; a shard task is one region run by
     :func:`_shard_worker`.  Records and task spans are stamped in
     seconds since :attr:`t0`.
@@ -777,6 +826,7 @@ class _ProcessLanes:
         self.n_slots = 1
         self.t0 = 0.0
         self.indexes: list[tuple[str, dict]] = []  # factory (kind, params) to pack
+        self.factory = IndexFactory()  # the run's, when it has one
         self.store_handle: PointStoreHandle | None = None
         self.idx_shm: SharedMemory | None = None
         self.idx_handle: IndexPackHandle | None = None
@@ -785,34 +835,54 @@ class _ProcessLanes:
         self.mailbox: HeartbeatMailbox | None = None
 
     def group(self, b: _Batch, graph: TaskGraph) -> list[_GroupUnit]:
-        """Reuse-chain units, one slot each (or one per lane when sharding)."""
+        """The variant units, and as many lanes as can run at once.
+
+        Under ``cellgraph`` a unit is one pass: every plain variant of
+        one ``eps``, priced by :func:`_pass_cost` at its largest
+        ``minpts`` on the parent's grid (ties to the larger ``eps``),
+        so the dispatch loop hands out the longest pass first.  Under
+        ``bfs`` the units are reuse chains.
+        """
+        if b.ctx.factory is not None:
+            self.factory = b.ctx.factory
         sharded = {t.variant for t in graph.merge_tasks()}
-        tasks = graph.variant_tasks()
-        groups: list[_GroupUnit] = []
-        if tasks:
+        plain = [t.variant for t in graph.variant_tasks()]
+        units: list[tuple[list[Variant], tuple]] = []
+        if b.spec.kernel == "cellgraph":
+            top: dict[float, int] = {}
+            for v in plain:
+                top[v.eps] = max(top.get(v.eps, 0), v.minpts)
+            for eps, m in top.items():
+                grid = self.factory.get(b.ctx.store, "cellgraph", eps=eps, tracer=b.tracer)
+                assert isinstance(grid, CellGraphIndex)
+                units.append(
+                    (sorted((v for v in plain if v.eps == eps), key=sort_key),
+                     (_pass_cost(grid, m), eps))
+                )
+            units.sort(key=lambda u: u[1], reverse=True)
+            # Each worker reads the grids of its unit's eps.
+            self.indexes = [("cellgraph", {"eps": e}) for e in sorted(top)]
+        elif plain:
             # Group the plain variants along the *global* reuse forest
             # (so a sharded root's subtree stays one chain), then drop
             # the sharded variants — their results arrive as donors.
-            all_vs = [t.variant for t in tasks] + list(sharded)
-            for chain in partition_reuse_chains(VariantSet(all_vs), b.spec.n_threads):
+            forest = VariantSet(plain + list(sharded))
+            for chain in partition_reuse_chains(forest, b.spec.n_threads):
                 kept = [v for v in chain if v not in sharded]
                 if kept:
-                    deps = set().union(*(b.task_of[v].deps for v in kept))
-                    groups.append(
-                        _GroupUnit(
-                            len(groups), kept, [PlannedVariant(v) for v in kept],
-                            deps, b.budget,
-                        )
-                    )
-        # The chain workers read the (T_high, T_low) pair under bfs, one
-        # grid per eps of the groups' variants under cellgraph.
-        if groups and b.spec.kernel == "bfs":
+                    units.append((kept, ()))
+            # The chain workers read the (T_high, T_low) pair.
             self.indexes = pair_params(b.spec.effective_reuse.low_res_r)
-        else:
-            eps = sorted({v.eps for g in groups for v in g.variants})
-            self.indexes = [("cellgraph", {"eps": e}) for e in eps]
-        n = len(groups) if graph.mode == "variant" else b.spec.n_threads
-        self.n_slots = max(1, n)
+        groups = [
+            _GroupUnit(
+                gid, kept, [PlannedVariant(v) for v in kept],
+                set().union(*(b.task_of[v].deps for v in kept)), b.budget, cost=cost,
+            )
+            for gid, (kept, cost) in enumerate(units)
+        ]
+        # A shard pipeline can keep one lane busy per region.
+        slots = len(groups) + sum(mt.n_regions for mt in graph.merge_tasks())
+        self.n_slots = max(1, min(slots, b.spec.n_threads))
         return groups
 
     def open(self, b: _Batch) -> None:
@@ -822,10 +892,7 @@ class _ProcessLanes:
         self.t0 = time.perf_counter()
         if self.indexes:
             self.idx_shm, self.idx_handle = share_indexes(
-                b.ctx.factory if b.ctx.factory is not None else IndexFactory(),
-                b.ctx.store,
-                self.indexes,
-                tracer=tracer,
+                self.factory, b.ctx.store, self.indexes, tracer=tracer
             )
         _one_malloc_arena()
         self.pools.extend(ProcessPoolExecutor(max_workers=1) for _ in range(self.n_slots))
@@ -1156,7 +1223,12 @@ def _merge(b: _Batch, pipe: _ShardPipeline) -> None:
 
 
 def _plan_units(b: _Batch, graph: TaskGraph) -> None:
-    """Fill ``b``'s units (each where its first task is in graph order) and lanes."""
+    """Fill ``b``'s units and lanes.
+
+    Units go in graph order (each where its first task is), except
+    that priced units (:attr:`_GroupUnit.cost`) go first, the
+    largest first.
+    """
     assert b.lanes is not None
     b.task_of = {t.variant: t for t in graph.variant_tasks()}
     groups = b.lanes.group(b, graph)
@@ -1171,7 +1243,7 @@ def _plan_units(b: _Batch, graph: TaskGraph) -> None:
     # every task's variant names exactly one unit.
     unit_of = {v: g for g in groups for v in g.variants} | pipelines
     first = {id(u): u for u in (unit_of.get(t.variant) for t in graph.tasks) if u is not None}
-    b.units = list(first.values())
+    b.units = sorted(first.values(), key=lambda u: u.cost, reverse=True)
     b.free_lanes = list(range(b.lanes.n_slots))
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.bench.scenarios import S3_CONFIGS
+from repro.core.scheduling import dependency_tree
 from repro.core.variants import Variant, VariantSet, sort_key
 from repro.util.errors import ValidationError
 
@@ -110,6 +112,29 @@ class TestVariantSet:
         vs = VariantSet.from_product([0.2, 0.6], [4, 32])
         assert vs.eps_span == pytest.approx(0.4)
         assert vs.minpts_span == pytest.approx(28.0)
+
+    @pytest.mark.parametrize("name", ["V1", "V3"])
+    def test_cached_spans_and_forest_edges_match_a_fresh_computation(self, name):
+        cfg = next(c for c in S3_CONFIGS if c.dataset == "SW1" and c.variant_set_name == name)
+        vs = VariantSet.from_product(cfg.eps_values, cfg.minpts_values)
+        eps = [v.eps for v in vs]
+        minpts = [v.minpts for v in vs]
+        eps_span, minpts_span = max(eps) - min(eps), float(max(minpts) - min(minpts))
+        for _ in range(2):  # the first read computes, the second is cached
+            assert (vs.eps_span, vs.minpts_span) == (eps_span, minpts_span)
+            assert vs.eps_values == tuple(sorted(set(eps)))
+            assert vs.minpts_values == tuple(sorted(set(minpts)))
+        want = set()
+        for v in vs:
+            sources = [u for u in vs if v.can_reuse(u)]
+            if sources:
+                parent = min(
+                    sources,
+                    key=lambda u: (v.parameter_distance(u, eps_span, minpts_span), sort_key(u)),
+                )
+                want.add((parent, v))
+        assert set(dependency_tree(vs).edges) == want
+        assert len(want) == len(vs) - 1
 
     def test_degenerate_span_fallback(self):
         vs = VariantSet.from_product([0.2], [4])
