@@ -233,33 +233,29 @@ class _CellSummary:
         self.reps = np.empty((_DIRECTIONS.shape[0], dense.size), dtype=np.int64)
         if not dense.size:
             return
-        # The dense cells' members, still grouped cell by cell; a member's
-        # grid position is its position here plus its cell's shift.
-        size = counts[dense]
-        ptr = np.cumsum(size) - size
-        shift = starts[dense] - ptr
-        member = np.repeat(dense_cell, counts)
-        mx, my = xs[member], ys[member]
-        box = self.box[:, dense]
+        # Each cell's extremes come from reductions over every cell's
+        # run of xs/ys; a sparse cell's is NaN, which equals no point, so
+        # the hits are the dense cells' extreme points, in grid order.
         # One projection u . p per pair of opposite directions: its max
         # serves u and its min -u (-x - y is -(x + y) and -x + y is
         # -(x - y) exactly, so these are the extremes of every u . p).
         # The axis extremes are the boxes.
         for ux, uy in ((1, 0), (0, 1), (1, 1), (1, -1)):
             if uy == 0:
-                values, hi, lo = mx, box[1], box[0]
+                values, hi, lo = xs, self.box[1], self.box[0]
             elif ux == 0:
-                values, hi, lo = my, box[3], box[2]
+                values, hi, lo = ys, self.box[3], self.box[2]
             else:
-                values = mx + my if uy > 0 else mx - my
-                hi = np.maximum.reduceat(values, ptr)
-                lo = np.minimum.reduceat(values, ptr)
+                values = xs + ys if uy > 0 else xs - ys
+                hi = np.maximum.reduceat(values, starts)
+                lo = np.minimum.reduceat(values, starts)
             for best, k in ((hi, (ux, uy)), (lo, (-ux, -uy))):
-                at = np.flatnonzero(values == np.repeat(best, size))
-                # Every cell holds at least one hit; keep each one's first.
-                seg = np.searchsorted(ptr, at, side="right") - 1
-                first = np.r_[True, seg[1:] != seg[:-1]]
-                self.reps[_DIR_INDEX[k]] = at[first] + shift
+                target = np.repeat(np.where(dense_cell, best, np.nan), counts)
+                at = np.flatnonzero(values == target)
+                # Every dense cell holds at least one hit; keep each one's first.
+                cell = np.searchsorted(starts, at, side="right")
+                first = np.r_[True, cell[1:] != cell[:-1]]
+                self.reps[_DIR_INDEX[k]] = at[first]
 
     def members(self, cells: np.ndarray) -> np.ndarray:
         """Grid positions of the given cells' points, grouped cell by cell."""

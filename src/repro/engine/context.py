@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.factory import IndexFactory, IndexPair
     from repro.engine.store import PointStore
     from repro.exec.cost import CostModel
+    from repro.exec.graph import _ProcessLanes
     from repro.obs.span import Tracer
     from repro.resilience.checkpoint import CheckpointStore
     from repro.resilience.faults import FaultPlan
@@ -250,6 +251,10 @@ class RunContext:
     checkpoint:
         The checkpoint store ``spec.resume`` resolves to for this
         database; ``None`` disables checkpointing.
+    lanes:
+        The session's process lane set, which outlives a batch (its
+        pools, its workers' attachments and its index pack); ``None``
+        gives a process-lane batch lanes of its own.
     """
 
     store: PointStore
@@ -257,6 +262,7 @@ class RunContext:
     tracer: Tracer = field(repr=False, default_factory=_null_tracer)
     factory: IndexFactory | None = field(repr=False, default=None)
     checkpoint: CheckpointStore | None = None
+    lanes: _ProcessLanes | None = field(repr=False, default=None)
 
     @property
     def points(self) -> np.ndarray:

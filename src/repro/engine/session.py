@@ -25,13 +25,18 @@ Usage::
         again = session.run(variants, executor="processes", n_threads=8)
         paper = session.run(variants, kernel="bfs", scheduler="SCHEDMINPTS")
 
-The context-manager form guarantees that any shared-memory segments
-the session materialized (for process-pool runs) are unlinked even when
-a worker raises.
+The session also owns the process lanes its ``processes`` and
+``hybrid`` runs dispatch onto: started by the first such run and kept,
+with the workers' attachments and the index pack, until
+:meth:`Session.close`.  The context-manager form guarantees that the
+lanes stop and any shared-memory segments the session materialized
+are unlinked even when a worker raises; a finalizer does the same for
+a session dropped without a close.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -49,10 +54,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.core.reuse import ReusePolicy
     from repro.exec.base import BatchResult
+    from repro.exec.graph import _ProcessLanes
     from repro.index.base import SpatialIndex
     from repro.resilience.checkpoint import CheckpointStore
 
 __all__ = ["Session"]
+
+
+def _stop(lanes: _ProcessLanes, store: PointStore) -> None:
+    """Stop a session's lanes, then release its store's segment."""
+    lanes.shutdown()
+    store.close()
 
 
 class Session:
@@ -89,6 +101,8 @@ class Session:
         self.tracer = tracer
         self._closed = False
         self._active_runs = 0
+        self._lanes: _ProcessLanes | None = None
+        self._stop_lanes: weakref.finalize | None = None
 
     # -- derived state --------------------------------------------------
     @property
@@ -174,6 +188,8 @@ class Session:
         if not isinstance(variants, VariantSet):
             variants = VariantSet(variants)
         substrate, mode = EXECUTORS[spec.executor]
+        if substrate == "lanes":
+            ctx = replace(ctx, lanes=self._process_lanes())
         if mode is None:
             mode = "variant" if spec.shard_threshold is None else "hybrid"
         self._active_runs += 1
@@ -188,6 +204,17 @@ class Session:
         record.reuse_policy = spec.effective_reuse.policy.name
         record.dataset = spec.dataset
         return result
+
+    def _process_lanes(self) -> _ProcessLanes:
+        """The session's process lanes, made on first use."""
+        if self._lanes is None:
+            from repro.exec.graph import _ProcessLanes
+
+            self._lanes = _ProcessLanes()
+            # Holds the lanes and the store, never the session, so an
+            # unclosed session is still collected, and stops its lanes.
+            self._stop_lanes = weakref.finalize(self, _stop, self._lanes, self.store)
+        return self._lanes
 
     def _resolve_checkpoint(
         self, resume: str | Path | CheckpointStore | None
@@ -205,9 +232,11 @@ class Session:
     def close(self) -> None:
         """Release everything the session owns.
 
-        Unlinks any shared-memory segment the store materialized,
-        drops the index cache, and audits this process's own segment
-        registry so nothing survives even if an executor leaked.
+        Stops the session's process lanes (their workers are reaped
+        here), removes their index pack, unlinks any shared-memory
+        segment the store materialized, drops the index cache, and
+        audits this process's own segment registry so nothing survives
+        even if an executor leaked.
         Raises :class:`~repro.util.errors.SessionClosedError` on a
         double close or a close while a run is still executing — both
         are lifecycle bugs that previously surfaced later as opaque
@@ -224,6 +253,8 @@ class Session:
         self._closed = True
         segment = self.store.segment_name
         self.factory.clear()
+        if self._stop_lanes is not None:
+            self._stop_lanes()
         self.store.close()
         if segment is not None:
             # Owner-side audit scoped to *this* session's segment: even

@@ -19,10 +19,13 @@ inline lanes (``sim``) and process lanes (``lanes``).
   cell-graph pass under ``cellgraph`` (every ``minpts`` of one
   ``eps``, dispatched longest first) and a statically partitioned
   reuse chain under ``bfs``
-  (:func:`~repro.exec.graph.partition_reuse_chains`); workers
-  attach the session's shared-memory store and the batch's index pack
-  (the R-tree pair under ``bfs``, the per-eps cell grids under
-  ``cellgraph``), so they build no index.
+  (:func:`~repro.exec.graph.partition_reuse_chains`).  The lanes are
+  the session's: started by its first such run and kept until
+  :meth:`~repro.Session.close`, so later batches start no process.
+  Workers attach the session's shared-memory store and index pack (the
+  R-tree pair under ``bfs``, the per-eps cell grids under
+  ``cellgraph``) once and keep them, so they build no index; a batch
+  packs again only for indexes the pack lacks.
 * ``hybrid`` — both axes on one pool, variant-first: whole variants
   fill the lanes as under ``processes``, and, under ``kernel="bfs"``,
   scratch variants of ``DEFAULT_SHARD_THRESHOLD`` or more points fan

@@ -18,13 +18,14 @@ respawn a lane, close.
     overlapping other variants' reuse chains on the modeled clock.
 ``lanes`` (:class:`_ProcessLanes`)
     One single-process pool per lane on the wall clock, so a killed
-    worker breaks exactly one lane.  A variant unit is run inside
-    :func:`_chain_worker`: under ``cellgraph`` one cell-graph pass (an
-    ``eps`` and all of its ``minpts``, so each pass is built once per
-    batch), dispatched longest first by an estimate read from the
-    parent's grid (:func:`_pass_cost`), to whichever lane frees first;
-    under ``bfs`` a whole reuse chain.  Shard tasks fan out one region
-    per lane and merge in the parent.
+    worker breaks exactly one lane.  A session's lanes live as long as
+    the session and serve all of its process-lane batches.  A variant
+    unit is run inside :func:`_chain_worker`: under ``cellgraph`` one
+    cell-graph pass (an ``eps`` and all of its ``minpts``, so each pass
+    is built once per batch), dispatched longest first by an estimate
+    read from the parent's grid (:func:`_pass_cost`), to whichever lane
+    frees first; under ``bfs`` a whole reuse chain.  Shard tasks fan out
+    one region per lane and merge in the parent.
 
 **One batch state, one failure path.**  A batch's per-run state is one
 plain :class:`_Batch` that module-level handlers act on; the unit
@@ -51,13 +52,15 @@ groups at submission time, which is exactly the hard edge hybrid
 lowering records.
 
 Shared-memory economics: the parent materializes the point database
-once per session and packs, once per batch, the built indexes the
-batch's kernel reads — the ``(T_high, T_low)`` R-tree pair under
-``bfs``, the session's per-eps cell grids under ``cellgraph`` (order,
-offsets and cell keys only; workers derive the rest).  Every lane
-worker attaches both (zero-copy) instead of pickling points or
-rebuilding indexes, so a cellgraph worker builds no grid and maps no
-R-tree.
+once per session and packs the built indexes a batch's kernel reads —
+the ``(T_high, T_low)`` R-tree pair under ``bfs``, the session's
+per-eps cell grids under ``cellgraph`` (order, offsets and cell keys
+only; workers derive the rest).  The pack lives with the session's
+lanes: a batch packs again only when it needs an index the pack lacks,
+and then packs the union.  Every lane worker attaches both (zero-copy)
+once and keeps them, with the grid shells it seeded from the pack, in
+its :class:`_LaneState`, instead of pickling points or rebuilding
+indexes, so a cellgraph worker builds no grid and maps no R-tree.
 """
 
 from __future__ import annotations
@@ -66,10 +69,14 @@ import ctypes
 import functools
 import heapq
 import os
+import threading
 import time
 import weakref
+from collections.abc import Iterator
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from multiprocessing import util as mp_util
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -282,9 +289,67 @@ def _run_unit(ctx: RunContext, chain, todo, donors, t0, thread_id, faults, polic
     return pairs, failed, None
 
 
+class _LaneState:
+    """What one lane worker keeps from unit to unit, for its whole life.
+
+    Its attachment of the session's point segment, its attachment of
+    the index pack, and the :class:`IndexFactory` seeded from that pack
+    (grid shells with the arrays they derive on first read).  A lane
+    serves one session, so the store stays put; the pack changes when a
+    batch needs indexes the last pack lacked, and :meth:`bind` then
+    drops the old shells and mapping before it attaches the new pack.
+    Everything is released when the worker exits.
+    """
+
+    def __init__(self) -> None:
+        self.store: PointStore | None = None
+        self.pack: SharedMemory | None = None
+        self.pack_name: str | None = None
+        self.factory = IndexFactory()
+
+    def bind(
+        self,
+        store_handle: PointStoreHandle,
+        idx_handle: IndexPackHandle | None,
+        tracer: Tracer | None,
+    ) -> tuple[PointStore, IndexFactory]:
+        """The store and factory of a unit with these handles, attached as needed."""
+        if self.store is None or self.store.segment_name != store_handle.name:
+            self.release()
+            self.store = PointStore.attach(store_handle, tracer=tracer)
+        if idx_handle is not None and idx_handle.pack.name != self.pack_name:
+            self._drop_pack()
+            self.pack = attach_indexes(idx_handle, self.store, self.factory, tracer=tracer)
+            self.pack_name = idx_handle.pack.name
+        return self.store, self.factory
+
+    def _drop_pack(self) -> None:
+        # The shells view the mapping: drop them before unmapping it.
+        self.factory = IndexFactory()
+        if self.pack is not None:
+            release_segment(self.pack)
+        self.pack = self.pack_name = None
+
+    def release(self) -> None:
+        self._drop_pack()
+        if self.store is not None:
+            self.store.close()
+        self.store = None
+
+
+@functools.cache
+def _lane_state() -> _LaneState:
+    """This worker process's :class:`_LaneState`, made by its first unit."""
+    state = _LaneState()
+    # Worker processes leave through multiprocessing's exit path, which
+    # runs these finalizers and skips ``atexit``.
+    mp_util.Finalize(None, state.release, exitpriority=0)
+    return state
+
+
 def _chain_worker(
     store_handle: PointStoreHandle,
-    idx_handle: IndexPackHandle,
+    idx_handle: IndexPackHandle | None,
     chain: list[tuple[float, int]],
     todo: list[tuple[PlannedVariant, int]],
     donors: list[tuple[tuple[float, int], ClusteringResult]],
@@ -305,18 +370,18 @@ def _chain_worker(
     the caller's scheduler and seeds clusters with the caller's reuse
     policy.
 
-    The worker attaches the parent's shared point segment and index
-    pack (zero-copy views; spans ``shm_attach``) instead of receiving
-    pickled points, and seeds its :class:`IndexFactory` with the packed
-    indexes — the R-tree pair under ``bfs``, the chain's per-eps cell
-    grids under ``cellgraph`` — so its kernel never builds an index
-    (:class:`PassMemo` finds every grid in the factory).  The mapping is
-    released in the ``finally``, whatever happened.  The tracer cannot cross
-    the process boundary, so each worker builds its own and ships its
-    spans back as plain records; they need no rebasing, because every
-    tracer stamps :func:`time.perf_counter`, which is system-wide.
-    ``kill`` faults are armed here, and only in workers, so they
-    terminate a worker process and never an in-process caller.
+    The worker reads the parent's shared point segment and index pack
+    through its :class:`_LaneState` (zero-copy views, attached by the
+    first unit that names them; spans ``shm_attach``) instead of
+    receiving pickled points, and its factory holds the packed indexes
+    — the R-tree pair under ``bfs``, the per-eps cell grids under
+    ``cellgraph`` — so its kernel never builds an index
+    (:class:`PassMemo` finds every grid in the factory).  The tracer
+    cannot cross the process boundary, so each unit builds its own and
+    ships its spans back as plain records; they need no rebasing,
+    because every tracer stamps :func:`time.perf_counter`, which is
+    system-wide.  ``kill`` faults are armed here, and only in workers,
+    so they terminate a worker process and never an in-process caller.
 
     Returns :func:`_run_unit`'s pairs and first failure, and the
     worker's spans.
@@ -327,16 +392,8 @@ def _chain_worker(
     # The pulse is the last acquisition before the try so no fallible
     # setup sits between it and the finally that closes it.
     hb = worker_pulse(pulse)
-    # Every acquisition below happens inside the try: attach or setup
-    # failures (a torn-down segment after a parent crash, a bad handle)
-    # must still release the pulse slot and any mapping already opened.
-    store: PointStore | None = None
-    idx_shm = None
-    ctx = factory = None
     try:
-        store = PointStore.attach(store_handle, tracer=tracer)
-        factory = IndexFactory()
-        idx_shm = attach_indexes(idx_handle, store, factory, tracer=tracer)
+        store, factory = _lane_state().bind(store_handle, idx_handle, tracer)
         ctx = RunContext(
             store=store,
             spec=RunSpec(kernel=kernel, reuse=reuse, cost_model=cost_model),
@@ -353,13 +410,6 @@ def _chain_worker(
             t0, thread_id, faults, policy, beat=hb.beat if hb is not None else None,
         )
     finally:
-        # Drop every view into the segments before unmapping; both
-        # closes tolerate lingering exports (OS reclaims at exit).
-        del ctx, factory
-        if idx_shm is not None:
-            release_segment(idx_shm)
-        if store is not None:
-            store.close()
         if hb is not None:
             hb.beat("group:done")
             hb.close()
@@ -666,15 +716,17 @@ def _one_malloc_arena() -> bool:
     """Cap this process at one glibc malloc arena; ``True`` if it was set.
 
     A lane pool receives and unpickles its worker's results on its own
-    executor thread, and every batch starts new lanes, so new threads.
-    glibc gives each new thread an arena of its own, or one that an
-    ended thread left behind, keeps the pages freed into that arena,
-    and hands arenas out in whatever order the threads start.  The
-    parent's peak resident set therefore depended on thread timing: on
-    the 18,646-point V1 sweep over two lanes it settled at about 91, 100
-    or 108 MB from one run to the next.  With one arena every thread
-    allocates from the main arena, whose freed pages the next batch
-    reuses, and the peak is the same in every run (about 83 MB there).
+    executor thread, and a process starts such threads whenever lanes
+    start: for every session, for every run without a session, and for
+    every respawned lane.  glibc gives each new thread an arena of its
+    own, or one that an ended thread left behind, keeps the pages freed
+    into that arena, and hands arenas out in whatever order the threads
+    start.  The parent's peak resident set therefore depended on thread
+    timing: when every batch started new lanes, on the 18,646-point V1
+    sweep over two lanes it settled at about 91, 100 or 108 MB from one
+    run to the next.  With one arena every thread allocates from the
+    main arena, whose freed pages the next batch reuses, and the peak is
+    the same in every run (about 83 MB there).
     The lane workers are forked and inherit the cap; each runs one
     thread.  The cap is process-wide and stops glibc from making new
     arenas; those that threads made before it stay in use, so the
@@ -804,12 +856,20 @@ class _InlineLanes:
     def respawn(self, lane: int, hung: bool) -> None:
         """A lost inline attempt leaves no worker behind."""
 
-    def close(self) -> None:
+    def close(self, b: _Batch) -> None:
         """Nothing to release."""
 
 
 class _ProcessLanes:
     """One single-process pool per dispatch slot, on the wall clock.
+
+    A session keeps one lane set for its life and hands it to every
+    process-lane batch (:attr:`RunContext.lanes`), so the pools, their
+    workers' attachments and the index pack outlive a batch: a batch
+    starts only the lanes no earlier batch started, and packs again
+    only when it needs an index the pack lacks.  A run without one gets
+    a lane set of its own, shut down when the batch ends
+    (:func:`_lane_set`).
 
     A kill breaks exactly one lane's pool, and only that pool is
     replaced.  A variant unit is one cell-graph pass under
@@ -825,14 +885,16 @@ class _ProcessLanes:
     def __init__(self) -> None:
         self.n_slots = 1
         self.t0 = 0.0
-        self.indexes: list[tuple[str, dict]] = []  # factory (kind, params) to pack
+        self.indexes: list[tuple[str, dict]] = []  # the batch's factory (kind, params)
         self.factory = IndexFactory()  # the run's, when it has one
         self.store_handle: PointStoreHandle | None = None
+        self.packed: list[tuple[str, dict]] = []  # what the live pack holds
         self.idx_shm: SharedMemory | None = None
         self.idx_handle: IndexPackHandle | None = None
         self.pools: list[ProcessPoolExecutor] = []
         self.supervisor: Supervisor | None = None
         self.mailbox: HeartbeatMailbox | None = None
+        self.busy = threading.Lock()  # held by the one batch running on these lanes
 
     def group(self, b: _Batch, graph: TaskGraph) -> list[_GroupUnit]:
         """The variant units, and as many lanes as can run at once.
@@ -848,6 +910,7 @@ class _ProcessLanes:
         sharded = {t.variant for t in graph.merge_tasks()}
         plain = [t.variant for t in graph.variant_tasks()]
         units: list[tuple[list[Variant], tuple]] = []
+        self.indexes = []
         if b.spec.kernel == "cellgraph":
             top: dict[float, int] = {}
             for v in plain:
@@ -886,16 +949,29 @@ class _ProcessLanes:
         return groups
 
     def open(self, b: _Batch) -> None:
-        """Share the store, pack the indexes, start the lanes and the mailbox."""
+        """Share the store, pack what the pack lacks, start missing lanes, open the mailbox."""
         tracer = b.tracer
         self.store_handle = b.ctx.store.ensure_shared(tracer=tracer)
         self.t0 = time.perf_counter()
-        if self.indexes:
+        missing = [w for w in self.indexes if w not in self.packed]
+        if missing:
+            # The union, so a session alternating kernels or eps values
+            # packs each index once.  The old segment's name goes now,
+            # its memory once every worker has swapped to the new pack
+            # (on its next unit).
+            wanted = self.packed + missing
+            self._drop_pack()
             self.idx_shm, self.idx_handle = share_indexes(
-                self.factory, b.ctx.store, self.indexes, tracer=tracer
+                self.factory, b.ctx.store, wanted, tracer=tracer
             )
+            self.packed = wanted
+            # The parent never reads the pack: unmap it here, and keep
+            # the segment object only to unlink the name.
+            release_segment(self.idx_shm)
         _one_malloc_arena()
-        self.pools.extend(ProcessPoolExecutor(max_workers=1) for _ in range(self.n_slots))
+        self.pools.extend(
+            ProcessPoolExecutor(max_workers=1) for _ in range(self.n_slots - len(self.pools))
+        )
         if b.supervisor is not None:
             self.supervisor = b.supervisor
             self.mailbox = b.supervisor.open_mailbox(self.n_slots)
@@ -959,19 +1035,60 @@ class _ProcessLanes:
         pool.shutdown(wait=True, cancel_futures=True)
         self.pools[lane] = ProcessPoolExecutor(max_workers=1)
 
-    def close(self) -> None:
-        for pool in self.pools:
-            pool.shutdown(wait=True, cancel_futures=True)
+    def close(self, b: _Batch) -> None:
+        """End the batch; the lanes and the pack stay for the next one.
+
+        A lane the batch did not hand back still runs a job of a batch
+        that raised: it is killed and replaced, so the next batch starts
+        on idle lanes.
+        """
+        for lane in range(self.n_slots):
+            if lane not in b.free_lanes:
+                self.respawn(lane, hung=True)
         if self.supervisor is not None and self.mailbox is not None:
             self.supervisor.close_mailbox()
+        self.supervisor = self.mailbox = None
+
+    def _drop_pack(self) -> None:
         if self.idx_shm is not None:
-            # The pack exists only for this batch; remove it even when a
-            # worker raised.  (The point segment belongs to the store's
-            # owner — the session.)  destroy also drops the segment from
-            # the owned-set audit, so later leak gates (Session.close,
-            # CI doctor) stay clean.
+            # destroy also drops the segment from the owned-set audit,
+            # so later leak gates (Session.close, CI doctor) stay clean.
             release_segment(self.idx_shm)
             destroy_segment(self.idx_shm)
+        self.idx_shm = self.idx_handle = None
+        self.packed = []
+
+    def shutdown(self) -> None:
+        """Stop every lane and remove the pack: the owner is done with them."""
+        for pool in self.pools:
+            pool.shutdown(wait=True, cancel_futures=True)
+        self.pools.clear()
+        self._drop_pack()
+
+
+@contextmanager
+def _lane_set(substrate: str, ctx: RunContext, variants: VariantSet) -> Iterator:
+    """The lane set a batch dispatches onto, for the length of the batch.
+
+    Inline lanes are the batch's own.  Process lanes are the session's
+    (``ctx.lanes``) when it has a free set, else the batch's own, shut
+    down when it ends.
+    """
+    if substrate == "sim":
+        yield _InlineLanes(ctx.spec.n_threads, variants)
+        return
+    shared = ctx.lanes
+    if shared is not None and shared.busy.acquire(blocking=False):
+        try:
+            yield shared
+        finally:
+            shared.busy.release()
+        return
+    own = _ProcessLanes()
+    try:
+        yield own
+    finally:
+        own.shutdown()
 
 
 # --------------------------------------------------------------------------
@@ -1378,7 +1495,7 @@ def _dispatch(b: _Batch) -> None:
                     continue
                 _on_done(b, job, payload)
     finally:
-        b.lanes.close()
+        b.lanes.close(b)
     if b.tracer.enabled and b.task_spans:
         # Task spans are stamped on the batch's clock: the work-unit
         # clock inline, else seconds since t0, which this offset puts
@@ -1477,10 +1594,10 @@ class GraphRuntime:
         if spec.supervise is not None:
             b.supervisor = Supervisor(spec.supervise, tracer=tracer, n_tasks=b.n_tasks)
         if len(graph):
-            sim = self.substrate == "sim"
-            b.lanes = _InlineLanes(spec.n_threads, variants) if sim else _ProcessLanes()
-            _plan_units(b, graph)
-            _dispatch(b)
+            with _lane_set(self.substrate, ctx, variants) as lanes:
+                b.lanes = lanes
+                _plan_units(b, graph)
+                _dispatch(b)
         makespan = max((r.finish for r in b.records), default=0.0)
         batch_record = BatchRunRecord(
             records=b.records, n_threads=spec.n_threads, makespan=makespan

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cellgraph import MinptsPass, cellgraph_dbscan
+from repro.core.cellgraph import _DIRECTIONS, MinptsPass, _CellSummary, cellgraph_dbscan
 from repro.core.dbscan import dbscan
 from repro.core.variants import Variant, VariantSet
+from repro.data.registry import load_dataset
 from repro.engine import Session
 from repro.index.cellgraph import CellGraphIndex
 from repro.index.rtree import RTree
@@ -194,3 +195,48 @@ class TestBatchEngine:
         for eps, searches in by_eps.items():
             # One variant per eps built the pass; the rest only thresholded.
             assert sum(1 for s in searches if s) <= 1, eps
+
+
+def _member_reps(summary, dense_cell) -> np.ndarray:
+    """``_CellSummary.reps`` the long way: gather the dense cells' members,
+    then take each cell's first extreme point per direction."""
+    counts = summary.counts
+    dense = np.flatnonzero(dense_cell)
+    size = counts[dense]
+    ptr = np.cumsum(size) - size
+    member = np.repeat(dense_cell, counts)
+    pos = np.flatnonzero(member)
+    mx, my = summary.xs[member], summary.ys[member]
+    reps = np.empty((len(_DIRECTIONS), dense.size), dtype=np.int64)
+    for k, (dx, dy) in enumerate(_DIRECTIONS):
+        values = dx * mx + dy * my
+        best = np.maximum.reduceat(values, ptr)
+        at = np.flatnonzero(values == np.repeat(best, size))
+        seg = np.searchsorted(ptr, at, side="right") - 1
+        first = np.r_[True, seg[1:] != seg[:-1]]
+        reps[k] = pos[at[first]]
+    return reps
+
+
+class TestCellSummaryReps:
+    """The dense cells' extreme points, found over every cell's run."""
+
+    @staticmethod
+    def check(points, eps, top):
+        index = CellGraphIndex(points, eps)
+        dense_cell = index.cell_counts >= top
+        summary = _CellSummary(index, points, dense_cell)
+        assert dense_cell.any()
+        assert np.array_equal(summary.reps, _member_reps(summary, dense_cell))
+
+    @pytest.mark.parametrize("eps,top", [(0.3, 4), (0.5, 12), (0.8, 24)])
+    def test_sw1_sample(self, eps, top):
+        self.check(load_dataset("SW1", 0.01).points, eps, top)
+
+    @pytest.mark.parametrize("top", [1, 2, 4])
+    def test_tie_heavy_lattice(self, top):
+        # Every cell holds a lattice patch whose extremes tie in every
+        # direction, with duplicated points on top.
+        grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(9.0)), -1).reshape(-1, 2)
+        points = np.vstack([grid * 0.1, grid[::5] * 0.1])
+        self.check(points, 0.25, top)

@@ -932,6 +932,7 @@ _SHARD_TEARDOWN = (
     "            hb.close()"
 )
 _MERGE_HARD_DEP = "hard = (merge_task_id(parent),)"
+_LANE_PACK_ATTACH = "self.pack = attach_indexes("
 
 
 class TestSeededMutations:
@@ -962,6 +963,15 @@ class TestSeededMutations:
         report = check({"repro.exec.graph": mutated}, CONCURRENCY_RULES)
         assert rule_ids(report) == ["shm-paths"]
         assert report.findings[0].qualname == "_shard_worker"
+
+    def test_unstored_lane_attachment_yields_one_finding(self, graph_src):
+        """A lane worker's pack is owned by its lane state: bound to a
+        local instead, it leaks."""
+        assert graph_src.count(_LANE_PACK_ATTACH) == 1
+        mutated = graph_src.replace(_LANE_PACK_ATTACH, "pack = attach_indexes(")
+        report = check({"repro.exec.graph": mutated}, CONCURRENCY_RULES)
+        assert rule_ids(report) == ["shm-paths"]
+        assert report.findings[0].qualname == "_LaneState.bind"
 
     def test_demoting_a_hard_dep_yields_one_finding(self, taskgraph_src):
         assert taskgraph_src.count(_MERGE_HARD_DEP) == 1
