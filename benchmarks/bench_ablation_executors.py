@@ -9,11 +9,7 @@ workload and deleted; EXPERIMENTS.md records the numbers.)
 
 All runs route through one shared :class:`repro.Session`
 (``bench_session``), so the point store and both R-trees are built once
-for the whole module.  The setup bench quantifies what the session
-engine saves the process backend: the old path pickled the points and
-rebuilt ``T_high``/``T_low`` in *every* worker; the engine path packs
-the already-built trees into shared memory once and workers attach
-zero-copy.
+for the whole module.
 """
 
 from __future__ import annotations
@@ -28,8 +24,6 @@ from repro.bench.reporting import format_table
 from repro.core.reuse import POLICIES
 from repro.core.scheduling import SCHEDULERS
 from repro.core.variants import VariantSet
-from repro.engine import IndexFactory, IndexPair, PointStore, attach_indexes, share_indexes
-from repro.engine.factory import pair_params
 
 from conftest import bench_scale, bench_session
 
@@ -98,82 +92,6 @@ def test_ablation_executors_report(benchmark, report):
         ),
     )
     assert all(r[3] == len(VSET) for r in rows)
-
-
-def test_bench_procpool_setup_vs_rebuild(benchmark, report):
-    """Engine setup (share + attach) vs the old per-worker index rebuild.
-
-    Baseline: the pre-engine process backend rebuilt the full
-    ``IndexPair`` inside every one of the ``WORKERS`` workers.  Engine
-    path: pack the session's already-built pair into shared memory once,
-    then one zero-copy attach per worker.  The report shows both costs
-    on the Figure 9 workload; the attach path must be cheaper than even
-    a single rebuild.
-    """
-    session = bench_session(FIG9_DATASET)
-    points = session.points
-    low_res_r = session.spec.reuse.low_res_r
-    session.indexes()
-
-    def engine_setup():
-        store = PointStore.from_points(points)
-        with store:
-            store.ensure_shared()
-            shm, handle = share_indexes(
-                session.factory, store, pair_params(low_res_r)
-            )
-            try:
-                attach_cost = 0.0
-                for _ in range(WORKERS):
-                    t0 = time.perf_counter()
-                    factory = IndexFactory()
-                    seg = attach_indexes(handle, store, factory)
-                    attach_cost += time.perf_counter() - t0
-                    del factory
-                    seg.close()
-            finally:
-                shm.close()
-                shm.unlink()  # repro: allow[shm-lifecycle] (owns the measured segment)
-        return attach_cost
-
-    t0 = time.perf_counter()
-    attach_cost = engine_setup()
-    engine_wall = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    for _ in range(WORKERS):
-        rebuilt = IndexPair.build(points, low_res_r)
-    rebuild_wall = time.perf_counter() - t0
-    del rebuilt
-
-    benchmark.pedantic(engine_setup, rounds=2, iterations=1)
-    report(
-        "procpool_setup",
-        format_table(
-            ["setup path", "wall (s)", "per worker (s)"],
-            [
-                [
-                    f"engine: shm pack + {WORKERS} attaches",
-                    engine_wall,
-                    attach_cost / WORKERS,
-                ],
-                [
-                    f"baseline: {WORKERS} per-worker IndexPair rebuilds",
-                    rebuild_wall,
-                    rebuild_wall / WORKERS,
-                ],
-            ],
-            title=(
-                f"Process-pool setup on SW1 (scale {bench_scale():g}, "
-                f"r={low_res_r}): shared-memory attach vs per-worker rebuild."
-            ),
-        ),
-    )
-    # The engine's whole setup (copying points + both trees into shm and
-    # attaching in every worker) must beat rebuilding per worker; the
-    # per-worker attach must beat even one rebuild.
-    assert engine_wall < rebuild_wall
-    assert attach_cost / WORKERS < rebuild_wall / WORKERS
 
 
 def test_procpool_matches_serial_per_config(report):

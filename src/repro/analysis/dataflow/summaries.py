@@ -22,10 +22,10 @@ Name collisions (two functions named ``close``) merge conservatively:
 
 The pass also records which classes are **non-raising constructors**:
 ``@dataclass`` classes without ``__init__``/``__post_init__`` bodies of
-their own.  ``return shm, IndexPackHandle(...)`` is an ownership
-transfer, not a leak window, precisely because the generated
-``__init__`` only assigns fields — rules feed this set into the CFG's
-``can_raise`` predicate.
+their own.  After ``shm = create_shm(size)``, a
+``return shm, PointStoreHandle(...)`` is an ownership transfer, not a
+leak window, precisely because the generated ``__init__`` only assigns
+fields — rules feed this set into the CFG's ``can_raise`` predicate.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ flow-sensitively.  For each function in the concurrency core
 each call that acquires a segment-backed resource::
 
     shm = attach_shm(name)
-    shm, pack = pack_arrays(arrays, tag)
+    shm = create_shm(size, tag)
     store = PointStore.attach(handle)
     mailbox = supervisor.open_mailbox(n)
 
@@ -52,10 +52,6 @@ _ACQUIRERS = frozenset(
     {
         "create_shm",
         "attach_shm",
-        "pack_arrays",
-        "attach_arrays",
-        "share_indexes",
-        "attach_indexes",
         "open_mailbox",
         "SharedMemory",
     }

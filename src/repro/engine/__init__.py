@@ -17,17 +17,13 @@ from repro.engine.factory import (
     INDEX_KINDS,
     SPAN_INDEX_BUILD,
     IndexFactory,
-    IndexPackHandle,
     IndexPair,
-    attach_indexes,
-    share_indexes,
 )
 from repro.engine.session import Session
 
 __all__ = [
     "INDEX_KINDS",
     "IndexFactory",
-    "IndexPackHandle",
     "IndexPair",
     "PointStore",
     "PointStoreHandle",
@@ -37,7 +33,5 @@ __all__ = [
     "SPAN_INDEX_BUILD",
     "SPAN_SHM_ATTACH",
     "Session",
-    "attach_indexes",
     "fingerprint_points",
-    "share_indexes",
 ]

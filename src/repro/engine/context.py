@@ -253,7 +253,7 @@ class RunContext:
         database; ``None`` disables checkpointing.
     lanes:
         The session's process lane set, which outlives a batch (its
-        pools, its workers' attachments and its index pack); ``None``
+        pools, its workers' attachments and built indexes); ``None``
         gives a process-lane batch lanes of its own.
     """
 

@@ -27,7 +27,7 @@ Usage::
 
 The session also owns the process lanes its ``processes`` and
 ``hybrid`` runs dispatch onto: started by the first such run and kept,
-with the workers' attachments and the index pack, until
+with each worker's store attachment and the indexes it built, until
 :meth:`Session.close`.  The context-manager form guarantees that the
 lanes stop and any shared-memory segments the session materialized
 are unlinked even when a worker raises; a finalizer does the same for
@@ -233,7 +233,7 @@ class Session:
         """Release everything the session owns.
 
         Stops the session's process lanes (their workers are reaped
-        here), removes their index pack, unlinks any shared-memory
+        here, with the indexes they built), unlinks any shared-memory
         segment the store materialized, drops the index cache, and
         audits this process's own segment registry so nothing survives
         even if an executor leaked.

@@ -1,21 +1,14 @@
-"""POSIX shared-memory transport for immutable NumPy arrays.
+"""POSIX shared-memory segments with owned-segment bookkeeping.
 
 The paper's execution model (Section IV) is shared-memory threads: one
-database ``D`` and two R-trees built once, visible to every worker for
-free.  Our process-pool substitute loses that for free-ness — pickling
-the point array to each worker costs a copy per worker, and rebuilding
-the trees costs an index construction per worker.  This module restores
-the shared-memory economics with :mod:`multiprocessing.shared_memory`:
-
-:func:`pack_arrays`
-    Copy a set of named, immutable arrays into **one** shared-memory
-    segment and return a small picklable :class:`ArrayPackHandle`
-    describing the layout.  Identical arrays (same object) are stored
-    once — the two R-trees share their bin-sort permutation, so the
-    dedup is worth real memory.
-:func:`attach_arrays`
-    Map the arrays back in another process, zero-copy: each returned
-    array is a read-only view of the shared segment.
+database ``D`` visible to every worker for free.  Our process-lane
+substitute loses that for free-ness: pickling the point array to each
+worker costs a copy per worker.  This module restores it with
+:mod:`multiprocessing.shared_memory`: :func:`create_shm` makes an owned,
+audited segment (the point store's, a supervised batch's heartbeat
+mailbox) and :func:`attach_shm` maps one in another process.  Indexes
+do not travel: each lane worker builds the ones it reads and keeps
+them for its life.
 
 Lifecycle rules (enforced by callers, see :class:`~repro.engine.store.
 PointStore`): exactly one process *owns* a segment and is responsible
@@ -34,21 +27,15 @@ import os
 import secrets
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 
-import numpy as np
-
 __all__ = [
-    "ArrayPackHandle",
-    "attach_arrays",
     "attach_shm",
     "create_shm",
     "destroy_segment",
     "destroy_segment_by_name",
     "discard_segment",
     "owned_segments",
-    "pack_arrays",
     "reclaim_segments",
     "release_segment",
     "segment_exists",
@@ -59,10 +46,6 @@ __all__ = [
 #: not yet unlinked — the working set the owner-side leak audit checks.
 _OWNED_LOCK = threading.Lock()
 _OWNED: set[str] = set()
-
-#: Alignment (bytes) of each array inside a pack; keeps float64/int64
-#: views aligned and SIMD-friendly.
-_ALIGN = 64
 
 
 def shm_name(tag: str = "") -> str:
@@ -206,74 +189,3 @@ def attach_shm(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
     finally:
         resource_tracker.register = original_register
-
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-@dataclass(frozen=True)
-class ArrayPackHandle:
-    """Picklable description of arrays packed into one shared segment.
-
-    ``entries`` maps array key -> ``(dtype str, shape, byte offset)``.
-    The handle is all a worker needs (besides the segment itself, found
-    by ``name``) to rebuild zero-copy views with :func:`attach_arrays`.
-    """
-
-    name: str
-    entries: dict = field(default_factory=dict)
-
-    @property
-    def keys(self) -> list[str]:
-        return list(self.entries)
-
-
-def pack_arrays(
-    arrays: dict[str, np.ndarray], tag: str = ""
-) -> tuple[shared_memory.SharedMemory, ArrayPackHandle]:
-    """Copy ``arrays`` into one owned shared segment; return it + handle.
-
-    Arrays that are the *same object* under multiple keys are stored
-    once and aliased in the handle.  The caller owns the returned
-    segment (``close()`` + ``unlink()`` when done); the handle is
-    cheap to pickle to workers.
-    """
-    # Dedup by object identity: same ndarray under two keys -> one copy.
-    unique: dict[int, tuple[np.ndarray, int]] = {}
-    offset = 0
-    for arr in arrays.values():
-        if id(arr) in unique:
-            continue
-        # Key on the *input* object's id even when a contiguous copy is
-        # made, so the second loop's lookups by original id still hit.
-        unique[id(arr)] = (np.ascontiguousarray(arr), _aligned(offset))
-        offset = _aligned(offset) + arr.nbytes
-    shm = create_shm(offset, tag)
-    entries: dict[str, tuple[str, tuple, int]] = {}
-    for key, arr in arrays.items():
-        src, off = unique[id(arr)]
-        dst = np.ndarray(src.shape, dtype=src.dtype, buffer=shm.buf, offset=off)
-        dst[...] = src
-        entries[key] = (src.dtype.str, tuple(src.shape), off)
-    return shm, ArrayPackHandle(name=shm.name, entries=entries)
-
-
-def attach_arrays(
-    handle: ArrayPackHandle,
-    shm: shared_memory.SharedMemory | None = None,
-) -> tuple[shared_memory.SharedMemory, dict[str, np.ndarray]]:
-    """Zero-copy read-only views of a pack in this process.
-
-    Returns the attached segment (caller must ``close()`` it when the
-    views are no longer needed — never ``unlink``) and the views keyed
-    as packed.  Pass ``shm`` to reuse an already-attached segment.
-    """
-    if shm is None:
-        shm = attach_shm(handle.name)
-    out: dict[str, np.ndarray] = {}
-    for key, (dtype, shape, off) in handle.entries.items():
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=off)
-        view.flags.writeable = False
-        out[key] = view
-    return shm, out

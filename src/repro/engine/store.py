@@ -153,8 +153,7 @@ class PointStore:
 
         Both of a session's R-trees (``T_high``, ``T_low``) presort
         with the same bin width, so sharing the permutation halves the
-        sort work and lets the shared-index transport ship one array
-        instead of two.
+        sort work and the memory it takes.
         """
         key = float(bin_width)
         if key not in self._orders:

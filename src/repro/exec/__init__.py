@@ -22,10 +22,10 @@ inline lanes (``sim``) and process lanes (``lanes``).
   (:func:`~repro.exec.graph.partition_reuse_chains`).  The lanes are
   the session's: started by its first such run and kept until
   :meth:`~repro.Session.close`, so later batches start no process.
-  Workers attach the session's shared-memory store and index pack (the
-  R-tree pair under ``bfs``, the per-eps cell grids under
-  ``cellgraph``) once and keep them, so they build no index; a batch
-  packs again only for indexes the pack lacks.
+  Workers attach the session's shared-memory store once and build the
+  indexes their units read (the R-tree pair under ``bfs``, each pass's
+  cell grid under ``cellgraph``) on first use, keeping both for the
+  session.
 * ``hybrid`` — both axes on one pool, variant-first: whole variants
   fill the lanes as under ``processes``, and, under ``kernel="bfs"``,
   scratch variants of ``DEFAULT_SHARD_THRESHOLD`` or more points fan

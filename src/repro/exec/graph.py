@@ -52,15 +52,15 @@ groups at submission time, which is exactly the hard edge hybrid
 lowering records.
 
 Shared-memory economics: the parent materializes the point database
-once per session and packs the built indexes a batch's kernel reads —
-the ``(T_high, T_low)`` R-tree pair under ``bfs``, the session's
-per-eps cell grids under ``cellgraph`` (order, offsets and cell keys
-only; workers derive the rest).  The pack lives with the session's
-lanes: a batch packs again only when it needs an index the pack lacks,
-and then packs the union.  Every lane worker attaches both (zero-copy)
-once and keeps them, with the grid shells it seeded from the pack, in
-its :class:`_LaneState`, instead of pickling points or rebuilding
-indexes, so a cellgraph worker builds no grid and maps no R-tree.
+once per session, and every lane worker attaches it (zero-copy) once
+and keeps the attachment in its :class:`_LaneState`, instead of
+receiving pickled points.  Indexes do not cross the process boundary:
+each worker builds the ones its units read — its passes' cell grids
+under ``cellgraph``, the ``(T_high, T_low)`` R-tree pair under ``bfs``
+— on the first attempt that needs one, and keeps it for the session,
+as inline lanes do in the parent.  The first build is charged to that
+attempt on both lane sets, and amortized over the session's batches
+(Algorithm 3 amortizes it over one batch).
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from multiprocessing import util as mp_util
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -103,14 +102,7 @@ from repro.core.taskgraph import (
 )
 from repro.core.variants import Variant, VariantSet, sort_key
 from repro.engine.context import ReuseSpec, RunContext, RunSpec
-from repro.engine.factory import (
-    IndexFactory,
-    IndexPackHandle,
-    attach_indexes,
-    pair_params,
-    share_indexes,
-)
-from repro.engine.shm import destroy_segment, release_segment
+from repro.engine.factory import IndexFactory
 from repro.engine.store import PointStore, PointStoreHandle
 from repro.exec._runner import PassMemo, finish_attempt, run_chain
 from repro.exec.base import BatchResult
@@ -131,9 +123,6 @@ from repro.supervise.ladder import LadderStep
 from repro.supervise.signals import HeartbeatMailbox, PulseHandle, worker_pulse
 from repro.supervise.supervisor import Supervisor
 from repro.util.errors import CorruptResultError, VariantTimeoutError
-
-if TYPE_CHECKING:
-    from multiprocessing.shared_memory import SharedMemory
 
 __all__ = [
     "EVENT_SHARD_PLAN",
@@ -292,46 +281,31 @@ def _run_unit(ctx: RunContext, chain, todo, donors, t0, thread_id, faults, polic
 class _LaneState:
     """What one lane worker keeps from unit to unit, for its whole life.
 
-    Its attachment of the session's point segment, its attachment of
-    the index pack, and the :class:`IndexFactory` seeded from that pack
-    (grid shells with the arrays they derive on first read).  A lane
-    serves one session, so the store stays put; the pack changes when a
-    batch needs indexes the last pack lacked, and :meth:`bind` then
-    drops the old shells and mapping before it attaches the new pack.
+    Its attachment of the session's point segment and its own
+    :class:`IndexFactory`, which builds each index on the first unit
+    that reads it (under that attempt's clock and spans) and keeps it,
+    so a worker builds every index it needs once per session.  A lane
+    serves one session, so the store stays put; a store handle naming
+    another segment drops the store and the indexes built over it.
     Everything is released when the worker exits.
     """
 
     def __init__(self) -> None:
         self.store: PointStore | None = None
-        self.pack: SharedMemory | None = None
-        self.pack_name: str | None = None
         self.factory = IndexFactory()
 
     def bind(
-        self,
-        store_handle: PointStoreHandle,
-        idx_handle: IndexPackHandle | None,
-        tracer: Tracer | None,
+        self, store_handle: PointStoreHandle, tracer: Tracer | None
     ) -> tuple[PointStore, IndexFactory]:
-        """The store and factory of a unit with these handles, attached as needed."""
+        """The store and factory of a unit with this handle, attached as needed."""
         if self.store is None or self.store.segment_name != store_handle.name:
             self.release()
             self.store = PointStore.attach(store_handle, tracer=tracer)
-        if idx_handle is not None and idx_handle.pack.name != self.pack_name:
-            self._drop_pack()
-            self.pack = attach_indexes(idx_handle, self.store, self.factory, tracer=tracer)
-            self.pack_name = idx_handle.pack.name
         return self.store, self.factory
 
-    def _drop_pack(self) -> None:
-        # The shells view the mapping: drop them before unmapping it.
-        self.factory = IndexFactory()
-        if self.pack is not None:
-            release_segment(self.pack)
-        self.pack = self.pack_name = None
-
     def release(self) -> None:
-        self._drop_pack()
+        # The indexes view the store's mapping: drop them before unmapping it.
+        self.factory = IndexFactory()
         if self.store is not None:
             self.store.close()
         self.store = None
@@ -349,7 +323,6 @@ def _lane_state() -> _LaneState:
 
 def _chain_worker(
     store_handle: PointStoreHandle,
-    idx_handle: IndexPackHandle | None,
     chain: list[tuple[float, int]],
     todo: list[tuple[PlannedVariant, int]],
     donors: list[tuple[tuple[float, int], ClusteringResult]],
@@ -370,13 +343,13 @@ def _chain_worker(
     the caller's scheduler and seeds clusters with the caller's reuse
     policy.
 
-    The worker reads the parent's shared point segment and index pack
-    through its :class:`_LaneState` (zero-copy views, attached by the
-    first unit that names them; spans ``shm_attach``) instead of
-    receiving pickled points, and its factory holds the packed indexes
-    — the R-tree pair under ``bfs``, the per-eps cell grids under
-    ``cellgraph`` — so its kernel never builds an index
-    (:class:`PassMemo` finds every grid in the factory).  The tracer
+    The worker reads the parent's shared point segment through its
+    :class:`_LaneState` (a zero-copy view, attached by the worker's
+    first unit; span ``shm_attach``) instead of receiving pickled
+    points.  Its kernel takes indexes from the lane state's factory —
+    the R-tree pair under ``bfs``, the unit's cell grid under
+    ``cellgraph`` — which builds each on the first attempt that reads
+    it (span ``index_build``) and keeps it for later units.  The tracer
     cannot cross the process boundary, so each unit builds its own and
     ships its spans back as plain records; they need no rebasing,
     because every tracer stamps :func:`time.perf_counter`, which is
@@ -393,7 +366,7 @@ def _chain_worker(
     # setup sits between it and the finally that closes it.
     hb = worker_pulse(pulse)
     try:
-        store, factory = _lane_state().bind(store_handle, idx_handle, tracer)
+        store, factory = _lane_state().bind(store_handle, tracer)
         ctx = RunContext(
             store=store,
             spec=RunSpec(kernel=kernel, reuse=reuse, cost_model=cost_model),
@@ -864,12 +837,11 @@ class _ProcessLanes:
     """One single-process pool per dispatch slot, on the wall clock.
 
     A session keeps one lane set for its life and hands it to every
-    process-lane batch (:attr:`RunContext.lanes`), so the pools, their
-    workers' attachments and the index pack outlive a batch: a batch
-    starts only the lanes no earlier batch started, and packs again
-    only when it needs an index the pack lacks.  A run without one gets
-    a lane set of its own, shut down when the batch ends
-    (:func:`_lane_set`).
+    process-lane batch (:attr:`RunContext.lanes`), so the pools and
+    their workers' store attachments and built indexes outlive a batch:
+    a batch starts only the lanes no earlier batch started.  A run
+    without one gets a lane set of its own, shut down when the batch
+    ends (:func:`_lane_set`).
 
     A kill breaks exactly one lane's pool, and only that pool is
     replaced.  A variant unit is one cell-graph pass under
@@ -885,12 +857,8 @@ class _ProcessLanes:
     def __init__(self) -> None:
         self.n_slots = 1
         self.t0 = 0.0
-        self.indexes: list[tuple[str, dict]] = []  # the batch's factory (kind, params)
-        self.factory = IndexFactory()  # the run's, when it has one
+        self.factory = IndexFactory()  # prices passes: the run's, when it has one
         self.store_handle: PointStoreHandle | None = None
-        self.packed: list[tuple[str, dict]] = []  # what the live pack holds
-        self.idx_shm: SharedMemory | None = None
-        self.idx_handle: IndexPackHandle | None = None
         self.pools: list[ProcessPoolExecutor] = []
         self.supervisor: Supervisor | None = None
         self.mailbox: HeartbeatMailbox | None = None
@@ -910,7 +878,6 @@ class _ProcessLanes:
         sharded = {t.variant for t in graph.merge_tasks()}
         plain = [t.variant for t in graph.variant_tasks()]
         units: list[tuple[list[Variant], tuple]] = []
-        self.indexes = []
         if b.spec.kernel == "cellgraph":
             top: dict[float, int] = {}
             for v in plain:
@@ -923,8 +890,6 @@ class _ProcessLanes:
                      (_pass_cost(grid, m), eps))
                 )
             units.sort(key=lambda u: u[1], reverse=True)
-            # Each worker reads the grids of its unit's eps.
-            self.indexes = [("cellgraph", {"eps": e}) for e in sorted(top)]
         elif plain:
             # Group the plain variants along the *global* reuse forest
             # (so a sharded root's subtree stays one chain), then drop
@@ -934,8 +899,6 @@ class _ProcessLanes:
                 kept = [v for v in chain if v not in sharded]
                 if kept:
                     units.append((kept, ()))
-            # The chain workers read the (T_high, T_low) pair.
-            self.indexes = pair_params(b.spec.effective_reuse.low_res_r)
         groups = [
             _GroupUnit(
                 gid, kept, [PlannedVariant(v) for v in kept],
@@ -949,25 +912,9 @@ class _ProcessLanes:
         return groups
 
     def open(self, b: _Batch) -> None:
-        """Share the store, pack what the pack lacks, start missing lanes, open the mailbox."""
-        tracer = b.tracer
-        self.store_handle = b.ctx.store.ensure_shared(tracer=tracer)
+        """Share the store, start missing lanes, open the mailbox."""
+        self.store_handle = b.ctx.store.ensure_shared(tracer=b.tracer)
         self.t0 = time.perf_counter()
-        missing = [w for w in self.indexes if w not in self.packed]
-        if missing:
-            # The union, so a session alternating kernels or eps values
-            # packs each index once.  The old segment's name goes now,
-            # its memory once every worker has swapped to the new pack
-            # (on its next unit).
-            wanted = self.packed + missing
-            self._drop_pack()
-            self.idx_shm, self.idx_handle = share_indexes(
-                self.factory, b.ctx.store, wanted, tracer=tracer
-            )
-            self.packed = wanted
-            # The parent never reads the pack: unmap it here, and keep
-            # the segment object only to unlink the name.
-            release_segment(self.idx_shm)
         _one_malloc_arena()
         self.pools.extend(
             ProcessPoolExecutor(max_workers=1) for _ in range(self.n_slots - len(self.pools))
@@ -989,7 +936,6 @@ class _ProcessLanes:
         fut = self.pools[lane].submit(
             _chain_worker,
             self.store_handle,
-            self.idx_handle,
             [v.as_tuple() for v in unit.variants],
             todo,
             [(v.as_tuple(), r) for v, r in donors],
@@ -1032,11 +978,18 @@ class _ProcessLanes:
         if hung:  # wedged workers never join; kill them first
             for proc in list(getattr(pool, "_processes", {}).values()):
                 proc.terminate()
-        pool.shutdown(wait=True, cancel_futures=True)
+            # A worker killed while it sends a result leaves half a message,
+            # which the pool's reader thread would wait on forever.  Closing
+            # the parent's write end lets that read end in EOF once no
+            # worker holds one, and the shutdown does not wait for it.
+            results = getattr(pool, "_result_queue", None)
+            if results is not None:
+                results._writer.close()
+        pool.shutdown(wait=not hung, cancel_futures=True)
         self.pools[lane] = ProcessPoolExecutor(max_workers=1)
 
     def close(self, b: _Batch) -> None:
-        """End the batch; the lanes and the pack stay for the next one.
+        """End the batch; the lanes stay for the next one.
 
         A lane the batch did not hand back still runs a job of a batch
         that raised: it is killed and replaced, so the next batch starts
@@ -1049,21 +1002,11 @@ class _ProcessLanes:
             self.supervisor.close_mailbox()
         self.supervisor = self.mailbox = None
 
-    def _drop_pack(self) -> None:
-        if self.idx_shm is not None:
-            # destroy also drops the segment from the owned-set audit,
-            # so later leak gates (Session.close, CI doctor) stay clean.
-            release_segment(self.idx_shm)
-            destroy_segment(self.idx_shm)
-        self.idx_shm = self.idx_handle = None
-        self.packed = []
-
     def shutdown(self) -> None:
-        """Stop every lane and remove the pack: the owner is done with them."""
+        """Stop every lane: the owner is done with them."""
         for pool in self.pools:
             pool.shutdown(wait=True, cancel_futures=True)
         self.pools.clear()
-        self._drop_pack()
 
 
 @contextmanager
@@ -1564,7 +1507,7 @@ class GraphRuntime:
         if mode == "hybrid" and spec.shard_threshold is None and spec.kernel == "cellgraph":
             # Variant-first hybrid never pays under the cell-graph kernel:
             # a slab builds its own grid where the whole variant reuses
-            # the session's one, so a lone big root runs whole.
+            # its lane's memoized one, so a lone big root runs whole.
             mode = "variant"
         n_regions = 1
         if mode == "hybrid" and ctx.store.n_points:

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.index._ranges import ranges_to_indices
 from repro.index.grid import UniformGridIndex
-from repro.util.validation import as_points_array
 
 __all__ = ["CellGraphIndex", "NEIGHBOR_OFFSETS", "POSITIVE_OFFSETS"]
 
@@ -87,44 +86,6 @@ class CellGraphIndex(UniformGridIndex):
             raise ValueError(f"eps must be finite and > 0, got {eps!r}")
         self.eps = eps
         super().__init__(points, _cell_width(eps))
-
-    @classmethod
-    def from_arrays(
-        cls, points: np.ndarray, eps: float, *, arrays: dict[str, np.ndarray]
-    ) -> CellGraphIndex:
-        """Rebuild a grid *shell* from already-built flat arrays.
-
-        ``arrays`` is what :attr:`shareable_arrays` returned for a grid
-        over the same ``points`` at the same ``eps`` (possibly as
-        read-only shared-memory views in another process).  The arrays
-        are adopted as-is, so nothing is sorted; the packed key
-        encoding is derived here, and the per-cell counts and
-        ``cell_of_point`` on first read, as for a built grid.
-        """
-        index = cls.__new__(cls)
-        index.points = as_points_array(points)
-        index.eps = float(eps)
-        index.cell_width = _cell_width(index.eps)
-        index._order = arrays["order"]
-        index._offsets = arrays["offsets"]
-        index._cell_keys = arrays["cell_keys"]
-        index._build_encoded_keys()
-        return index
-
-    @property
-    def shareable_arrays(self) -> dict[str, np.ndarray]:
-        """The flat arrays the grid's sort produced.
-
-        Feeding them back through :meth:`from_arrays` with the same
-        points and ``eps`` yields an identical grid; everything else is
-        derived from them.  Used by the engine's shared-memory index
-        transport.
-        """
-        return {
-            "order": self._order,
-            "offsets": self._offsets,
-            "cell_keys": self._cell_keys,
-        }
 
     # -- cell-graph state ------------------------------------------------
     @cached_property

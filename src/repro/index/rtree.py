@@ -131,44 +131,6 @@ class RTree(SpatialIndex):
         self._cols = [
             tuple(np.ascontiguousarray(lvl[:, c]) for c in range(4)) for lvl in levels
         ]
-        self._finalize()
-
-    @classmethod
-    def from_arrays(
-        cls,
-        points: np.ndarray,
-        r: int,
-        *,
-        fanout: int,
-        bin_width: float,
-        arrays: dict[str, np.ndarray],
-    ) -> RTree:
-        """Rebuild a tree *shell* from already-built flat arrays.
-
-        ``arrays`` is exactly what :attr:`shareable_arrays` returned
-        for the source tree (possibly as shared-memory views in another
-        process).  This is the zero-copy reattachment path of the
-        engine's shared-index transport: no sorting, no packing, no
-        copies — the arrays are adopted as-is (read-only views are
-        fine, queries never write).
-        """
-        tree = cls.__new__(cls)
-        tree.points = as_points_array(points)
-        tree.r = check_positive_int(r, name="r")
-        tree.fanout = check_positive_int(fanout, name="fanout")
-        tree.bin_width = float(bin_width)
-        n = tree.points.shape[0]
-        tree._order = np.asarray(arrays["order"], dtype=np.int64)
-        tree.n_leaves = (n + tree.r - 1) // tree.r if n else 0
-        cols = []
-        for depth in range(len([k for k in arrays if k.endswith("c0")])):
-            cols.append(tuple(arrays[f"level{depth}c{c}"] for c in range(4)))
-        tree._cols = cols
-        tree._finalize()
-        return tree
-
-    def _finalize(self) -> None:
-        """Derive the hoisted query-path state from ``_cols``/``_order``."""
         self._level_sizes = [c[0].shape[0] for c in self._cols]
         self.height = len(self._level_sizes)
         # Hoisted strides for the hot query path.
@@ -181,21 +143,6 @@ class RTree(SpatialIndex):
             if self._level_sizes
             else np.empty(0, dtype=np.int64)
         )
-
-    @property
-    def shareable_arrays(self) -> dict[str, np.ndarray]:
-        """The flat arrays that fully determine the built tree.
-
-        Keys are stable (``order`` plus ``level<i>c<col>``, root level
-        first); feeding them back through :meth:`from_arrays` with the
-        same scalar params yields an identical tree.  Used by the
-        engine's shared-memory index transport.
-        """
-        out: dict[str, np.ndarray] = {"order": self._order}
-        for i, cols in enumerate(self._cols):
-            for c in range(4):
-                out[f"level{i}c{c}"] = cols[c]
-        return out
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -32,7 +32,6 @@ from repro.core.result import relabel_dense
 from repro.core.reuse import POLICIES
 from repro.core.scheduling import SCHEDULERS
 from repro.core.variants import VariantSet
-from repro.data.registry import load_dataset
 from repro.engine import Session
 from repro.index.cellgraph import (
     NEIGHBOR_OFFSETS,
@@ -120,42 +119,6 @@ class TestCellGraphIndex:
                     -1,
                 )
                 assert nb[s] == want
-
-    @pytest.mark.parametrize("case", ["sw1", "empty", "huge-coords"])
-    def test_from_arrays_round_trip(self, case):
-        eps = 0.5
-        if case == "sw1":
-            pts = load_dataset("SW1", 0.002).points
-        elif case == "empty":
-            pts = np.empty((0, 2))
-        else:
-            # Cell keys too far apart for the packed int64 encoding.
-            g = resolve_rng(3)
-            pts = np.vstack(
-                [g.normal(0.0, 0.3, (40, 2)), g.normal(1e15, 0.3, (40, 2))]
-            )
-        built = CellGraphIndex(pts, eps)
-        assert (built._enc is None) == (case != "sw1")
-        arrays = {k: v.copy() for k, v in built.shareable_arrays.items()}
-        for arr in arrays.values():
-            arr.flags.writeable = False  # attached views are read-only
-        shell = CellGraphIndex.from_arrays(pts, eps, arrays=arrays)
-        assert shell.cell_width == built.cell_width
-        assert (shell._enc is None) == (built._enc is None)
-        np.testing.assert_array_equal(shell.cell_counts, built.cell_counts)
-        np.testing.assert_array_equal(shell.cell_of_point, built.cell_of_point)
-        slots = np.arange(built.n_cells, dtype=np.int64)
-        for off in NEIGHBOR_OFFSETS:
-            np.testing.assert_array_equal(
-                shell.neighbor_slots(slots, off), built.neighbor_slots(slots, off)
-            )
-        top = 8
-        want = MinptsPass(pts, built, top)
-        got = MinptsPass(pts, shell, top)
-        for m in range(1, top + 1):
-            a, b = want.cluster(m), got.cluster(m)
-            assert a.labels.tobytes() == b.labels.tobytes()
-            assert a.core_mask.tobytes() == b.core_mask.tobytes()
 
     def test_offset_tables(self):
         # 5x5 block minus the center; the positive half enumerates each

@@ -433,28 +433,6 @@ class TestShmPaths:
         assert report.findings[0].line == 2
         assert report.findings[0].qualname == "grab"
 
-    @pytest.mark.parametrize(
-        "acquire",
-        [
-            "shm, handle = share_indexes(factory, store, wanted)",
-            "shm = attach_indexes(handle, store, factory)",
-        ],
-    )
-    def test_leaked_index_pack_is_reported(self, acquire):
-        report = check(
-            {
-                ENGINE_MOD: (
-                    "def ship(factory, store, wanted, handle):\n"
-                    f"    {acquire}\n"
-                    "    fallible()\n"
-                    "    release_segment(shm)\n"
-                )
-            },
-            [ShmPathsRule],
-        )
-        assert rule_ids(report) == ["shm-paths"]
-        assert report.findings[0].line == 2
-
     def test_try_finally_release_is_clean(self):
         # Also the end-to-end regression for the finally resume edge:
         # the close in the finally must count on the exceptional path.
@@ -932,7 +910,7 @@ _SHARD_TEARDOWN = (
     "            hb.close()"
 )
 _MERGE_HARD_DEP = "hard = (merge_task_id(parent),)"
-_LANE_PACK_ATTACH = "self.pack = attach_indexes("
+_LANE_STORE_ATTACH = "self.store = PointStore.attach("
 
 
 class TestSeededMutations:
@@ -965,10 +943,10 @@ class TestSeededMutations:
         assert report.findings[0].qualname == "_shard_worker"
 
     def test_unstored_lane_attachment_yields_one_finding(self, graph_src):
-        """A lane worker's pack is owned by its lane state: bound to a
-        local instead, it leaks."""
-        assert graph_src.count(_LANE_PACK_ATTACH) == 1
-        mutated = graph_src.replace(_LANE_PACK_ATTACH, "pack = attach_indexes(")
+        """A lane worker's store attachment is owned by its lane state:
+        bound to a local instead, it leaks."""
+        assert graph_src.count(_LANE_STORE_ATTACH) == 1
+        mutated = graph_src.replace(_LANE_STORE_ATTACH, "store = PointStore.attach(")
         report = check({"repro.exec.graph": mutated}, CONCURRENCY_RULES)
         assert rule_ids(report) == ["shm-paths"]
         assert report.findings[0].qualname == "_LaneState.bind"

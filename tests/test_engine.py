@@ -5,8 +5,6 @@ Covers the engine layer's contracts end to end:
 * :class:`PointStore` — immutability, fingerprinting, shared-memory
   materialization and the close/unlink lifecycle (no ``/dev/shm``
   leaks, even when a process-pool worker raises mid-batch);
-* :func:`pack_arrays` / :func:`attach_arrays` — the one-segment
-  multi-array transport with identity dedup;
 * :class:`IndexFactory` — memoization on (fingerprint, kind, params)
   across all four index kinds;
 * :class:`Session` — the unified run entry point, executor/strategy
@@ -28,18 +26,13 @@ from repro.core.scheduling import SchedMinpts
 from repro.core.variants import Variant, VariantSet
 from repro.engine import (
     IndexFactory,
-    IndexPair,
     PointStore,
     ReuseSpec,
     RunContext,
     RunSpec,
     Session,
-    attach_indexes,
     fingerprint_points,
-    share_indexes,
 )
-from repro.engine.factory import pair_params
-from repro.engine.shm import attach_arrays, pack_arrays
 from repro.exec import EXECUTORS
 from repro.exec.cost import CostModel
 from repro.exec.graph import partition_reuse_chains
@@ -121,31 +114,6 @@ class TestPointStore:
 
 
 # ----------------------------------------------------------------------
-# shm array pack
-# ----------------------------------------------------------------------
-class TestArrayPack:
-    def test_roundtrip_and_dedup(self):
-        a = np.arange(12, dtype=np.float64).reshape(3, 4)
-        b = np.arange(5, dtype=np.int64)
-        shm, handle = pack_arrays({"a": a, "b": b, "b_alias": b}, "test")
-        try:
-            # Aliased keys share one copy: one segment large enough for
-            # a + b only (not 2x b), and offsets equal for the aliases.
-            assert handle.entries["b"] == handle.entries["b_alias"]
-            shm2, views = attach_arrays(handle)
-            try:
-                np.testing.assert_array_equal(views["a"], a)
-                np.testing.assert_array_equal(views["b"], b)
-                assert not views["a"].flags.writeable
-            finally:
-                del views
-                shm2.close()
-        finally:
-            shm.close()
-            shm.unlink()  # repro: allow[shm-lifecycle] (exercises the raw handle path)
-
-
-# ----------------------------------------------------------------------
 # IndexFactory
 # ----------------------------------------------------------------------
 class TestIndexFactory:
@@ -196,7 +164,8 @@ class TestIndexFactory:
         pair2 = factory.index_pair(store, 16)
         assert pair1.t_high is pair2.t_high and pair1.t_low is pair2.t_low
         # Both trees presort with the store's shared permutation.
-        assert pair1.t_high.shareable_arrays["order"] is pair1.t_low.shareable_arrays["order"]
+        order = store.binsort_order()
+        assert pair1.t_high._order is order and pair1.t_low._order is order
 
     def test_clear_forces_rebuild(self, points):
         factory = IndexFactory()
@@ -204,35 +173,6 @@ class TestIndexFactory:
         first = factory.get(store, "brute")
         factory.clear()
         assert factory.get(store, "brute") is not first
-
-
-class TestSharedIndexPair:
-    def test_attach_matches_built_queries(self, points):
-        store = PointStore.from_points(points)
-        factory = IndexFactory()
-        pair = factory.index_pair(store, 16)
-        shm, handle = share_indexes(factory, store, pair_params(16))
-        try:
-            seeded = IndexFactory()
-            shm2 = attach_indexes(handle, store, seeded)
-            attached = seeded.index_pair(store, 16)
-            assert len(seeded) == 2  # both trees came from the pack
-            try:
-                for eps in (0.3, 0.8):
-                    mbb = np.array([0.1 - eps, 0.2 - eps, 0.1 + eps, 0.2 + eps])
-                    for tree, other in (
-                        (pair.t_high, attached.t_high),
-                        (pair.t_low, attached.t_low),
-                    ):
-                        got = other.query_candidates(mbb)
-                        want = tree.query_candidates(mbb)
-                        np.testing.assert_array_equal(np.sort(got), np.sort(want))
-            finally:
-                del attached, seeded
-                shm2.close()
-        finally:
-            shm.close()
-            shm.unlink()  # repro: allow[shm-lifecycle] (exercises the raw handle path)
 
 
 # ----------------------------------------------------------------------

@@ -357,33 +357,30 @@ def large_serial(large_points):
         return s.run(ROOTS).results
 
 
-def _index_spans(tracer):
-    """(worker-side index builds, kinds of every index pack created)."""
-    records = tracer.records()
-    built = [
-        r for r in records
-        if r.name == "index_build" and r.thread.startswith("worker")
+def _index_builds(tracer, arg="kind"):
+    """``(where, args[arg])`` of every index build; ``where`` is ``worker`` or ``parent``."""
+    return [
+        ("worker" if r.thread.startswith("worker") else "parent", r.args[arg])
+        for r in tracer.records() if r.name == "index_build"
     ]
-    packs = [
-        r.args["kinds"] for r in records
-        if r.name == "shm_attach" and r.args.get("what") == "indexes-create"
-    ]
-    return built, packs
 
 
 class TestVariantFirst:
     @pytest.mark.parametrize(
         "executor,knobs", [("processes", {}), ("hybrid", {"regions": 2})]
     )
-    def test_cellgraph_lanes_attach_grids_and_no_rtree(
+    def test_cellgraph_lanes_build_no_rtree(
         self, large_points, large_serial, executor, knobs
     ):
         tracer = Tracer()
         with Session(large_points, tracer=tracer) as s:
             batch = s.run(ROOTS, executor=executor, n_threads=2, **knobs)
-        built, packs = _index_spans(tracer)
-        assert built == [], "lane workers must not build an index"
-        assert packs == ["cellgraph"], "one grid pack per batch, no R-tree"
+        built = _index_builds(tracer)
+        assert {kind for _, kind in built} == {"cellgraph"}, "no R-tree anywhere"
+        # The parent prices each pass on its grid; a worker builds the
+        # grid of each pass it runs, once.
+        assert built.count(("parent", "cellgraph")) == len(ROOTS)
+        assert built.count(("worker", "cellgraph")) == len(ROOTS)
         kinds = {r.args["kind"] for r in tracer.records() if r.name == SPAN_TASK}
         assert kinds == {"variant"}, "more roots than lanes: nothing shards"
         for v in ROOTS:
@@ -414,12 +411,15 @@ class TestVariantFirst:
             assert batch[lone[0]].core_mask.tobytes() == serial.core_mask.tobytes()
 
     def test_bfs_lanes_get_the_rtree_pair_once(self, points):
+        """Each lane builds the pair itself, once; the parent builds none."""
         tracer = Tracer()
         with Session(points, tracer=tracer) as s:
             s.run(VSET, kernel="bfs", executor="processes", n_threads=2)
-        built, packs = _index_spans(tracer)
-        assert built == []
-        assert packs == ["rtree"]
+            s.run(VSET, kernel="bfs", executor="processes", n_threads=2)
+            assert len(s.factory) == 0, "the parent builds no index for its lanes"
+        built = _index_builds(tracer, "r")
+        assert {where for where, _ in built} == {"worker"}
+        assert 1 <= built.count(("worker", 1)) == built.count(("worker", 70)) <= 2
 
     def test_killed_chain_worker_leaks_no_segment(self, large_points, large_serial):
         before = _repro_segments()

@@ -2,9 +2,10 @@
 
 A :class:`~repro.Session` starts its process lanes on its first
 ``processes``/``hybrid`` run and keeps them, with each worker's store
-and index-pack attachments, until :meth:`~repro.Session.close`.  These
-tests pin what that may not change (outputs, fault outcomes) and what
-it must clean up (processes, segments), also after failures.
+attachment and the indexes it built, until :meth:`~repro.Session.close`.
+These tests pin what that may not change (outputs, fault outcomes),
+what a worker builds (each index once) and what must be cleaned up
+(processes, segments), also after failures.
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ import glob
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 import textwrap
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,8 @@ import pytest
 import repro.exec.graph as graph
 from repro import FaultPlan, FaultSpec, RetryPolicy, Session, VariantSet
 from repro.data.registry import load_dataset
+from repro.engine.shm import owned_segments
+from repro.obs.span import Tracer
 from repro.resilience.report import VariantStatus
 
 VSET = VariantSet.from_product([0.3, 0.5], [4, 8])
@@ -71,7 +78,7 @@ class TestReuse:
         _same(first, ref, VSET)
         _same(second, ref, VSET)
 
-    def test_new_indexes_repack_on_the_same_workers(self, points):
+    def test_new_eps_values_on_the_same_workers_stay_byte_identical(self, points):
         later = VariantSet.from_product([0.4], [4, 6])
         with Session(points) as s:
             serial = s.run(later)
@@ -80,19 +87,54 @@ class TestReuse:
         with Session(points) as s:
             s.run(VSET, executor="processes", n_threads=2)
             pids = _workers() - before
-            lanes = s._lanes
-            assert lanes is not None
-            pack = lanes.idx_handle
-            s.run(VSET, executor="processes", n_threads=2)
-            assert lanes.idx_handle is pack, "the same grids: no new pack"
             grown = s.run(later, executor="processes", n_threads=2)
-            assert lanes.idx_handle is not pack
-            assert [p["eps"] for _, p in lanes.packed] == [0.3, 0.5, 0.4]
             bfs = s.run(VSET, executor="processes", n_threads=2, kernel="bfs")
-            assert [k for k, _ in lanes.packed] == ["cellgraph"] * 3 + ["rtree"] * 2
             assert _workers() - before == pids
         _same(grown, serial, later)
         _same(bfs, bfs_ref, VSET)
+
+
+class TestWorkerIndexes:
+    @pytest.mark.parametrize("kernel", ["cellgraph", "bfs"])
+    def test_a_batch_leaves_only_the_store_segment(self, points, kernel):
+        before = set(owned_segments())
+        with Session(points, kernel=kernel) as s:
+            s.run(VSET, executor="processes", n_threads=2)
+            s.run(VSET, executor="processes", n_threads=2, supervise=True)
+            assert set(owned_segments()) - before == {s.store.segment_name}
+
+    @pytest.mark.parametrize("kernel", ["cellgraph", "bfs"])
+    def test_a_lane_builds_each_index_once(self, points, kernel):
+        """One lane over three batches: the second repeats the first and
+        builds nothing; the third builds only its new eps's grid."""
+        later = VariantSet.from_product([0.3, 0.4], [4, 6])
+        with Session(points) as s:
+            refs = [s.run(VSET), s.run(later)]
+        tracer = Tracer()
+
+        def worker_builds():
+            return sorted(
+                (r.args["kind"], r.args.get("eps", 0.0), r.args.get("r", 0))
+                for r in tracer.drain()
+                if r.name == "index_build" and r.thread.startswith("worker")
+            )
+
+        with Session(points, kernel=kernel, tracer=tracer) as s:
+            first = s.run(VSET, executor="processes", n_threads=1)
+            built = worker_builds()
+            second = s.run(VSET, executor="processes", n_threads=1)
+            assert worker_builds() == [], "the second identical batch builds nothing"
+            third = s.run(later, executor="processes", n_threads=1)
+            grown = worker_builds()
+        if kernel == "cellgraph":
+            assert built == [("cellgraph", 0.3, 0), ("cellgraph", 0.5, 0)]
+            assert grown == [("cellgraph", 0.4, 0)]
+            _same(first, refs[0], VSET)
+            _same(third, refs[1], later)
+        else:
+            assert built == [("rtree", 0.0, 1), ("rtree", 0.0, 70)]
+            assert grown == []
+        _same(second, first, VSET)
 
 
 class TestFailures:
@@ -132,6 +174,49 @@ class TestFailures:
             marker.unlink()
             after = s.run(VSET, executor="processes", n_threads=2)
         _same(after, ref, VSET)
+
+
+#: The pool whose worker :func:`_half_result` writes into (a fork child
+#: inherits the parent's module state, so the worker finds it here).
+_POOL = None
+
+
+def _half_result(marker: str) -> None:
+    """Send the first bytes of a 1000-byte result, then hang."""
+    fd = _POOL._result_queue._writer.fileno()
+    os.write(fd, struct.pack("!i", 1000) + b"x" * 10)
+    Path(marker).touch()
+    time.sleep(600)
+
+
+class TestRespawn:
+    def test_a_worker_killed_mid_result_does_not_wedge_its_lane(self, tmp_path):
+        """Respawning a hung lane whose worker died while it sent a result
+        returns, and the pool's reader thread ends instead of waiting on
+        the rest of the message forever."""
+        global _POOL
+        lanes = graph._ProcessLanes()
+        lanes.pools = [ProcessPoolExecutor(max_workers=1)]
+        _POOL = lanes.pools[0]
+        marker = tmp_path / "sent"
+        respawn = threading.Thread(target=lanes.respawn, args=(0, True), daemon=True)
+        try:
+            lanes.pools[0].submit(_half_result, str(marker))
+            deadline = time.monotonic() + 30
+            while not marker.exists():
+                assert time.monotonic() < deadline, "the worker never wrote"
+                time.sleep(0.01)
+            reader = lanes.pools[0]._executor_manager_thread
+            respawn.start()
+            respawn.join(30)
+            assert not respawn.is_alive(), "respawn waited on the half-sent result"
+            reader.join(30)
+            assert not reader.is_alive(), "the reader thread still waits on the result"
+            assert lanes.pools[0].submit(os.getpid).result(timeout=30) != os.getpid()
+        finally:
+            _POOL = None
+            if not respawn.is_alive():  # else the old pool is wedged for good
+                lanes.shutdown()
 
 
 class TestCleanup:
